@@ -7,7 +7,6 @@ Gain and strength come from pluggable providers (oracle, files, arrays),
 so the pipeline runs and is testable without any trained model.
 """
 
-from ._kernels import BACKENDS, ENV_FLAG, backend_name
 from .audio import AudioBuffer, PIPELINE_RATE, WriteReport, read_wav, write_wav
 from .comb import (
     CombFilterBank,
@@ -63,11 +62,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioBuffer",
     "AudioFormatError",
-    "BACKENDS",
     "BlendConfig",
     "CombFilterBank",
     "DataError",
-    "ENV_FLAG",
     "EnhanceResult",
     "EstimatorConfig",
     "F0Grid",
@@ -82,7 +79,6 @@ __all__ = [
     "VerificationError",
     "WriteReport",
     "asym_mse",
-    "backend_name",
     "bce_loss",
     "blend",
     "build_bank",

@@ -1,145 +1,81 @@
-"""Hot numerical loops with optional numba compilation.
+"""Hot numerical loops, vectorized with numpy over the innermost axis.
 
-Every kernel has two implementations: a scalar-loop version compiled with
-``numba.njit`` and a vectorized numpy fallback. The active backend is chosen
-once at import time; set ``HCF_DISABLE_NUMBA=1`` to force the numpy path
-(useful for debugging and for timing comparisons, see benchmarks/).
-
-Kernels work on frame-major arrays (one contiguous row per frame) so the
-inner loops walk memory linearly; callers transpose at the API boundary.
-The comb kernels treat a period of 0 as the identity row: the center slice
-is copied through untouched, which keeps unvoiced frames bit-exact.
+Kernels work on frame-major arrays (one contiguous row per frame) so each
+slice walks memory linearly; callers transpose at the API boundary. The
+scalar-loop definitions these kernels are tested against live in
+``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "HCF_DISABLE_NUMBA"
 
-
-def _numba_requested() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0")
-
-
-_HAVE_NUMBA = False
-if not _numba_requested():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-
-def backend_name() -> str:
-    """Name of the active kernel backend, ``numba`` or ``numpy``."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+def _as_f64c(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
 # comb filtering
 #
 # chunks: (n_frames, frame + 2*pad), row t padded with pad samples each side.
-# Reference orientation sums taps at +k*T (cross-correlation with the weight
-# row); the inference orientation slices at -k*T. The two coincide for
-# symmetric taps, which the equivalence tests rely on.
+# The reference route cross-correlates with the bank's weight rows (taps at
+# +k*T); the inference route slices at -k*T. The two coincide for symmetric
+# taps, which the equivalence tests rely on.
 
 
-def _comb_all_py(chunks, periods, taps, pad, frame):
-    n_rows = periods.shape[0]
-    n_frames = chunks.shape[0]
-    m = (taps.shape[0] - 1) // 2
-    out = np.zeros((n_rows, n_frames, frame))
-    for i in range(n_rows):
-        t_i = periods[i]
-        if t_i == 0:
-            for t in range(n_frames):
-                for s in range(frame):
-                    out[i, t, s] = chunks[t, pad + s]
-            continue
-        for t in range(n_frames):
-            for k in range(-m, m + 1):
-                w = taps[k + m]
-                base = pad + k * t_i
-                for s in range(frame):
-                    out[i, t, s] += w * chunks[t, base + s]
+def comb_all(chunks_fm, rows) -> np.ndarray:
+    """Cross-correlate every frame with every weight row, valid positions only.
+
+    ``rows`` is (n_rows, 2*pad + 1), the bank's dense weight matrix; the work
+    is one accumulation per nonzero weight. Returns (n_rows, n_frames, frame).
+    """
+    chunks_fm = _as_f64c(chunks_fm)
+    rows = np.asarray(rows, dtype=np.float64)
+    frame = chunks_fm.shape[1] - rows.shape[1] + 1
+    out = np.zeros((rows.shape[0], chunks_fm.shape[0], frame))
+    for i, j in zip(*np.nonzero(rows)):
+        out[i] += rows[i, j] * chunks_fm[:, j:j + frame]
     return out
 
 
-def _comb_all_np(chunks, periods, taps, pad, frame):
-    n_rows = periods.shape[0]
-    n_frames = chunks.shape[0]
-    m = (taps.shape[0] - 1) // 2
-    out = np.zeros((n_rows, n_frames, frame))
-    center = chunks[:, pad:pad + frame]
-    for i in range(n_rows):
-        t_i = int(periods[i])
-        if t_i == 0:
-            out[i] = center
-            continue
-        acc = out[i]
-        for k in range(-m, m + 1):
-            base = pad + k * t_i
-            acc += taps[k + m] * chunks[:, base:base + frame]
-    return out
+def comb_inference(chunks_fm, sel_periods, taps, pad: int, frame: int) -> np.ndarray:
+    """Filter each frame with its selected period only, -kT orientation.
 
-
-def _comb_inference_py(chunks, sel_periods, taps, pad, frame):
-    n_frames = chunks.shape[0]
-    m = (taps.shape[0] - 1) // 2
-    out = np.zeros((n_frames, frame))
-    for t in range(n_frames):
-        t_sel = sel_periods[t]
-        if t_sel == 0:
-            for s in range(frame):
-                out[t, s] = chunks[t, pad + s]
-            continue
-        for k in range(-m, m + 1):
-            w = taps[k + m]
-            base = pad - k * t_sel
-            for s in range(frame):
-                out[t, s] += w * chunks[t, base + s]
-    return out
-
-
-def _comb_inference_np(chunks, sel_periods, taps, pad, frame):
-    n_frames = chunks.shape[0]
-    m = (taps.shape[0] - 1) // 2
+    A period of 0 marks an unvoiced frame, whose center slice is copied
+    through untouched. Returns (n_frames, frame)."""
+    chunks_fm = _as_f64c(chunks_fm)
+    n_frames = chunks_fm.shape[0]
+    m = (len(taps) - 1) // 2
     out = np.zeros((n_frames, frame))
     for t in range(n_frames):
         t_sel = int(sel_periods[t])
         if t_sel == 0:
-            out[t] = chunks[t, pad:pad + frame]
+            out[t] = chunks_fm[t, pad:pad + frame]
             continue
         row = out[t]
         for k in range(-m, m + 1):
             base = pad - k * t_sel
-            row += taps[k + m] * chunks[t, base:base + frame]
+            row += taps[k + m] * chunks_fm[t, base:base + frame]
     return out
 
 
 # ---------------------------------------------------------------------------
 # YIN difference function
-#
-# d[tau] = sum_{s<w_len} (x[s] - x[s+tau])^2 for tau in 0..tau_max; the
-# caller guarantees len(x) >= w_len + tau_max.
 
 
-def _yin_difference_py(x, w_len, tau_max):
-    d = np.zeros(tau_max + 1)
-    for tau in range(1, tau_max + 1):
-        acc = 0.0
-        for s in range(w_len):
-            diff = x[s] - x[s + tau]
-            acc += diff * diff
-        d[tau] = acc
-    return d
+def yin_difference(x, w_len: int, tau_max: int) -> np.ndarray:
+    """Squared-difference curve d[0..tau_max] over a w_len-sample window.
 
-
-def _yin_difference_np(x, w_len, tau_max):
+    d[tau] = sum_{s<w_len} (x[s] - x[s+tau])^2, so ``x`` needs at least
+    ``w_len + tau_max`` samples.
+    """
+    x = _as_f64c(x)
+    if x.shape[0] < w_len + tau_max:
+        raise ValueError(
+            f"window of {x.shape[0]} samples too short for "
+            f"w_len={w_len}, tau_max={tau_max}"
+        )
     d = np.zeros(tau_max + 1)
     head = x[:w_len]
     for tau in range(1, tau_max + 1):
@@ -150,44 +86,19 @@ def _yin_difference_np(x, w_len, tau_max):
 
 # ---------------------------------------------------------------------------
 # Viterbi max-path
-#
-# emissions: (n_states, n_frames) log-probabilities; transition: (n_states,
-# n_states) additive log-weights, transition[i, j] for a move i -> j;
-# initial: (n_states,) additive log-weights. Ties go to the lowest state
-# index in both backends.
 
 
-def _viterbi_py(emissions, transition, initial):
-    n_states, n_frames = emissions.shape
-    score = initial + emissions[:, 0]
-    back = np.zeros((n_frames, n_states), dtype=np.int64)
-    for t in range(1, n_frames):
-        new = np.empty(n_states)
-        for j in range(n_states):
-            best = -np.inf
-            arg = 0
-            for i in range(n_states):
-                v = score[i] + transition[i, j]
-                if v > best:
-                    best = v
-                    arg = i
-            new[j] = best + emissions[j, t]
-            back[t, j] = arg
-        score = new
-    path = np.empty(n_frames, dtype=np.int64)
-    best = -np.inf
-    arg = 0
-    for j in range(n_states):
-        if score[j] > best:
-            best = score[j]
-            arg = j
-    path[n_frames - 1] = arg
-    for t in range(n_frames - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+def viterbi_core(emissions, transition, initial) -> np.ndarray:
+    """Highest-scoring state path.
 
-
-def _viterbi_np(emissions, transition, initial):
+    ``emissions`` is (n_states, n_frames) log-probabilities, ``transition``
+    (n_states, n_states) additive log-weights with ``transition[i, j]`` for a
+    move i -> j, ``initial`` (n_states,) additive log-weights. Ties go to the
+    lowest state index.
+    """
+    emissions = _as_f64c(emissions)
+    transition = _as_f64c(transition)
+    initial = _as_f64c(initial)
     n_states, n_frames = emissions.shape
     score = initial + emissions[:, 0]
     back = np.zeros((n_frames, n_states), dtype=np.int64)
@@ -200,78 +111,3 @@ def _viterbi_np(emissions, transition, initial):
     for t in range(n_frames - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
-
-
-if _HAVE_NUMBA:
-    _comb_all_nb = njit(cache=True)(_comb_all_py)
-    _comb_inference_nb = njit(cache=True)(_comb_inference_py)
-    _yin_difference_nb = njit(cache=True)(_yin_difference_py)
-    _viterbi_nb = njit(cache=True)(_viterbi_py)
-
-#: Both backends keyed by name; "numba" is present only when importable and
-#: not disabled. The benchmark script times one against the other.
-BACKENDS = {
-    "numpy": {
-        "comb_all": _comb_all_np,
-        "comb_inference": _comb_inference_np,
-        "yin_difference": _yin_difference_np,
-        "viterbi": _viterbi_np,
-    },
-}
-if _HAVE_NUMBA:
-    BACKENDS["numba"] = {
-        "comb_all": _comb_all_nb,
-        "comb_inference": _comb_inference_nb,
-        "yin_difference": _yin_difference_nb,
-        "viterbi": _viterbi_nb,
-    }
-
-_ACTIVE = BACKENDS[backend_name()]
-
-
-def _as_f64c(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def comb_all(chunks_fm, periods, taps, pad: int, frame: int) -> np.ndarray:
-    """Filter every frame with every candidate row, +kT orientation.
-
-    Returns (n_rows, n_frames, frame)."""
-    return _ACTIVE["comb_all"](
-        _as_f64c(chunks_fm),
-        np.ascontiguousarray(periods, dtype=np.int64),
-        _as_f64c(taps),
-        int(pad),
-        int(frame),
-    )
-
-
-def comb_inference(chunks_fm, sel_periods, taps, pad: int, frame: int) -> np.ndarray:
-    """Filter each frame with its selected period only, -kT orientation.
-
-    Returns (n_frames, frame)."""
-    return _ACTIVE["comb_inference"](
-        _as_f64c(chunks_fm),
-        np.ascontiguousarray(sel_periods, dtype=np.int64),
-        _as_f64c(taps),
-        int(pad),
-        int(frame),
-    )
-
-
-def yin_difference(x, w_len: int, tau_max: int) -> np.ndarray:
-    """Squared-difference curve d[0..tau_max] over a w_len-sample window."""
-    x = _as_f64c(x)
-    if x.shape[0] < w_len + tau_max:
-        raise ValueError(
-            f"window of {x.shape[0]} samples too short for "
-            f"w_len={w_len}, tau_max={tau_max}"
-        )
-    return _ACTIVE["yin_difference"](x, int(w_len), int(tau_max))
-
-
-def viterbi_core(emissions, transition, initial) -> np.ndarray:
-    """Highest-scoring state path; see the layout note above."""
-    return _ACTIVE["viterbi"](
-        _as_f64c(emissions), _as_f64c(transition), _as_f64c(initial)
-    )

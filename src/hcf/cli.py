@@ -19,10 +19,10 @@ import numpy as np
 
 from .audio import AudioBuffer, PIPELINE_RATE, read_wav, write_wav
 from .comb import build_bank, filter_all_candidates, filter_inference, select_candidate
-from .enhance import BlendConfig, enhance, resynthesize
+from .enhance import BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, chunk_signal, frame_signal, stft
+from .framing import FrameConfig, chunk_signal, frame_signal, istft_overlap_add, stft
 from .grid import F0Grid, gaussian_label, read_track, track_from_indices, write_track
 from .matrixio import read_matrix, write_matrix
 from .metrics import LossConfig, sdr, se_loss, snr
@@ -51,9 +51,14 @@ def _grid(args) -> F0Grid:
     return F0Grid(f_min=args.f_min, f_max=args.f_max, size=args.grid_size)
 
 
-def _frame_cfg(args) -> FrameConfig:
-    bank_pad = args.order * int(round(PIPELINE_RATE / args.f_min))
-    return FrameConfig(frame_size=args.frame_size, hop_size=args.hop, pad=bank_pad)
+def _frame_cfg(args, pad: int = 0) -> FrameConfig:
+    """Frame geometry from the flags; ``pad`` is the comb bank's context,
+    needed only where signals are chunked for the comb."""
+    return FrameConfig(frame_size=args.frame_size, hop_size=args.hop, pad=pad)
+
+
+def _spectrum(buffer: AudioBuffer, frame_cfg: FrameConfig) -> np.ndarray:
+    return stft(frame_signal(buffer, frame_cfg))
 
 
 def _estimator_cfg(args) -> EstimatorConfig:
@@ -132,8 +137,9 @@ def _cmd_enhance(args) -> int:
 
     noisy = read_wav(args.noisy)
     clean = read_wav(args.clean) if args.clean else None
-    frame_cfg = _frame_cfg(args)
     grid = _grid(args)
+    bank = build_bank(grid, order=args.order)
+    frame_cfg = _frame_cfg(args, bank.pad)
     track = read_track(args.f0, grid) if args.f0 else None
 
     gain = read_matrix(args.gain).astype(np.float64) if args.gain else "oracle"
@@ -149,7 +155,7 @@ def _cmd_enhance(args) -> int:
         blend_cfg=BlendConfig(exponent=0.5 if args.rescale else 1.0),
         est_cfg=_estimator_cfg(args),
         grid=grid,
-        bank=build_bank(grid, order=args.order),
+        bank=bank,
     )
     report = write_wav(result.audio, args.out, bit_depth=args.bits)
     print(f"enhanced {args.noisy} -> {args.out} ({len(result.track)} frames)")
@@ -167,14 +173,19 @@ def _cmd_enhance(args) -> int:
         write_matrix(result.strength, diag / "strength.hcf")
         write_matrix(result.gain, diag / "gain.hcf")
         if clean is not None:
-            _write_report(diag / "report.txt", clean, result, frame_cfg, LossConfig())
+            _write_report(diag / "report.txt", clean, noisy, result, frame_cfg, LossConfig())
     return 0
 
 
-def _write_report(path, clean: AudioBuffer, result, frame_cfg: FrameConfig, cfg: LossConfig) -> None:
-    clean_spec = stft(frame_signal(clean, frame_cfg))
-    out_spec = stft(frame_signal(result.audio, frame_cfg))
-    total, mag0, mag, cplx = se_loss(clean_spec, out_spec, out_spec, cfg)
+def _write_report(
+    path, clean: AudioBuffer, noisy: AudioBuffer, result, frame_cfg: FrameConfig, cfg: LossConfig
+) -> None:
+    # the gains-only estimate is the blend at strength 0: noisy spectrum times gain
+    noisy_spec = _spectrum(noisy, frame_cfg)
+    gains_only = istft_overlap_add(noisy_spec * result.gain, frame_cfg, length=len(noisy))
+    total, mag0, mag, cplx = se_loss(
+        *(_spectrum(b, frame_cfg) for b in (clean, result.audio, gains_only)), cfg
+    )
     lines = [
         f"se_loss={total:.6g}",
         f"mag_gains_only={mag0:.6g}",
@@ -216,7 +227,7 @@ def _cmd_filterbank(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _grid(args)
     bank = build_bank(grid, order=args.order)
-    frame_cfg = _frame_cfg(args)
+    frame_cfg = _frame_cfg(args, bank.pad)
     rng = np.random.default_rng(args.seed)
 
     if args.wav:
@@ -258,11 +269,9 @@ def _cmd_metrics(args) -> int:
         pitch_weight=args.pitch_weight,
     )
     frame_cfg = _frame_cfg(args)
-
-    def spec(buffer: AudioBuffer):
-        return stft(frame_signal(buffer, frame_cfg))
-
-    total, mag0, mag, cplx = se_loss(spec(clean), spec(estimate), spec(gains_only), cfg)
+    total, mag0, mag, cplx = se_loss(
+        *(_spectrum(b, frame_cfg) for b in (clean, estimate, gains_only)), cfg
+    )
     print(f"se_loss={total:.6g}")
     print(f"mag_gains_only={mag0:.6g}")
     print(f"mag_full={mag:.6g}")

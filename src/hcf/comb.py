@@ -112,11 +112,6 @@ def _check_chunks(bank: CombFilterBank, chunks: np.ndarray) -> int:
     return frame
 
 
-def _kernel_periods(bank: CombFilterBank) -> np.ndarray:
-    # identity (unvoiced) row encoded as period 0
-    return np.concatenate([bank.rounded_periods, [0]])
-
-
 def filter_all_candidates(
     bank: CombFilterBank, chunks: np.ndarray, counter: Optional[MacCounter] = None
 ) -> np.ndarray:
@@ -124,10 +119,11 @@ def filter_all_candidates(
 
     ``chunks`` is (frame + 2*pad, n_frames); the result is a tensor
     (N+1, frame, n_frames) whose entry [i, s, t] cross-correlates chunk t with
-    weight row i at valid positions only. Row N is the untouched center slice.
+    row i of ``bank.weights`` at valid positions only, so this route checks
+    the weight tensor itself. Row N is the untouched center slice.
     """
     frame = _check_chunks(bank, chunks)
-    out = _kernels.comb_all(chunks.T, _kernel_periods(bank), bank.taps, bank.pad, frame)
+    out = _kernels.comb_all(chunks.T, bank.weights[:, 0, :, 0])
     if counter is not None:
         counter.parallel += bank.nonzero_taps() * frame * chunks.shape[1]
     return out.transpose(0, 2, 1)

@@ -187,7 +187,7 @@ def enhance(
     if clean is not None:
         clean_spec = stft(frame_signal(clean, frame_cfg))
 
-    fb = build_mel_filterbank(mel_bands, frame_cfg)
+    fb = build_mel_filterbank(mel_bands, frame_cfg) if isinstance(gain, str) else None
     shape = noisy_spec.shape
     gain_map = _resolve_map(
         gain, lambda: oracle_gain(noisy_spec, clean_spec, fb), "gain", shape

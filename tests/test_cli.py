@@ -188,6 +188,32 @@ class TestEnhanceCommand:
         assert "se_loss=" in report
         assert "latency_samples=2304" in report
 
+    def test_report_gains_only_term_matches_metrics(self, tmp_path, wav_pair, capsys):
+        # report.txt scores the strength-0 estimate, as `hcf metrics` scores a gains-only WAV
+        clean_path, noisy_path, _, noisy = wav_pair
+        out_path = tmp_path / "out.wav"
+        diag = tmp_path / "diag"
+        assert main([
+            "enhance", str(noisy_path), str(out_path),
+            "--clean", str(clean_path), "--diag", str(diag),
+        ]) == 0
+        report = dict(line.split("=", 1) for line in (diag / "report.txt").read_text().split())
+        assert report["mag_gains_only"] != report["mag_full"]
+
+        zeros_path = tmp_path / "zeros.hcf"
+        hcf.write_matrix(np.zeros((769, hcf.FrameConfig().n_frames(noisy.size))), zeros_path)
+        gains_only_path = tmp_path / "gains_only.wav"
+        assert main([
+            "enhance", str(noisy_path), str(gains_only_path),
+            "--gain", str(diag / "gain.hcf"), "--strength", str(zeros_path),
+            "--f0", str(diag / "track.csv"),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["metrics", str(clean_path), str(out_path), str(gains_only_path)]) == 0
+        values = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+        for key in ("mag_gains_only", "mag_full"):
+            assert float(values[key]) == pytest.approx(float(report[key]), rel=1e-4)
+
     def test_matrix_mode_identity(self, tmp_path, wav_pair, capsys):
         _, noisy_path, _, noisy = wav_pair
         n_frames = hcf.FrameConfig().n_frames(noisy.size)

@@ -1,11 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import hcf
 from hcf import _kernels
+from hcf.cli import VERIFY_TOLERANCE
 from hcf.errors import ShapeError
 
 from helpers import periodic_tone
+from reference_kernels import (
+    _comb_all_py,
+    _comb_inference_py,
+    _viterbi_py,
+    _yin_difference_py,
+)
 
 
 def desk_grid():
@@ -154,6 +163,17 @@ class TestPathEquivalence:
             fast = hcf.filter_inference(bank, chunks, track)
             assert np.abs(reference - fast).max() <= 1e-10
 
+    def test_reference_route_reads_weight_tensor(self, grid, bank, rng):
+        # a fault in the weight tensor must surface as a route deviation
+        weights = bank.weights.copy()
+        weights[96, 0, bank.pad, 0] += 0.1
+        faulty = dataclasses.replace(bank, weights=weights)
+        chunks = hcf.chunk_signal(rng.standard_normal(6000), hcf.FrameConfig())
+        track = hcf.track_from_indices(grid, np.full(chunks.shape[1], 96))
+        reference = hcf.select_candidate(hcf.filter_all_candidates(faulty, chunks), track)
+        fast = hcf.filter_inference(faulty, chunks, track)
+        assert np.abs(reference - fast).max() > VERIFY_TOLERANCE
+
     def test_unvoiced_inference_is_identity(self, grid, bank, rng):
         x = rng.standard_normal(4000)
         cfg = hcf.FrameConfig()
@@ -235,39 +255,41 @@ class TestFrequencyResponse:
             hcf.frequency_response(bank, 225)
 
 
-class TestBackendAgreement:
-    def test_comb_kernels_match_numpy_fallback(self, rng):
-        grid = desk_grid()
-        bank = hcf.build_bank(grid)
+class TestKernelParity:
+    """Each numpy kernel against its scalar loop in reference_kernels."""
+
+    def test_comb_kernels_match_reference(self, rng):
+        bank = hcf.build_bank(desk_grid())
         frame = 16
         chunks_fm = rng.standard_normal((4, frame + 2 * bank.pad))
         periods = np.concatenate([bank.rounded_periods, [0]])
-        active_all = _kernels.comb_all(chunks_fm, periods, bank.taps, bank.pad, frame)
-        np_all = _kernels.BACKENDS["numpy"]["comb_all"](
-            chunks_fm, periods, bank.taps, bank.pad, frame
+        np.testing.assert_array_equal(
+            _kernels.comb_all(chunks_fm, bank.weights[:, 0, :, 0]),
+            _comb_all_py(chunks_fm, periods, bank.taps, bank.pad, frame),
         )
-        np.testing.assert_array_equal(active_all, np_all)
 
         sel = np.array([12, 0, 8, 4], dtype=np.int64)
-        active_inf = _kernels.comb_inference(chunks_fm, sel, bank.taps, bank.pad, frame)
-        np_inf = _kernels.BACKENDS["numpy"]["comb_inference"](
-            chunks_fm, sel, bank.taps, bank.pad, frame
+        np.testing.assert_array_equal(
+            _kernels.comb_inference(chunks_fm, sel, bank.taps, bank.pad, frame),
+            _comb_inference_py(chunks_fm, sel, bank.taps, bank.pad, frame),
         )
-        np.testing.assert_array_equal(active_inf, np_inf)
 
-    def test_yin_kernel_matches_numpy_fallback(self, rng):
+    def test_yin_difference_matches_reference(self, rng):
         x = rng.standard_normal(400)
-        active = _kernels.yin_difference(x, 200, 150)
-        fallback = _kernels.BACKENDS["numpy"]["yin_difference"](x, 200, 150)
-        np.testing.assert_allclose(active, fallback, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            _kernels.yin_difference(x, 200, 150),
+            _yin_difference_py(x, 200, 150),
+            rtol=1e-9,
+            atol=1e-12,
+        )
 
-    def test_viterbi_kernel_matches_numpy_fallback(self, rng):
+    def test_viterbi_core_matches_reference(self, rng):
         em = rng.standard_normal((7, 11))
         trans = rng.standard_normal((7, 7))
         init = rng.standard_normal(7)
-        active = _kernels.viterbi_core(em, trans, init)
-        fallback = _kernels.BACKENDS["numpy"]["viterbi"](em, trans, init)
-        np.testing.assert_array_equal(active, fallback)
+        np.testing.assert_array_equal(
+            _kernels.viterbi_core(em, trans, init), _viterbi_py(em, trans, init)
+        )
 
     def test_yin_window_length_validated(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,20 @@ class TestEnhance:
         voiced = result.track.voiced_mask(hcf.F0Grid())
         if voiced.any():
             assert np.all(result.strength[:, voiced] == 0.25)
+
+    def test_mel_filterbank_built_only_for_oracle_gain(self, grid, monkeypatch, rng):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("mel filterbank built without an oracle gain")
+
+        # hcf.enhance is the re-exported function; patch the module it comes from
+        module = importlib.import_module("hcf.enhance")
+        monkeypatch.setattr(module, "build_mel_filterbank", unexpected)
+        x = rng.standard_normal(4800)
+        n_frames = hcf.FrameConfig().n_frames(x.size)
+        hcf.enhance(
+            buffer(x), clean=buffer(x), track=all_unvoiced_track(n_frames, grid),
+            gain=1.0, strength="oracle",
+        )
 
     def test_oracle_requires_clean(self, rng):
         x = rng.standard_normal(9600)

@@ -65,22 +65,30 @@ def comb_inference(chunks_fm, sel_periods, taps, pad: int, frame: int) -> np.nda
 
 
 def yin_difference(x, w_len: int, tau_max: int) -> np.ndarray:
-    """Squared-difference curve d[0..tau_max] over a w_len-sample window.
+    """Squared-difference curves d[..., 0..tau_max] over w_len-sample windows.
 
-    d[tau] = sum_{s<w_len} (x[s] - x[s+tau])^2, so ``x`` needs at least
-    ``w_len + tau_max`` samples.
+    d[tau] = sum_{s<w_len} (x[s] - x[s+tau])^2 for every row of ``x``, so a
+    row needs at least ``w_len + tau_max`` samples. Computed as
+    ``E_head + E_tau - 2 r(tau)`` from one cumulative energy sum and an FFT
+    cross-correlation ``r`` of length ``w_len + tau_max``, where no lag
+    wraps; rounding can leave tiny negatives, which are clamped to 0.
     """
-    x = _as_f64c(x)
-    if x.shape[0] < w_len + tau_max:
+    x = np.asarray(x, dtype=np.float64)
+    n = w_len + tau_max
+    if x.shape[-1] < n:
         raise ValueError(
-            f"window of {x.shape[0]} samples too short for "
+            f"window of {x.shape[-1]} samples too short for "
             f"w_len={w_len}, tau_max={tau_max}"
         )
-    d = np.zeros(tau_max + 1)
-    head = x[:w_len]
-    for tau in range(1, tau_max + 1):
-        diff = head - x[tau:tau + w_len]
-        d[tau] = np.dot(diff, diff)
+    x = x[..., :n]
+    r = np.fft.irfft(np.conj(np.fft.rfft(x[..., :w_len], n)) * np.fft.rfft(x, n), n)
+    energy = np.zeros(x.shape[:-1] + (n + 1,))
+    np.cumsum(x * x, axis=-1, out=energy[..., 1:])
+    lags = slice(0, tau_max + 1)
+    d = energy[..., w_len:w_len + 1] + energy[..., w_len:] - energy[..., lags]
+    d -= 2.0 * r[..., lags]
+    np.maximum(d, 0.0, out=d)
+    d[..., 0] = 0.0
     return d
 
 
@@ -91,21 +99,22 @@ def yin_difference(x, w_len: int, tau_max: int) -> np.ndarray:
 def viterbi_core(emissions, transition, initial) -> np.ndarray:
     """Highest-scoring state path.
 
-    ``emissions`` is (n_states, n_frames) log-probabilities, ``transition``
+    ``emissions`` is (n_frames, n_states) log-probabilities, ``transition``
     (n_states, n_states) additive log-weights with ``transition[i, j]`` for a
     move i -> j, ``initial`` (n_states,) additive log-weights. Ties go to the
     lowest state index.
     """
     emissions = _as_f64c(emissions)
-    transition = _as_f64c(transition)
     initial = _as_f64c(initial)
-    n_states, n_frames = emissions.shape
-    score = initial + emissions[:, 0]
-    back = np.zeros((n_frames, n_states), dtype=np.int64)
+    n_frames, n_states = emissions.shape
+    into = _as_f64c(np.transpose(transition))  # row j: every move into j
+    score = initial + emissions[0]
+    back = np.zeros((n_frames, n_states), dtype=np.min_scalar_type(n_states - 1))
+    states = np.arange(n_states)
     for t in range(1, n_frames):
-        cand = score[:, None] + transition
-        back[t] = np.argmax(cand, axis=0)
-        score = cand[back[t], np.arange(n_states)] + emissions[:, t]
+        cand = into + score
+        back[t] = np.argmax(cand, axis=1)
+        score = cand[states, back[t]] + emissions[t]
     path = np.empty(n_frames, dtype=np.int64)
     path[n_frames - 1] = int(np.argmax(score))
     for t in range(n_frames - 1, 0, -1):

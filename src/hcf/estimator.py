@@ -5,8 +5,9 @@ pass smooths the per-frame scores into one track. This stands in for a
 trained estimator: the posterior it emits has the same ``N+1`` layout a
 model head would produce, so everything downstream is exercised unchanged.
 
-Per frame, the cumulative-mean-normalized difference function d'(tau) is
-evaluated for lags up to the longest candidate period. Candidate salience
+Every analysis window gets a cumulative-mean-normalized difference function
+d'(tau) for lags up to the longest candidate period; the windows are scored
+together, one row per frame, in fixed-size blocks of frames. Candidate salience
 is ``max(0, 1 - d'(T_i))``; the dip picked by the classic threshold rule
 (first lag under threshold, walked to its local minimum, refined by
 parabolic interpolation) is nudged above all other saliences so that pure
@@ -21,11 +22,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .audio import AudioBuffer
 from .framing import FrameConfig
-from .grid import F0Grid, F0Track, nearest_period_index
+from .grid import F0Grid, F0Track
 
 EMISSION_FLOOR = 1e-8
 PRIOR_FLOOR = 1e-12
@@ -33,6 +35,9 @@ PRIOR_FLOOR = 1e-12
 #: Relative bump applied to the threshold-rule pick; any value > 1 works,
 #: it only has to beat equal-salience octave dips.
 PICK_BUMP = 1.001
+
+#: Frames per block in ``estimate_track``; bounds the transient arrays.
+BLOCK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -64,39 +69,70 @@ class EstimatorConfig:
 
 
 def _cmndf(d: np.ndarray) -> np.ndarray:
-    """Cumulative-mean-normalized difference; d'(0) = 1 by convention."""
+    """Cumulative-mean-normalized difference per row; d'(0) = 1 by convention."""
     out = np.ones_like(d)
-    sums = np.cumsum(d[1:])
-    taus = np.arange(1, d.shape[0], dtype=np.float64)
+    sums = np.cumsum(d[:, 1:], axis=1)
+    taus = np.arange(1, d.shape[1], dtype=np.float64)
     nonzero = sums > 0.0
-    out[1:][nonzero] = d[1:][nonzero] * taus[nonzero] / sums[nonzero]
+    out[:, 1:] = np.where(nonzero, d[:, 1:] * taus / np.where(nonzero, sums, 1.0), 1.0)
     return out
 
 
-def _threshold_pick(dprime: np.ndarray, t_min: int, t_max: int, threshold: float) -> int:
-    """Classic dip rule: first lag under threshold, walked to its local min.
+def _threshold_pick(search: np.ndarray, threshold: float) -> np.ndarray:
+    """Classic dip rule per row: first lag under threshold, walked to its local min.
 
-    Falls back to the global minimum lag when nothing dips under.
+    ``search`` holds d' over the candidate lags and every row has a lag
+    under threshold; returns positions within ``search``.
     """
-    below = np.nonzero(dprime[t_min:t_max + 1] < threshold)[0]
-    if below.size:
-        tau = t_min + int(below[0])
-        while tau + 1 <= t_max and dprime[tau + 1] < dprime[tau]:
-            tau += 1
-        return tau
-    return t_min + int(np.argmin(dprime[t_min:t_max + 1]))
+    first = np.argmax(search < threshold, axis=1)
+    # the walk stops at the first lag from ``first`` on that does not descend
+    stops = np.diff(search, axis=1, append=np.inf) >= 0.0
+    stops &= np.arange(search.shape[1]) >= first[:, None]
+    return np.argmax(stops, axis=1)
 
 
-def _parabolic_refine(dprime: np.ndarray, tau: int) -> float:
-    """Vertex of the parabola through the dip and its neighbors."""
-    if tau <= 0 or tau >= dprime.shape[0] - 1:
-        return float(tau)
-    left, mid, right = dprime[tau - 1], dprime[tau], dprime[tau + 1]
+def _parabolic_refine(dprime: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Vertex of the parabola through each row's dip (at lag >= 1) and its neighbors."""
+    at = np.minimum(tau, dprime.shape[1] - 2)
+    left, mid, right = (dprime[np.arange(dprime.shape[0]), at + k] for k in (-1, 0, 1))
     denom = left - 2.0 * mid + right
-    if denom <= 0.0:
-        return float(tau)
-    delta = 0.5 * (left - right) / denom
-    return tau + float(np.clip(delta, -1.0, 1.0))
+    bend = (tau == at) & (denom > 0.0)
+    delta = 0.5 * (left - right) / np.where(bend, denom, 1.0)
+    return tau + np.where(bend, np.clip(delta, -1.0, 1.0), 0.0)
+
+
+def _posteriors(frames: np.ndarray, grid: F0Grid, cfg: EstimatorConfig) -> np.ndarray:
+    """Posteriors over the ``N+1`` slots for each row of ``frames``.
+
+    Rows are peak-normalized to 1. An all-zero row has d' = 1 at every lag,
+    so it comes out as the unvoiced one-hot.
+    """
+    periods = grid.rounded_periods()
+    t_max = int(periods.max())
+    t_min = int(periods.min())
+    d = _kernels.yin_difference(frames, frames.shape[1] - t_max, t_max)
+    dprime = _cmndf(d)
+
+    posterior = np.zeros((frames.shape[0], grid.label_size))
+    posterior[:, :grid.size] = np.maximum(0.0, 1.0 - dprime[:, periods])
+    search = dprime[:, t_min:t_max + 1]
+    dip_min = search.min(axis=1)
+    posterior[:, grid.unvoiced_index] = np.minimum(1.0, dip_min / cfg.yin_threshold)
+
+    dipped = np.nonzero(dip_min < cfg.yin_threshold)[0]
+    if dipped.size:
+        tau = t_min + _threshold_pick(search[dipped], cfg.yin_threshold)
+        refined = _parabolic_refine(dprime[dipped], tau)
+        pick = np.argmin(np.abs(grid.periods - refined[:, None]), axis=1)
+        bumped = posterior[dipped].max(axis=1) * PICK_BUMP
+        posterior[dipped, pick] = np.maximum(posterior[dipped, pick], bumped)
+
+    peak = posterior.max(axis=1)
+    flat = peak <= 0.0
+    posterior[~flat] /= peak[~flat, None]
+    posterior[flat] = 0.0
+    posterior[flat, grid.unvoiced_index] = 1.0
+    return posterior
 
 
 def yin_frame(samples, grid: F0Grid, cfg: EstimatorConfig) -> np.ndarray:
@@ -105,36 +141,10 @@ def yin_frame(samples, grid: F0Grid, cfg: EstimatorConfig) -> np.ndarray:
     Peak-normalized to 1; an all-zero window maps to the unvoiced one-hot.
     """
     x = np.asarray(samples, dtype=np.float64)
-    periods = grid.rounded_periods()
-    t_max = int(periods.max())
-    t_min = int(periods.min())
+    t_max = int(grid.rounded_periods().max())
     if x.shape[0] < 2 * t_max:
         raise ValueError(f"window of {x.shape[0]} samples, need >= {2 * t_max}")
-
-    posterior = np.zeros(grid.label_size)
-    if not np.any(x):
-        posterior[grid.unvoiced_index] = 1.0
-        return posterior
-
-    d = _kernels.yin_difference(x, x.shape[0] - t_max, t_max)
-    dprime = _cmndf(d)
-
-    posterior[:grid.size] = np.maximum(0.0, 1.0 - dprime[periods])
-    dip_min = float(dprime[t_min:t_max + 1].min())
-    posterior[grid.unvoiced_index] = min(1.0, dip_min / cfg.yin_threshold)
-
-    if dip_min < cfg.yin_threshold:
-        tau = _threshold_pick(dprime, t_min, t_max, cfg.yin_threshold)
-        refined = _parabolic_refine(dprime, tau)
-        pick = nearest_period_index(grid, refined)
-        posterior[pick] = max(posterior[pick], posterior.max() * PICK_BUMP)
-
-    peak = posterior.max()
-    if peak <= 0.0:
-        posterior[:] = 0.0
-        posterior[grid.unvoiced_index] = 1.0
-        return posterior
-    return posterior / peak
+    return _posteriors(x[None, :], grid, cfg)[0]
 
 
 def transition_weights(grid_size: int, cfg: EstimatorConfig) -> np.ndarray:
@@ -165,7 +175,7 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
         raise ValueError(
             f"posterior dimension {post.shape[1]} != grid label size {grid.label_size}"
         )
-    emissions = np.log(np.maximum(post, EMISSION_FLOOR)).T
+    emissions = np.log(np.maximum(post, EMISSION_FLOOR))
 
     prior = cfg.voicing_prior
     initial = np.empty(grid.label_size)
@@ -186,7 +196,7 @@ def estimate_track(
     cfg: EstimatorConfig = EstimatorConfig(),
     frame_cfg: FrameConfig = FrameConfig(),
 ):
-    """Track a signal frame-by-frame: YIN per frame, then Viterbi.
+    """Track a signal: YIN posteriors for blocks of frames, then Viterbi.
 
     Analysis windows are centered on the pipeline frames (hop
     ``frame_cfg.hop_size``), so entry t lines up with frame t everywhere
@@ -195,18 +205,18 @@ def estimate_track(
     """
     x = buffer.samples
     window = cfg.analysis_window(grid)
+    hop = frame_cfg.hop_size
     n_frames = frame_cfg.n_frames(x.shape[0])
     offset = (frame_cfg.frame_size - window) // 2
 
+    # window t covers x[t*hop + offset:][:window], zeros outside the signal
+    lead = max(-offset, 0)
+    padded = np.zeros((n_frames - 1) * hop + offset + lead + window)
+    kept = min(x.shape[0], padded.shape[0] - lead)
+    padded[lead:lead + kept] = x[:kept]
+    frames = sliding_window_view(padded, window)[offset + lead::hop]
+
     posteriors = np.empty((n_frames, grid.label_size))
-    buf = np.empty(window)
-    for t in range(n_frames):
-        start = t * frame_cfg.hop_size + offset
-        stop = start + window
-        lo = max(start, 0)
-        hi = min(stop, x.shape[0])
-        buf[:] = 0.0
-        if hi > lo:
-            buf[lo - start:hi - start] = x[lo:hi]
-        posteriors[t] = yin_frame(buf, grid, cfg)
+    for lo in range(0, n_frames, BLOCK_FRAMES):
+        posteriors[lo:lo + BLOCK_FRAMES] = _posteriors(frames[lo:lo + BLOCK_FRAMES], grid, cfg)
     return viterbi_track(posteriors, grid, cfg), posteriors

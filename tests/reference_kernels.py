@@ -6,9 +6,15 @@ loop sums each window serially where numpy's dot product does not, so its
 test allows a relative tolerance of 1e-9. Chunks are frame-major, and
 ``periods`` holds one period per weight row with 0 for the identity
 (unvoiced) row.
+
+``_yin_posterior_py`` and ``_track_posteriors_py`` are the one-window-at-a-
+time pitch posterior, the oracle for the batched one in ``hcf.estimator``.
 """
 
 import numpy as np
+
+from hcf.estimator import PICK_BUMP
+from hcf.grid import nearest_period_index
 
 
 def _comb_all_py(chunks, periods, taps, pad, frame):
@@ -89,3 +95,82 @@ def _viterbi_py(emissions, transition, initial):
     for t in range(n_frames - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
+
+
+def _cmndf_py(d):
+    out = np.ones_like(d)
+    sums = np.cumsum(d[1:])
+    taus = np.arange(1, d.shape[0], dtype=np.float64)
+    nonzero = sums > 0.0
+    out[1:][nonzero] = d[1:][nonzero] * taus[nonzero] / sums[nonzero]
+    return out
+
+
+def _threshold_pick_py(dprime, t_min, t_max, threshold):
+    below = np.nonzero(dprime[t_min:t_max + 1] < threshold)[0]
+    if below.size:
+        tau = t_min + int(below[0])
+        while tau + 1 <= t_max and dprime[tau + 1] < dprime[tau]:
+            tau += 1
+        return tau
+    return t_min + int(np.argmin(dprime[t_min:t_max + 1]))
+
+
+def _parabolic_refine_py(dprime, tau):
+    if tau <= 0 or tau >= dprime.shape[0] - 1:
+        return float(tau)
+    left, mid, right = dprime[tau - 1], dprime[tau], dprime[tau + 1]
+    denom = left - 2.0 * mid + right
+    if denom <= 0.0:
+        return float(tau)
+    delta = 0.5 * (left - right) / denom
+    return tau + float(np.clip(delta, -1.0, 1.0))
+
+
+def _yin_posterior_py(x, grid, cfg):
+    """Posterior over the N+1 slots for one analysis window."""
+    periods = grid.rounded_periods()
+    t_max = int(periods.max())
+    t_min = int(periods.min())
+    posterior = np.zeros(grid.label_size)
+    if not np.any(x):
+        posterior[grid.unvoiced_index] = 1.0
+        return posterior
+
+    w_len = x.shape[0] - t_max
+    d = np.zeros(t_max + 1)
+    for tau in range(1, t_max + 1):
+        diff = x[:w_len] - x[tau:tau + w_len]
+        d[tau] = np.dot(diff, diff)
+    dprime = _cmndf_py(d)
+
+    posterior[:grid.size] = np.maximum(0.0, 1.0 - dprime[periods])
+    dip_min = float(dprime[t_min:t_max + 1].min())
+    posterior[grid.unvoiced_index] = min(1.0, dip_min / cfg.yin_threshold)
+    if dip_min < cfg.yin_threshold:
+        tau = _threshold_pick_py(dprime, t_min, t_max, cfg.yin_threshold)
+        pick = nearest_period_index(grid, _parabolic_refine_py(dprime, tau))
+        posterior[pick] = max(posterior[pick], posterior.max() * PICK_BUMP)
+
+    peak = posterior.max()
+    if peak <= 0.0:
+        posterior[:] = 0.0
+        posterior[grid.unvoiced_index] = 1.0
+        return posterior
+    return posterior / peak
+
+
+def _track_posteriors_py(x, grid, cfg, frame_cfg):
+    """Per-frame posteriors, each window copied out of the zero-extended signal."""
+    window = cfg.analysis_window(grid)
+    offset = (frame_cfg.frame_size - window) // 2
+    n_frames = frame_cfg.n_frames(x.shape[0])
+    posteriors = np.empty((n_frames, grid.label_size))
+    for t in range(n_frames):
+        start = t * frame_cfg.hop_size + offset
+        buf = np.zeros(window)
+        lo, hi = max(start, 0), min(start + window, x.shape[0])
+        if hi > lo:
+            buf[lo - start:hi - start] = x[lo:hi]
+        posteriors[t] = _yin_posterior_py(buf, grid, cfg)
+    return posteriors

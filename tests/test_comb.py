@@ -283,12 +283,31 @@ class TestKernelParity:
             atol=1e-12,
         )
 
+    def test_yin_difference_matches_reference_per_row(self, rng):
+        rows = rng.standard_normal((3, 400))
+        d = _kernels.yin_difference(rows, 200, 150)
+        assert d.shape == (3, 151)
+        for row, got in zip(rows, d):
+            np.testing.assert_allclose(
+                got, _yin_difference_py(row, 200, 150), rtol=1e-9, atol=1e-12
+            )
+
+    def test_yin_difference_on_exactly_periodic_row(self, rng):
+        rows = np.stack([periodic_tone(100, 500), rng.standard_normal(500)])
+        d = _kernels.yin_difference(rows, 200, 300)
+        assert np.all(d >= 0.0)
+        lags = [100, 200, 300]
+        expected = _yin_difference_py(rows[0], 200, 300)
+        assert np.all(expected[lags] == 0.0)
+        e_head = float(np.sum(rows[0, :200] ** 2))
+        np.testing.assert_allclose(d[0, lags], expected[lags], rtol=0, atol=1e-12 * e_head)
+
     def test_viterbi_core_matches_reference(self, rng):
         em = rng.standard_normal((7, 11))
         trans = rng.standard_normal((7, 7))
         init = rng.standard_normal(7)
         np.testing.assert_array_equal(
-            _kernels.viterbi_core(em, trans, init), _viterbi_py(em, trans, init)
+            _kernels.viterbi_core(em.T, trans, init), _viterbi_py(em, trans, init)
         )
 
     def test_yin_window_length_validated(self):

@@ -5,6 +5,8 @@ import pytest
 import hcf
 from hcf.estimator import transition_weights
 
+from reference_kernels import _track_posteriors_py
+
 from helpers import (
     buffer,
     exhaustive_best_path,
@@ -178,3 +180,50 @@ class TestEstimateTrack:
         track, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
         assert len(track) == frame_cfg.n_frames(x.size)
         assert posteriors.shape[0] == len(track)
+
+
+def _voiced_in_noise(seconds, seed):
+    clean = harmonic_complex(180.0, 5, seconds)
+    return clean + noise_at_snr(clean, 10.0, np.random.default_rng(seed))
+
+
+def _silence_gaps():
+    gap = np.zeros(int(0.15 * 48000))
+    return np.concatenate([gap, tone(210.0, 0.2), gap, tone(140.0, 0.2)])
+
+
+class TestBatchedPosterior:
+    """Batched posteriors against the one-window-at-a-time reference."""
+
+    @pytest.mark.parametrize(
+        "x, cfg, frame_cfg",
+        [
+            (_voiced_in_noise(0.4, 1), CFG, hcf.FrameConfig()),
+            (_voiced_in_noise(0.4, 2), hcf.EstimatorConfig(window=2000), hcf.FrameConfig()),
+            (_voiced_in_noise(0.3, 3), hcf.EstimatorConfig(window=1600), hcf.FrameConfig(hop_size=192)),
+            (tone(200.0, 1000 / 48000), CFG, hcf.FrameConfig()),
+            (np.array([0.3]), CFG, hcf.FrameConfig()),
+            (_silence_gaps(), CFG, hcf.FrameConfig()),
+        ],
+        ids=["default", "window2000", "window1600_hop192", "shorter_than_window", "one_sample", "silence_gaps"],
+    )
+    def test_matches_reference(self, grid, x, cfg, frame_cfg):
+        _, posteriors = hcf.estimate_track(buffer(x), grid, cfg, frame_cfg)
+        expected = _track_posteriors_py(x, grid, cfg, frame_cfg)
+        assert posteriors.shape == expected.shape == (frame_cfg.n_frames(x.size), grid.label_size)
+        np.testing.assert_allclose(posteriors, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.argmax(posteriors, axis=1), np.argmax(expected, axis=1))
+
+    def test_digital_silence_is_unvoiced_one_hot(self, grid):
+        x = _silence_gaps()
+        _, posteriors = hcf.estimate_track(buffer(x), grid, CFG)
+        window = CFG.analysis_window(grid)
+        starts = np.arange(posteriors.shape[0]) * 384 + (1536 - window) // 2
+        gap = int(0.15 * 48000)
+        tone_len = int(0.2 * 48000)
+        mid = gap + tone_len
+        silent = (starts + window <= gap) | ((starts >= mid) & (starts + window <= mid + gap))
+        assert silent[0] and silent.sum() >= 20
+        one_hot = np.zeros(grid.label_size)
+        one_hot[grid.unvoiced_index] = 1.0
+        np.testing.assert_array_equal(posteriors[silent], np.tile(one_hot, (silent.sum(), 1)))

@@ -24,7 +24,6 @@ from .enhance import (
     enhance,
     oracle_gain,
     oracle_strength,
-    resynthesize,
 )
 from .errors import (
     AudioFormatError,
@@ -103,7 +102,6 @@ __all__ = [
     "read_matrix",
     "read_track",
     "read_wav",
-    "resynthesize",
     "sdr",
     "se_loss",
     "select_candidate",

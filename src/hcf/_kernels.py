@@ -1,9 +1,9 @@
 """Hot numerical loops, vectorized with numpy over the innermost axis.
 
-Kernels work on frame-major arrays (one contiguous row per frame) so each
-slice walks memory linearly; callers transpose at the API boundary. The
-scalar-loop definitions these kernels are tested against live in
-``tests/reference_kernels.py``.
+Kernels work on frame-major arrays, one row per frame; callers transpose
+at the API boundary. The comb kernels read rows that may be overlapping
+strided views of one buffer as they are, without a copy. The scalar-loop
+definitions these kernels are tested against live in ``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def comb_all(chunks_fm, rows) -> np.ndarray:
     ``rows`` is (n_rows, 2*pad + 1), the bank's dense weight matrix; the work
     is one accumulation per nonzero weight. Returns (n_rows, n_frames, frame).
     """
-    chunks_fm = _as_f64c(chunks_fm)
+    chunks_fm = np.asarray(chunks_fm, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
     frame = chunks_fm.shape[1] - rows.shape[1] + 1
     out = np.zeros((rows.shape[0], chunks_fm.shape[0], frame))
@@ -44,7 +44,7 @@ def comb_inference(chunks_fm, sel_periods, taps, pad: int, frame: int) -> np.nda
 
     A period of 0 marks an unvoiced frame, whose center slice is copied
     through untouched. Returns (n_frames, frame)."""
-    chunks_fm = _as_f64c(chunks_fm)
+    chunks_fm = np.asarray(chunks_fm, dtype=np.float64)
     n_frames = chunks_fm.shape[0]
     m = (len(taps) - 1) // 2
     out = np.zeros((n_frames, frame))

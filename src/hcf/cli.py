@@ -29,6 +29,9 @@ from .metrics import LossConfig, sdr, se_loss, snr
 
 VERIFY_TOLERANCE = 1e-8
 
+#: Frames per block in ``verify``; bounds the (N+1, frame, frames) candidate tensor.
+VERIFY_BLOCK_FRAMES = 32
+
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-size", type=int, default=1536, help="frame length in samples")
@@ -237,14 +240,17 @@ def _cmd_verify(args) -> int:
 
     chunks = chunk_signal(samples, frame_cfg)
     n_frames = chunks.shape[1]
-    all_candidates = filter_all_candidates(bank, chunks)
+    tracks = [rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)]
 
     max_dev = 0.0
-    for _ in range(args.tracks):
-        track = track_from_indices(grid, rng.integers(0, grid.label_size, size=n_frames))
-        reference = select_candidate(all_candidates, track)
-        fast = filter_inference(bank, chunks, track)
-        max_dev = max(max_dev, float(np.abs(reference - fast).max()))
+    for lo in range(0, n_frames, VERIFY_BLOCK_FRAMES):
+        block = chunks[:, lo:lo + VERIFY_BLOCK_FRAMES]
+        all_candidates = filter_all_candidates(bank, block)
+        for indices in tracks:
+            track = track_from_indices(grid, indices[lo:lo + VERIFY_BLOCK_FRAMES])
+            reference = select_candidate(all_candidates, track)
+            fast = filter_inference(bank, block, track)
+            max_dev = max(max_dev, float(np.abs(reference - fast).max()))
 
     print(f"max_dev={max_dev:.3e} frames={n_frames} tracks={args.tracks}")
     if max_dev > VERIFY_TOLERANCE:

@@ -168,10 +168,9 @@ def enhance(
         if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
             raise ShapeError("clean reference must match the noisy buffer exactly")
 
-    x = noisy.samples
-    frames = frame_signal(x, frame_cfg)
-    chunks = chunk_signal(x, frame_cfg)
-    n_frames = frames.shape[1]
+    chunks = chunk_signal(noisy, frame_cfg)
+    frames = chunks[frame_cfg.pad:frame_cfg.pad + frame_cfg.frame_size]
+    n_frames = chunks.shape[1]
 
     posteriors = None
     if track is None:
@@ -213,8 +212,3 @@ def enhance(
         posteriors=posteriors,
         latency_samples=frame_cfg.frame_size + bank.pad,
     )
-
-
-def resynthesize(spec, frame_cfg: FrameConfig, length: Optional[int] = None) -> AudioBuffer:
-    """Inverse-transform a spectrum through the standard synthesis chain."""
-    return istft_overlap_add(spec, frame_cfg, length=length)

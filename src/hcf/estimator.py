@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .audio import AudioBuffer
-from .framing import FrameConfig
+from .framing import FrameConfig, windows
 from .grid import F0Grid, F0Track
 
 EMISSION_FLOOR = 1e-8
@@ -205,16 +204,9 @@ def estimate_track(
     """
     x = buffer.samples
     window = cfg.analysis_window(grid)
-    hop = frame_cfg.hop_size
     n_frames = frame_cfg.n_frames(x.shape[0])
     offset = (frame_cfg.frame_size - window) // 2
-
-    # window t covers x[t*hop + offset:][:window], zeros outside the signal
-    lead = max(-offset, 0)
-    padded = np.zeros((n_frames - 1) * hop + offset + lead + window)
-    kept = min(x.shape[0], padded.shape[0] - lead)
-    padded[lead:lead + kept] = x[:kept]
-    frames = sliding_window_view(padded, window)[offset + lead::hop]
+    frames = windows(x, n_frames, frame_cfg.hop_size, offset, window)
 
     posteriors = np.empty((n_frames, grid.label_size))
     for lo in range(0, n_frames, BLOCK_FRAMES):

@@ -3,9 +3,9 @@
 Two framings of the same signal are kept in lockstep: plain overlapped
 frames (``frame_size`` rows) feeding the spectral path, and padded chunks
 (``frame_size + 2*pad`` rows) feeding the comb filters, whose taps need
-``pad`` samples of context on both sides. Both use the same hop, produce
-the same frame count, and the center slice of every chunk equals the plain
-frame bit-for-bit.
+``pad`` samples of context on both sides. Both use the same hop and frame
+count, and the frames are the chunks' center rows. Both are read-only
+strided views of one zero-padded copy of the signal (see :func:`windows`).
 
 Matrices are oriented samples-by-frames: column ``t`` is frame ``t`` and
 starts at sample ``t * hop_size`` of the source buffer.
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import PIPELINE_RATE, AudioBuffer
 from .errors import ShapeError
@@ -86,6 +87,20 @@ def _samples(source) -> np.ndarray:
     return x
 
 
+def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> np.ndarray:
+    """Read-only ``(n_frames, length)`` view of overlapping windows of ``x``.
+
+    Row ``t`` is ``x[t*hop + start:][:length]``, with zeros wherever it
+    reaches outside the signal (``start`` may be negative). The signal is
+    zero-padded once; the rows are strided views into that one buffer.
+    """
+    lead = max(-start, 0)
+    padded = np.zeros((n_frames - 1) * hop + start + lead + length)
+    kept = min(x.shape[0], padded.shape[0] - lead)
+    padded[lead:lead + kept] = x[:kept]
+    return sliding_window_view(padded, length)[start + lead::hop]
+
+
 def frame_signal(buffer, cfg: FrameConfig) -> np.ndarray:
     """Split a signal into overlapped frames, zero-padding the tail.
 
@@ -94,16 +109,11 @@ def frame_signal(buffer, cfg: FrameConfig) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        Shape ``(frame_size, n_frames)`` with ``n_frames = ceil(len / hop)``;
+        Read-only view ``(frame_size, n_frames)``, ``n_frames = ceil(len / hop)``;
         column ``t`` is ``samples[t*hop : t*hop + frame_size]``.
     """
     x = _samples(buffer)
-    n_frames = cfg.n_frames(x.size)
-    needed = (n_frames - 1) * cfg.hop_size + cfg.frame_size
-    padded = np.zeros(needed)
-    padded[: x.size] = x
-    starts = np.arange(n_frames) * cfg.hop_size
-    return padded[starts[None, :] + np.arange(cfg.frame_size)[:, None]]
+    return windows(x, cfg.n_frames(x.size), cfg.hop_size, 0, cfg.frame_size).T
 
 
 def chunk_signal(buffer, cfg: FrameConfig) -> np.ndarray:
@@ -113,12 +123,7 @@ def chunk_signal(buffer, cfg: FrameConfig) -> np.ndarray:
     ``pad + frame_size`` of column ``t`` reproduce frame ``t`` exactly.
     """
     x = _samples(buffer)
-    n_frames = cfg.n_frames(x.size)
-    needed = (n_frames - 1) * cfg.hop_size + cfg.chunk_size
-    padded = np.zeros(needed)
-    padded[cfg.pad : cfg.pad + x.size] = x
-    starts = np.arange(n_frames) * cfg.hop_size
-    return padded[starts[None, :] + np.arange(cfg.chunk_size)[:, None]]
+    return windows(x, cfg.n_frames(x.size), cfg.hop_size, -cfg.pad, cfg.chunk_size).T
 
 
 def stft(frames: np.ndarray, window: str = "sqrt_hann") -> np.ndarray:

@@ -1,10 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import hcf
 from hcf.cli import main
 
 from helpers import buffer, harmonic_complex, interior, noise_at_snr, rel_rms, tone
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -124,6 +136,23 @@ class TestVerify:
         hcf.write_wav(buffer(tone(150.0, 0.25, amp=0.4)), path, bit_depth="float32")
         assert main(["verify", str(path), "--tracks", "2"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.skipif(resource is None or not hasattr(resource, "RLIMIT_AS"),
+                        reason="needs RLIMIT_AS")
+    def test_long_input_fits_in_one_gib(self):
+        # a whole-signal candidate tensor for 20 s would need 6.5 GiB; the
+        # child's address space is capped so a regression fails, not OOMs
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        run_cli = "import sys; from hcf.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", run_cli, "verify", "--duration", "20", "--tracks", "2"],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "max_dev=" in done.stdout
 
 
 class TestDumps:

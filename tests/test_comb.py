@@ -261,18 +261,22 @@ class TestKernelParity:
     def test_comb_kernels_match_reference(self, rng):
         bank = hcf.build_bank(desk_grid())
         frame = 16
-        chunks_fm = rng.standard_normal((4, frame + 2 * bank.pad))
+        contiguous = rng.standard_normal((4, frame + 2 * bank.pad))
+        # the pipeline passes overlapping strided rows of one buffer, uncopied
+        cfg = hcf.FrameConfig(frame_size=frame, hop_size=4, pad=bank.pad)
+        strided = hcf.chunk_signal(rng.standard_normal(16), cfg).T
+        assert np.shares_memory(strided[0], strided[1])
         periods = np.concatenate([bank.rounded_periods, [0]])
-        np.testing.assert_array_equal(
-            _kernels.comb_all(chunks_fm, bank.weights[:, 0, :, 0]),
-            _comb_all_py(chunks_fm, periods, bank.taps, bank.pad, frame),
-        )
-
         sel = np.array([12, 0, 8, 4], dtype=np.int64)
-        np.testing.assert_array_equal(
-            _kernels.comb_inference(chunks_fm, sel, bank.taps, bank.pad, frame),
-            _comb_inference_py(chunks_fm, sel, bank.taps, bank.pad, frame),
-        )
+        for chunks_fm in (contiguous, strided):
+            np.testing.assert_array_equal(
+                _kernels.comb_all(chunks_fm, bank.weights[:, 0, :, 0]),
+                _comb_all_py(chunks_fm, periods, bank.taps, bank.pad, frame),
+            )
+            np.testing.assert_array_equal(
+                _kernels.comb_inference(chunks_fm, sel, bank.taps, bank.pad, frame),
+                _comb_inference_py(chunks_fm, sel, bank.taps, bank.pad, frame),
+            )
 
     def test_yin_difference_matches_reference(self, rng):
         x = rng.standard_normal(400)

@@ -289,11 +289,3 @@ class TestEnhance:
         hcf.enhance(buffer(x), track=track, strength=1.0, gain=1.0, counter=counter)
         assert counter.inference == 3 * 1536 * n_frames
 
-
-class TestResynthesize:
-    def test_round_trip(self, frame_cfg, rng):
-        x = rng.standard_normal(24000) * 0.3
-        spec = hcf.stft(hcf.frame_signal(buffer(x), frame_cfg))
-        out = hcf.resynthesize(spec, frame_cfg, length=x.size)
-        sl = interior(x.size)
-        assert rel_rms(out.samples[sl] - x[sl], x[sl]) <= 1e-6

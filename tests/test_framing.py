@@ -3,6 +3,7 @@ import pytest
 
 import hcf
 from hcf.errors import ShapeError
+from hcf.framing import windows
 
 from helpers import buffer
 
@@ -49,6 +50,26 @@ class TestFrameSignal:
         with pytest.raises(ShapeError):
             hcf.frame_signal(np.zeros((10, 2)), frame_cfg)
 
+    def test_is_read_only(self, frame_cfg, rng):
+        frames = hcf.frame_signal(rng.standard_normal(5000), frame_cfg)
+        assert not frames.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n_samples, start, length",
+        [(5000, -768, 3072), (5000, 0, 1536), (5000, 100, 1000), (700, -300, 1536)],
+    )
+    def test_windows_match_row_slices(self, rng, n_samples, start, length):
+        x = rng.standard_normal(n_samples)
+        hop = 384
+        n_frames = -(-n_samples // hop)
+        rows = windows(x, n_frames, hop, start, length)
+        assert rows.shape == (n_frames, length)
+        for t in range(n_frames):
+            idx = t * hop + start + np.arange(length)
+            inside = (idx >= 0) & (idx < n_samples)
+            expected = np.where(inside, x[np.clip(idx, 0, n_samples - 1)], 0.0)
+            np.testing.assert_array_equal(rows[t], expected)
+
 
 class TestChunkSignal:
     def test_center_equals_frame(self, frame_cfg, rng):
@@ -73,3 +94,8 @@ class TestChunkSignal:
         x = rng.standard_normal(2000)
         chunks = hcf.chunk_signal(x, frame_cfg)
         np.testing.assert_array_equal(chunks[: frame_cfg.pad, 0], 0.0)
+
+    def test_columns_are_views_of_one_buffer(self, frame_cfg, rng):
+        chunks = hcf.chunk_signal(rng.standard_normal(10000), frame_cfg)
+        assert np.shares_memory(chunks[:, 0], chunks[:, 1])
+        assert not chunks.flags.writeable

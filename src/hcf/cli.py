@@ -5,8 +5,8 @@ label and filter-bank dumps, the reference-vs-inference self-test
 (``verify``), and loss/SDR reporting (``metrics``).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or shape
-error (unreadable files, mismatched sizes), 4 numerical verification
-failure.
+error (unreadable files, mismatched sizes) or an input too large for
+memory, 4 numerical verification failure.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ def _grid(args) -> F0Grid:
     return F0Grid(f_min=args.f_min, f_max=args.f_max, size=args.grid_size)
 
 
-def _frame_cfg(args, pad: int = 0) -> FrameConfig:
-    """Frame geometry from the flags; ``pad`` is the comb bank's context,
-    needed only where signals are chunked for the comb."""
-    return FrameConfig(frame_size=args.frame_size, hop_size=args.hop, pad=pad)
+def _frame_cfg(args) -> FrameConfig:
+    return FrameConfig(frame_size=args.frame_size, hop_size=args.hop)
 
 
 def _spectrum(buffer: AudioBuffer, frame_cfg: FrameConfig) -> np.ndarray:
@@ -142,7 +140,7 @@ def _cmd_enhance(args) -> int:
     clean = read_wav(args.clean) if args.clean else None
     grid = _grid(args)
     bank = build_bank(grid, order=args.order)
-    frame_cfg = _frame_cfg(args, bank.pad)
+    frame_cfg = _frame_cfg(args)
     track = read_track(args.f0, grid) if args.f0 else None
 
     gain = read_matrix(args.gain).astype(np.float64) if args.gain else "oracle"
@@ -180,23 +178,28 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
+def _loss_lines(clean, estimate, gains_only, frame_cfg: FrameConfig, cfg: LossConfig) -> list[str]:
+    """The loss and SDR lines that ``hcf metrics`` prints and ``report.txt`` holds."""
+    total, mag0, mag, cplx = se_loss(
+        *(_spectrum(b, frame_cfg) for b in (clean, estimate, gains_only)), cfg
+    )
+    return [
+        f"se_loss={total:.6g}",
+        f"mag_gains_only={mag0:.6g}",
+        f"mag_full={mag:.6g}",
+        f"complex={cplx:.6g}",
+        f"sdr_db={sdr(clean, estimate):.3f}",
+    ]
+
+
 def _write_report(
     path, clean: AudioBuffer, noisy: AudioBuffer, result, frame_cfg: FrameConfig, cfg: LossConfig
 ) -> None:
     # the gains-only estimate is the blend at strength 0: noisy spectrum times gain
     noisy_spec = _spectrum(noisy, frame_cfg)
     gains_only = istft_overlap_add(noisy_spec * result.gain, frame_cfg, length=len(noisy))
-    total, mag0, mag, cplx = se_loss(
-        *(_spectrum(b, frame_cfg) for b in (clean, result.audio, gains_only)), cfg
-    )
-    lines = [
-        f"se_loss={total:.6g}",
-        f"mag_gains_only={mag0:.6g}",
-        f"mag_full={mag:.6g}",
-        f"complex={cplx:.6g}",
-        f"sdr_db={sdr(clean, result.audio):.3f}",
-        f"latency_samples={result.latency_samples}",
-    ]
+    lines = _loss_lines(clean, result.audio, gains_only, frame_cfg, cfg)
+    lines.append(f"latency_samples={result.latency_samples}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -230,7 +233,6 @@ def _cmd_filterbank(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _grid(args)
     bank = build_bank(grid, order=args.order)
-    frame_cfg = _frame_cfg(args, bank.pad)
     rng = np.random.default_rng(args.seed)
 
     if args.wav:
@@ -238,7 +240,7 @@ def _cmd_verify(args) -> int:
     else:
         samples = 0.5 * rng.standard_normal(int(args.duration * PIPELINE_RATE))
 
-    chunks = chunk_signal(samples, frame_cfg)
+    chunks = chunk_signal(samples, _frame_cfg(args), bank.pad)
     n_frames = chunks.shape[1]
     tracks = [rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)]
 
@@ -274,15 +276,7 @@ def _cmd_metrics(args) -> int:
         magnitude_weight=args.magnitude_weight,
         pitch_weight=args.pitch_weight,
     )
-    frame_cfg = _frame_cfg(args)
-    total, mag0, mag, cplx = se_loss(
-        *(_spectrum(b, frame_cfg) for b in (clean, estimate, gains_only)), cfg
-    )
-    print(f"se_loss={total:.6g}")
-    print(f"mag_gains_only={mag0:.6g}")
-    print(f"mag_full={mag:.6g}")
-    print(f"complex={cplx:.6g}")
-    print(f"sdr_db={sdr(clean, estimate):.3f}")
+    print("\n".join(_loss_lines(clean, estimate, gains_only, _frame_cfg(args), cfg)))
     return 0
 
 
@@ -309,6 +303,9 @@ def main(argv=None) -> int:
         return 4
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

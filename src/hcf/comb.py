@@ -19,12 +19,13 @@ cost of each route so the gap is measurable, not anecdotal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
+from .audio import PIPELINE_RATE
 from .errors import ShapeError
 from .grid import F0Grid, F0Track
 
@@ -175,8 +176,8 @@ def frequency_response(bank: CombFilterBank, candidate: int, n_points: int = 102
     if not 0 <= candidate < bank.grid.size:
         raise ValueError(f"candidate {candidate} outside [0, {bank.grid.size})")
     t_i = int(bank.rounded_periods[candidate])
-    freqs = np.linspace(0.0, bank.grid.sample_rate / 2.0, n_points)
-    omega = 2.0 * np.pi * freqs / bank.grid.sample_rate
+    freqs = np.linspace(0.0, PIPELINE_RATE / 2.0, n_points)
+    omega = 2.0 * np.pi * freqs / PIPELINE_RATE
     ks = np.arange(-bank.order, bank.order + 1)
     response = np.exp(-1j * np.outer(omega, ks * t_i)) @ bank.taps
     return freqs, np.abs(response)

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import PIPELINE_RATE, AudioBuffer
 from .comb import CombFilterBank, MacCounter, build_bank, filter_inference
 from .errors import ShapeError
 from .estimator import EstimatorConfig, estimate_track
@@ -139,7 +139,6 @@ def enhance(
     est_cfg: EstimatorConfig = EstimatorConfig(),
     grid: Optional[F0Grid] = None,
     bank: Optional[CombFilterBank] = None,
-    mel_bands: int = 80,
     counter: Optional[MacCounter] = None,
 ) -> EnhanceResult:
     """Run the whole pipeline on one buffer.
@@ -147,19 +146,19 @@ def enhance(
     ``track=None`` estimates the pitch track internally; otherwise the given
     track must have one entry per frame. Oracle providers need ``clean`` of
     the same length and rate. Output length equals input length.
+
+    The comb bank owns the grid and the chunk context ``bank.pad``: with
+    only ``grid`` given the bank is built from it, otherwise the pipeline
+    runs on ``bank.grid`` (the default grid when neither is given), and a
+    ``grid`` that differs from ``bank.grid`` is rejected.
     """
-    if noisy.sample_rate != frame_cfg.sample_rate:
-        raise ShapeError(
-            f"buffer rate {noisy.sample_rate} != pipeline rate {frame_cfg.sample_rate}"
-        )
-    if grid is None:
-        grid = F0Grid(sample_rate=frame_cfg.sample_rate)
+    if noisy.sample_rate != PIPELINE_RATE:
+        raise ShapeError(f"buffer rate {noisy.sample_rate} != pipeline rate {PIPELINE_RATE}")
     if bank is None:
-        bank = build_bank(grid)
-    if bank.pad != frame_cfg.pad:
-        raise ShapeError(
-            f"frame padding {frame_cfg.pad} != comb filter context {bank.pad}"
-        )
+        bank = build_bank(grid if grid is not None else F0Grid())
+    if grid is not None and grid != bank.grid:
+        raise ShapeError(f"grid {grid} differs from the comb bank's grid {bank.grid}")
+    grid = bank.grid
 
     needs_oracle = isinstance(gain, str) or isinstance(strength, str)
     if needs_oracle:
@@ -168,8 +167,8 @@ def enhance(
         if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
             raise ShapeError("clean reference must match the noisy buffer exactly")
 
-    chunks = chunk_signal(noisy, frame_cfg)
-    frames = chunks[frame_cfg.pad:frame_cfg.pad + frame_cfg.frame_size]
+    chunks = chunk_signal(noisy, frame_cfg, bank.pad)
+    frames = chunks[bank.pad:bank.pad + frame_cfg.frame_size]
     n_frames = chunks.shape[1]
 
     posteriors = None
@@ -186,7 +185,7 @@ def enhance(
     if clean is not None:
         clean_spec = stft(frame_signal(clean, frame_cfg))
 
-    fb = build_mel_filterbank(mel_bands, frame_cfg) if isinstance(gain, str) else None
+    fb = build_mel_filterbank(cfg=frame_cfg) if isinstance(gain, str) else None
     shape = noisy_spec.shape
     gain_map = _resolve_map(
         gain, lambda: oracle_gain(noisy_spec, clean_spec, fb), "gain", shape

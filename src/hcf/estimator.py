@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .audio import AudioBuffer
 from .framing import FrameConfig, windows
-from .grid import F0Grid, F0Track
+from .grid import F0Grid, F0Track, track_from_indices
 
 EMISSION_FLOOR = 1e-8
 PRIOR_FLOOR = 1e-12
@@ -182,11 +182,7 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
     initial[grid.size] = np.log(max(1.0 - prior, PRIOR_FLOOR))
 
     path = _kernels.viterbi_core(emissions, transition_weights(grid.size, cfg), initial)
-
-    voiced = path != grid.unvoiced_index
-    f0 = np.zeros(path.shape[0])
-    f0[voiced] = grid.sample_rate / grid.periods[path[voiced]]
-    return F0Track(indices=path, f0=f0, voicing=voiced.astype(np.float64))
+    return track_from_indices(grid, path)
 
 
 def estimate_track(

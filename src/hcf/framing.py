@@ -3,9 +3,11 @@
 Two framings of the same signal are kept in lockstep: plain overlapped
 frames (``frame_size`` rows) feeding the spectral path, and padded chunks
 (``frame_size + 2*pad`` rows) feeding the comb filters, whose taps need
-``pad`` samples of context on both sides. Both use the same hop and frame
-count, and the frames are the chunks' center rows. Both are read-only
-strided views of one zero-padded copy of the signal (see :func:`windows`).
+``pad`` samples of context on both sides. ``pad`` is not part of the frame
+geometry: the caller passes the comb bank's ``bank.pad``. Both framings use
+the same hop and frame count, and the frames are the chunks' center rows.
+Both are read-only strided views of one zero-padded copy of the signal (see
+:func:`windows`).
 
 Matrices are oriented samples-by-frames: column ``t`` is frame ``t`` and
 starts at sample ``t * hop_size`` of the source buffer.
@@ -29,12 +31,10 @@ OVERLAP_EPS = 1e-8
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Frame geometry: 32 ms frames, 8 ms hop, 16 ms filter context at 48 kHz."""
+    """Frame geometry: 32 ms frames, 8 ms hop at 48 kHz."""
 
     frame_size: int = 1536
     hop_size: int = 384
-    pad: int = 768
-    sample_rate: int = PIPELINE_RATE
 
     def __post_init__(self):
         if self.frame_size <= 0 or self.hop_size <= 0:
@@ -43,20 +43,10 @@ class FrameConfig:
             raise ValueError(
                 f"hop_size {self.hop_size} must divide frame_size {self.frame_size}"
             )
-        if self.pad < 0:
-            raise ValueError("pad must be nonnegative")
-
-    @property
-    def fft_size(self) -> int:
-        return self.frame_size
 
     @property
     def n_bins(self) -> int:
         return self.frame_size // 2 + 1
-
-    @property
-    def chunk_size(self) -> int:
-        return self.frame_size + 2 * self.pad
 
     def n_frames(self, n_samples: int) -> int:
         if n_samples < 1:
@@ -116,14 +106,15 @@ def frame_signal(buffer, cfg: FrameConfig) -> np.ndarray:
     return windows(x, cfg.n_frames(x.size), cfg.hop_size, 0, cfg.frame_size).T
 
 
-def chunk_signal(buffer, cfg: FrameConfig) -> np.ndarray:
+def chunk_signal(buffer, cfg: FrameConfig, pad: int) -> np.ndarray:
     """Split a signal into filter-ready chunks with ``pad`` context each side.
 
-    Same frame count and hop as :func:`frame_signal`; rows ``pad`` through
-    ``pad + frame_size`` of column ``t`` reproduce frame ``t`` exactly.
+    ``pad`` is the comb bank's context, ``bank.pad``. Same frame count and
+    hop as :func:`frame_signal`; rows ``pad`` through ``pad + frame_size``
+    of column ``t`` reproduce frame ``t`` exactly.
     """
     x = _samples(buffer)
-    return windows(x, cfg.n_frames(x.size), cfg.hop_size, -cfg.pad, cfg.chunk_size).T
+    return windows(x, cfg.n_frames(x.size), cfg.hop_size, -pad, cfg.frame_size + 2 * pad).T
 
 
 def stft(frames: np.ndarray, window: str = "sqrt_hann") -> np.ndarray:
@@ -182,4 +173,4 @@ def istft_overlap_add(
         n = min(length, total)
         trimmed[:n] = out[:n]
         out = trimmed
-    return AudioBuffer(out, cfg.sample_rate)
+    return AudioBuffer(out, PIPELINE_RATE)

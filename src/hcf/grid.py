@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import PIPELINE_RATE
 from .errors import DataError, ShapeError
 
 #: Width constant of the squared-distance label smoothing, in bins^2.
@@ -32,16 +33,15 @@ class F0Grid:
     f_min: float = 62.5
     f_max: float = 500.0
     size: int = 225
-    sample_rate: int = 48000
-    periods: np.ndarray = field(init=False)
+    periods: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.f_min < self.f_max):
             raise ValueError("require 0 < f_min < f_max")
         if self.size < 2:
             raise ValueError("need at least 2 candidates")
-        t_max = self.sample_rate / self.f_min
-        t_min = self.sample_rate / self.f_max
+        t_max = PIPELINE_RATE / self.f_min
+        t_min = PIPELINE_RATE / self.f_max
         step = (t_max - t_min) / (self.size - 1)
         periods = t_max - step * np.arange(self.size)
         object.__setattr__(self, "periods", periods)
@@ -56,7 +56,7 @@ class F0Grid:
 
     def frequency(self, index: int) -> float:
         """Candidate frequency in hertz for a voiced grid index."""
-        return self.sample_rate / self.periods[index]
+        return PIPELINE_RATE / self.periods[index]
 
     def rounded_periods(self) -> np.ndarray:
         """Periods quantized to whole samples, as used by the filter bank."""
@@ -64,7 +64,7 @@ class F0Grid:
 
 
 def nearest_index(grid: F0Grid, f0: float) -> int:
-    """Grid index whose period is closest to ``sample_rate / f0``.
+    """Grid index whose period is closest to ``PIPELINE_RATE / f0``.
 
     Ties go to the longer period (lower frequency); frequencies outside the
     grid range clamp to the end bins. Unvoiced is not handled here: callers
@@ -72,7 +72,7 @@ def nearest_index(grid: F0Grid, f0: float) -> int:
     """
     if f0 <= 0:
         raise ValueError(f"f0 must be positive, got {f0}")
-    return nearest_period_index(grid, grid.sample_rate / f0)
+    return nearest_period_index(grid, PIPELINE_RATE / f0)
 
 
 def nearest_period_index(grid: F0Grid, period: float) -> int:
@@ -154,7 +154,7 @@ def track_from_indices(grid: F0Grid, indices) -> F0Track:
         raise ValueError("grid index out of range")
     voiced = indices != grid.unvoiced_index
     f0 = np.zeros(indices.size)
-    f0[voiced] = grid.sample_rate / grid.periods[indices[voiced]]
+    f0[voiced] = PIPELINE_RATE / grid.periods[indices[voiced]]
     return F0Track(indices=indices, f0=f0, voicing=voiced.astype(np.float64))
 
 

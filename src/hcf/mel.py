@@ -1,10 +1,10 @@
 """Triangular mel filterbank for sub-band gain estimation.
 
-Band centers are spaced uniformly on the HTK mel scale and span the
-requested frequency range inclusively, so the first band peaks at the low
-edge and the last at the high edge. Between two adjacent centers every bin
-splits its weight linearly across exactly those two bands; weights per bin
-therefore sum to 1 and no bin is left uncovered. That property is what lets
+Band centers are spaced uniformly on the HTK mel scale and span 0 Hz to
+Nyquist inclusively, so the first band peaks at 0 Hz and the last at
+Nyquist. Between two adjacent centers every bin splits its weight linearly
+across exactly those two bands; weights per bin therefore sum to 1 and no
+bin is left uncovered. That property is what lets
 band-level gains be interpolated back to bins by a plain weighted average.
 """
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import PIPELINE_RATE
 from .errors import ShapeError
 from .framing import FrameConfig
 
@@ -42,36 +43,17 @@ class MelFilterbank:
         return self.weights.shape[1]
 
 
-def build_mel_filterbank(
-    bands: int = 80,
-    cfg: FrameConfig = FrameConfig(),
-    f_lo: float = 0.0,
-    f_hi: float | None = None,
-) -> MelFilterbank:
+def build_mel_filterbank(bands: int = 80, cfg: FrameConfig = FrameConfig()) -> MelFilterbank:
     """Build the triangular mel filterbank used by the gain oracle.
 
-    Parameters
-    ----------
-    bands : int
-        Number of bands (>= 2).
-    cfg : FrameConfig
-        Supplies bin count and sample rate.
-    f_lo, f_hi : float
-        Frequency range; ``f_hi`` defaults to Nyquist and may not exceed it.
+    Band centers span 0 Hz to Nyquist; ``cfg`` supplies the bin count.
+    ``bands`` must be at least 2.
     """
     if bands < 2:
         raise ValueError("need at least 2 bands")
-    nyquist = cfg.sample_rate / 2.0
-    if f_hi is None:
-        f_hi = nyquist
-    if f_hi > nyquist:
-        raise ValueError(f"f_hi {f_hi} exceeds Nyquist {nyquist}")
-    if f_lo < 0 or f_lo >= f_hi:
-        raise ValueError("require 0 <= f_lo < f_hi")
-
-    bin_hz = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
+    bin_hz = np.arange(cfg.n_bins) * PIPELINE_RATE / cfg.frame_size
     bin_mel = hz_to_mel(bin_hz)
-    centers_mel = np.linspace(hz_to_mel(f_lo), hz_to_mel(f_hi), bands)
+    centers_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(PIPELINE_RATE / 2.0), bands)
     centers_hz = mel_to_hz(centers_mel)
 
     weights = np.zeros((bands, cfg.n_bins))

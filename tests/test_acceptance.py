@@ -39,7 +39,7 @@ def test_01_filtering_routes_agree_across_grid(grid, bank, frame_cfg):
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         x = 0.3 * rng.standard_normal(2 * 48000)
-        chunks = hcf.chunk_signal(x, frame_cfg)
+        chunks = hcf.chunk_signal(x, frame_cfg, bank.pad)
         n_frames = chunks.shape[1]
         indices = np.concatenate(
             [rng.permutation(grid.label_size),
@@ -63,7 +63,7 @@ def test_01_filtering_routes_agree_across_grid(grid, bank, frame_cfg):
 def test_02_inference_cost_ratio(grid, bank, frame_cfg, rng):
     """Per-frame filtering must be >= 200x cheaper in counted multiply-adds."""
     x = 0.3 * rng.standard_normal(2 * 48000)
-    chunks = hcf.chunk_signal(x, frame_cfg)
+    chunks = hcf.chunk_signal(x, frame_cfg, bank.pad)
     n_frames = chunks.shape[1]
     counter = hcf.MacCounter()
 
@@ -109,7 +109,7 @@ def test_04_exact_grid_tones_pass_matched_filter(grid, bank, frame_cfg):
     for index in range(grid.size):
         period = int(periods[index])
         x = periodic_tone(period, 6 * 768)
-        chunks = hcf.chunk_signal(x, frame_cfg)
+        chunks = hcf.chunk_signal(x, frame_cfg, bank.pad)
         frames = hcf.frame_signal(x, frame_cfg)
         track = hcf.track_from_indices(grid, np.full(chunks.shape[1], index))
         out = hcf.filter_inference(bank, chunks, track)

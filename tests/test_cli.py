@@ -18,6 +18,24 @@ from helpers import buffer, harmonic_complex, interior, noise_at_snr, rel_rms, t
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+needs_rlimit_as = pytest.mark.skipif(
+    resource is None or not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS"
+)
+
+
+def run_capped_cli(*argv, timeout):
+    """Run the CLI in a subprocess whose address space is capped at 1 GiB,
+    so a test of memory use fails instead of exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    run_cli = "import sys; from hcf.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", run_cli, *argv],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=timeout,
+    )
+
 
 @pytest.fixture()
 def wav_pair(tmp_path, rng):
@@ -137,22 +155,22 @@ class TestVerify:
         assert main(["verify", str(path), "--tracks", "2"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.skipif(resource is None or not hasattr(resource, "RLIMIT_AS"),
-                        reason="needs RLIMIT_AS")
+    @needs_rlimit_as
     def test_long_input_fits_in_one_gib(self):
-        # a whole-signal candidate tensor for 20 s would need 6.5 GiB; the
-        # child's address space is capped so a regression fails, not OOMs
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
-        run_cli = "import sys; from hcf.cli import main; sys.exit(main(sys.argv[1:]))"
-        done = subprocess.run(
-            [sys.executable, "-c", run_cli, "verify", "--duration", "20", "--tracks", "2"],
-            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300,
-        )
+        # a whole-signal candidate tensor for 20 s would need 6.5 GiB
+        done = run_capped_cli("verify", "--duration", "20", "--tracks", "2", timeout=300)
         assert done.returncode == 0, done.stderr
         assert "max_dev=" in done.stdout
+
+
+class TestExitCodes:
+    @needs_rlimit_as
+    def test_out_of_memory_exits_three(self):
+        # an hour of noise needs 1.3 GiB, so the first allocation fails at once
+        done = run_capped_cli("verify", "--duration", "3600", "--tracks", "1", timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestDumps:

@@ -152,7 +152,7 @@ class TestSelectCandidate:
 class TestPathEquivalence:
     def test_random_signal_random_track(self, grid, bank, rng):
         x = rng.standard_normal(24000)
-        chunks = hcf.chunk_signal(x, hcf.FrameConfig())
+        chunks = hcf.chunk_signal(x, hcf.FrameConfig(), bank.pad)
         n_frames = chunks.shape[1]
         all_out = hcf.filter_all_candidates(bank, chunks)
         for _ in range(3):
@@ -168,7 +168,7 @@ class TestPathEquivalence:
         weights = bank.weights.copy()
         weights[96, 0, bank.pad, 0] += 0.1
         faulty = dataclasses.replace(bank, weights=weights)
-        chunks = hcf.chunk_signal(rng.standard_normal(6000), hcf.FrameConfig())
+        chunks = hcf.chunk_signal(rng.standard_normal(6000), hcf.FrameConfig(), bank.pad)
         track = hcf.track_from_indices(grid, np.full(chunks.shape[1], 96))
         reference = hcf.select_candidate(hcf.filter_all_candidates(faulty, chunks), track)
         fast = hcf.filter_inference(faulty, chunks, track)
@@ -177,7 +177,7 @@ class TestPathEquivalence:
     def test_unvoiced_inference_is_identity(self, grid, bank, rng):
         x = rng.standard_normal(4000)
         cfg = hcf.FrameConfig()
-        chunks = hcf.chunk_signal(x, cfg)
+        chunks = hcf.chunk_signal(x, cfg, bank.pad)
         track = hcf.track_from_indices(grid, np.full(chunks.shape[1], 225))
         out = hcf.filter_inference(bank, chunks, track)
         np.testing.assert_array_equal(out, hcf.frame_signal(x, cfg))
@@ -206,7 +206,7 @@ class TestMacCounting:
     def test_exact_counter_values(self, grid, bank, rng):
         x = rng.standard_normal(12000)
         cfg = hcf.FrameConfig()
-        chunks = hcf.chunk_signal(x, cfg)
+        chunks = hcf.chunk_signal(x, cfg, bank.pad)
         n_frames = chunks.shape[1]
         indices = rng.integers(0, grid.label_size, size=n_frames)
         track = hcf.track_from_indices(grid, indices)
@@ -222,7 +222,7 @@ class TestMacCounting:
 
     def test_ratio_exceeds_two_hundred(self, grid, bank, rng):
         x = rng.standard_normal(12000)
-        chunks = hcf.chunk_signal(x, hcf.FrameConfig())
+        chunks = hcf.chunk_signal(x, hcf.FrameConfig(), bank.pad)
         track = hcf.track_from_indices(
             grid, rng.integers(0, 225, size=chunks.shape[1])  # all voiced
         )
@@ -263,8 +263,8 @@ class TestKernelParity:
         frame = 16
         contiguous = rng.standard_normal((4, frame + 2 * bank.pad))
         # the pipeline passes overlapping strided rows of one buffer, uncopied
-        cfg = hcf.FrameConfig(frame_size=frame, hop_size=4, pad=bank.pad)
-        strided = hcf.chunk_signal(rng.standard_normal(16), cfg).T
+        cfg = hcf.FrameConfig(frame_size=frame, hop_size=4)
+        strided = hcf.chunk_signal(rng.standard_normal(16), cfg, bank.pad).T
         assert np.shares_memory(strided[0], strided[1])
         periods = np.concatenate([bank.rounded_periods, [0]])
         sel = np.array([12, 0, 8, 4], dtype=np.int64)

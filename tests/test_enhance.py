@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hcf
+from hcf.cli import main
 from hcf.errors import ShapeError
 
 from helpers import buffer, harmonic_complex, interior, noise_at_snr, rel_rms, tone
@@ -263,11 +264,54 @@ class TestEnhance:
         with pytest.raises(ShapeError):
             hcf.enhance(buffer(x), track=track, strength=0.0, gain=1.0)
 
-    def test_bank_pad_mismatch(self, grid, rng):
-        x = rng.standard_normal(9600)
-        bank = hcf.build_bank(grid, order=2)
-        with pytest.raises(ShapeError, match="context"):
-            hcf.enhance(buffer(x), strength=0.0, gain=1.0, bank=bank)
+    def test_any_grid_or_order_runs(self, tmp_path, rng, capsys):
+        # the chunk context comes from the bank, so the library runs any grid
+        # or order and agrees with the CLI given the same track and maps
+        noisy_path = tmp_path / "noisy.wav"
+        hcf.write_wav(buffer(0.1 * rng.standard_normal(24000)), noisy_path, bit_depth="float32")
+        noisy = hcf.read_wav(noisy_path)
+        n_frames = hcf.FrameConfig().n_frames(len(noisy))
+        cases = [
+            (["--order", "2"], {"bank": hcf.build_bank(hcf.F0Grid(), order=2)}, 2 * 768),
+            (["--f-min", "100"], {"grid": hcf.F0Grid(f_min=100.0)}, 480),
+        ]
+        for flags, kwargs, pad in cases:
+            grid = kwargs.get("grid") or kwargs["bank"].grid
+            track = hcf.track_from_indices(grid, rng.integers(0, grid.label_size, n_frames))
+            gain, strength = (
+                rng.uniform(size=(769, n_frames)).astype(np.float32).astype(np.float64)
+                for _ in range(2)
+            )
+            result = hcf.enhance(noisy, track=track, gain=gain, strength=strength, **kwargs)
+            assert result.latency_samples == 1536 + pad
+
+            hcf.write_track(track, tmp_path / "track.csv")
+            hcf.write_matrix(gain, tmp_path / "gain.hcf")
+            hcf.write_matrix(strength, tmp_path / "strength.hcf")
+            out_path = tmp_path / "out.wav"
+            assert main([
+                "enhance", str(noisy_path), str(out_path), "--f0", str(tmp_path / "track.csv"),
+                "--gain", str(tmp_path / "gain.hcf"), "--strength", str(tmp_path / "strength.hcf"),
+                *flags,
+            ]) == 0
+            capsys.readouterr()
+            out = hcf.read_wav(out_path).samples
+            # the float32 WAV writer clamps to [-1, 1]; edge samples overshoot
+            expected = np.clip(result.audio.samples, -1.0, 1.0)
+            assert np.abs(out - expected).max() <= 2.0 ** -23
+
+    def test_grid_must_be_the_bank_grid(self, bank, rng):
+        # a size-100 grid counts index 100 as unvoiced; the default bank would
+        # comb-filter every frame with its period instead
+        x = rng.standard_normal(24000)
+        grid = hcf.F0Grid(size=100)
+        track = hcf.track_from_indices(grid, np.full(hcf.FrameConfig().n_frames(x.size), 100))
+        with pytest.raises(ShapeError, match="grid"):
+            hcf.enhance(buffer(x), track=track, strength=1.0, gain=1.0, grid=grid, bank=bank)
+        result = hcf.enhance(
+            buffer(x), track=track, strength=1.0, gain=1.0, grid=hcf.F0Grid(), bank=bank
+        )
+        assert result.latency_samples == 1536 + bank.pad
 
     def test_bad_provider_rejected(self, rng):
         x = rng.standard_normal(9600)

@@ -12,8 +12,6 @@ class TestFrameConfig:
     def test_defaults(self, frame_cfg):
         assert frame_cfg.frame_size == 1536
         assert frame_cfg.hop_size == 384
-        assert frame_cfg.pad == 768
-        assert frame_cfg.chunk_size == 1536 + 2 * 768
         assert frame_cfg.n_bins == 769
 
     def test_hop_must_divide_frame(self):
@@ -72,30 +70,30 @@ class TestFrameSignal:
 
 
 class TestChunkSignal:
-    def test_center_equals_frame(self, frame_cfg, rng):
+    def test_center_equals_frame(self, frame_cfg, bank, rng):
         x = rng.standard_normal(10000)
         frames = hcf.frame_signal(x, frame_cfg)
-        chunks = hcf.chunk_signal(x, frame_cfg)
-        assert chunks.shape == (frame_cfg.chunk_size, frames.shape[1])
-        pad = frame_cfg.pad
+        chunks = hcf.chunk_signal(x, frame_cfg, bank.pad)
+        assert chunks.shape == (frame_cfg.frame_size + 2 * bank.pad, frames.shape[1])
+        pad = bank.pad
         np.testing.assert_array_equal(chunks[pad : pad + 1536, :], frames)
 
-    def test_context_is_real_signal(self, frame_cfg, rng):
+    def test_context_is_real_signal(self, frame_cfg, bank, rng):
         x = rng.standard_normal(10000)
-        chunks = hcf.chunk_signal(x, frame_cfg)
+        chunks = hcf.chunk_signal(x, frame_cfg, bank.pad)
         # interior frame: left context must be the preceding samples
         t = 4
         start = t * frame_cfg.hop_size
         np.testing.assert_array_equal(
-            chunks[: frame_cfg.pad, t], x[start - frame_cfg.pad : start]
+            chunks[: bank.pad, t], x[start - bank.pad : start]
         )
 
-    def test_edges_zero_padded(self, frame_cfg, rng):
+    def test_edges_zero_padded(self, frame_cfg, bank, rng):
         x = rng.standard_normal(2000)
-        chunks = hcf.chunk_signal(x, frame_cfg)
-        np.testing.assert_array_equal(chunks[: frame_cfg.pad, 0], 0.0)
+        chunks = hcf.chunk_signal(x, frame_cfg, bank.pad)
+        np.testing.assert_array_equal(chunks[: bank.pad, 0], 0.0)
 
-    def test_columns_are_views_of_one_buffer(self, frame_cfg, rng):
-        chunks = hcf.chunk_signal(rng.standard_normal(10000), frame_cfg)
+    def test_columns_are_views_of_one_buffer(self, frame_cfg, bank, rng):
+        chunks = hcf.chunk_signal(rng.standard_normal(10000), frame_cfg, bank.pad)
         assert np.shares_memory(chunks[:, 0], chunks[:, 1])
         assert not chunks.flags.writeable

@@ -23,7 +23,7 @@ class TestGridConstants:
         np.testing.assert_array_equal(rounded, grid.periods.astype(np.int64))
 
     def test_frequencies_increase(self, grid):
-        freqs = grid.sample_rate / grid.periods
+        freqs = hcf.PIPELINE_RATE / grid.periods
         assert np.all(np.diff(freqs) > 0)
         assert freqs[0] == 62.5
         assert freqs[-1] == 500.0
@@ -34,11 +34,22 @@ class TestGridConstants:
         with pytest.raises(ValueError):
             hcf.F0Grid(size=1)
 
+    def test_equal_grids_compare_equal(self, grid):
+        assert hcf.F0Grid() == grid
+        assert hcf.F0Grid(f_min=62.5, f_max=500.0, size=225) == grid
+
+    def test_different_size_compares_unequal(self, grid):
+        assert hcf.F0Grid(size=100) != grid
+
+    def test_hashable(self, grid):
+        assert hash(hcf.F0Grid()) == hash(grid)
+        assert len({grid, hcf.F0Grid(), hcf.F0Grid(size=100)}) == 2
+
 
 class TestNearestIndex:
     def test_round_trip_every_candidate(self, grid):
         for i in range(grid.size):
-            f = grid.sample_rate / grid.periods[i]
+            f = hcf.PIPELINE_RATE / grid.periods[i]
             assert hcf.nearest_index(grid, f) == i
 
     def test_known_frequency(self, grid):

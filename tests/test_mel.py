@@ -60,10 +60,6 @@ class TestFilterbank:
     def test_validation(self, frame_cfg):
         with pytest.raises(ValueError):
             hcf.build_mel_filterbank(1, frame_cfg)
-        with pytest.raises(ValueError):
-            hcf.build_mel_filterbank(10, frame_cfg, f_hi=30000.0)
-        with pytest.raises(ValueError):
-            hcf.build_mel_filterbank(10, frame_cfg, f_lo=-1.0)
 
 
 class TestMelEnergies:

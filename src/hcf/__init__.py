@@ -38,8 +38,8 @@ from .framing import (
     chunk_signal,
     frame_signal,
     istft_overlap_add,
+    sqrt_hann,
     stft,
-    window_function,
 )
 from .grid import (
     F0Grid,
@@ -106,11 +106,11 @@ __all__ = [
     "se_loss",
     "select_candidate",
     "snr",
+    "sqrt_hann",
     "stft",
     "total_loss",
     "track_from_indices",
     "viterbi_track",
-    "window_function",
     "write_matrix",
     "write_track",
     "write_wav",

@@ -64,8 +64,9 @@ def read_wav(path) -> AudioBuffer:
     Raises
     ------
     AudioFormatError
-        If the header is malformed (message names the byte offset), the
-        encoding is unsupported, or the sample rate is not 48000 Hz.
+        If the header is malformed or the data chunk ends in a partial
+        sample frame (message names the byte offset), the encoding is
+        unsupported, or the sample rate is not 48000 Hz.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -94,7 +95,7 @@ def read_wav(path) -> AudioBuffer:
         if chunk_id == b"fmt ":
             fmt = _parse_fmt(data, body, chunk_size)
         elif chunk_id == b"data":
-            raw = data[body : body + chunk_size]
+            raw, raw_at = data[body : body + chunk_size], pos
         pos = body + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -109,11 +110,16 @@ def read_wav(path) -> AudioBuffer:
         )
     if channels < 1:
         raise AudioFormatError(f"invalid channel count {channels}")
+    frame_bytes = channels * bits // 8
+    if frame_bytes and len(raw) % frame_bytes:  # 0 for sub-byte depths, which decoding rejects
+        raise AudioFormatError(
+            f"data chunk at offset {raw_at} holds {len(raw)} bytes, "
+            f"not a whole number of {frame_bytes}-byte sample frames"
+        )
 
     samples = _decode_samples(raw, audio_format, bits)
     if channels > 1:
-        usable = (samples.size // channels) * channels
-        samples = samples[:usable].reshape(-1, channels).mean(axis=1)
+        samples = samples.reshape(-1, channels).mean(axis=1)
     if samples.size and not np.all(np.isfinite(samples)):
         raise AudioFormatError("data chunk contains non-finite float samples")
     return AudioBuffer(samples, rate)
@@ -148,8 +154,7 @@ def _decode_samples(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
     if bits == 16:
         return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if bits == 24:
-        triples = np.frombuffer(raw, dtype=np.uint8)
-        triples = triples[: (triples.size // 3) * 3].reshape(-1, 3).astype(np.int64)
+        triples = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
         vals = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
         vals -= (vals & 0x800000) << 1  # sign-extend
         return vals.astype(np.float64) / float(1 << 23)

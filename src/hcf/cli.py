@@ -33,21 +33,32 @@ VERIFY_TOLERANCE = 1e-8
 VERIFY_BLOCK_FRAMES = 32
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--frame-size", type=int, default=1536, help="frame length in samples")
-    p.add_argument("--hop", type=int, default=384, help="hop length in samples")
-    p.add_argument("--f-min", type=float, default=62.5, help="lowest candidate frequency in Hz")
-    p.add_argument("--f-max", type=float, default=500.0, help="highest candidate frequency in Hz")
-    p.add_argument("--grid-size", type=int, default=225, help="number of voiced candidates")
-    p.add_argument("--order", type=int, default=1, help="comb filter half-width in taps")
+#: Tuning flags as ``flag: (type, default, help)``; each subcommand declares
+#: exactly the ones its handler reads.
+_TUNING = {
+    "--frame-size": (int, FrameConfig.frame_size, "frame length in samples"),
+    "--hop": (int, FrameConfig.hop_size, "hop length in samples"),
+    "--f-min": (float, F0Grid.f_min, "lowest candidate frequency in Hz"),
+    "--f-max": (float, F0Grid.f_max, "highest candidate frequency in Hz"),
+    "--grid-size": (int, F0Grid.size, "number of voiced candidates"),
+    "--order": (int, 1, "comb filter half-width in taps"),
+    "--threshold": (float, EstimatorConfig.yin_threshold, "dip threshold for voicing"),
+    "--window": (int, EstimatorConfig.window, "analysis window in samples (default 2*T_max)"),
+    "--transition-width": (float, EstimatorConfig.transition_width, "smoothing width in grid bins"),
+    "--voicing-prior": (float, EstimatorConfig.voicing_prior, "prior probability of voicing"),
+    "--switch-cost": (float, EstimatorConfig.switch_cost, "voicing switch cost, negative-log units"),
+    "--compression": (float, LossConfig.compression, "magnitude compression exponent"),
+    "--magnitude-weight": (float, LossConfig.magnitude_weight, "complex-term weight"),
+}
+_FRAME = ("--frame-size", "--hop")
+_GRID = ("--f-min", "--f-max", "--grid-size")
+_ESTIMATOR = ("--threshold", "--window", "--transition-width", "--voicing-prior", "--switch-cost")
 
 
-def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", type=float, default=0.15, help="dip threshold for voicing")
-    p.add_argument("--window", type=int, default=None, help="analysis window in samples (default 2*T_max)")
-    p.add_argument("--transition-width", type=float, default=8.0, help="smoothing width in grid bins")
-    p.add_argument("--voicing-prior", type=float, default=0.5, help="prior probability of voicing")
-    p.add_argument("--switch-cost", type=float, default=2.0, help="voicing switch cost, negative-log units")
+def _add_tuning(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        kind, default, text = _TUNING[flag]
+        p.add_argument(flag, type=kind, default=default, help=text)
 
 
 def _grid(args) -> F0Grid:
@@ -90,39 +101,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rescale", action="store_true", help="blend with exponent 0.5 instead of 1")
     p.add_argument("--diag", help="directory for diagnostics (track, maps, report)")
     p.add_argument("--bits", default="float32", choices=["16", "24", "float32"], help="output sample format")
-    _add_grid_flags(p)
-    _add_estimator_flags(p)
+    _add_tuning(p, *_FRAME, *_GRID, "--order", *_ESTIMATOR)
 
     p = sub.add_parser("f0", help="estimate a pitch track and write it as CSV", **kw)
     p.add_argument("wav", help="input WAV, 48 kHz")
     p.add_argument("out", help="output CSV path")
-    _add_grid_flags(p)
-    _add_estimator_flags(p)
+    _add_tuning(p, *_FRAME, *_GRID, *_ESTIMATOR)
 
     p = sub.add_parser("labels", help="expand a pitch track into smoothed label vectors", **kw)
     p.add_argument("track", help="pitch track CSV")
     p.add_argument("out", help="output matrix path (.hcf)")
-    _add_grid_flags(p)
+    _add_tuning(p, *_GRID)
 
     p = sub.add_parser("filterbank", help="dump the comb filter bank weight matrix", **kw)
     p.add_argument("out", help="output matrix path (.hcf)")
-    _add_grid_flags(p)
+    _add_tuning(p, *_GRID, "--order")
 
     p = sub.add_parser("verify", help="check the two filtering routes against each other", **kw)
     p.add_argument("wav", nargs="?", help="input WAV; omitted -> seeded noise")
     p.add_argument("--seed", type=int, default=0, help="noise and track seed")
     p.add_argument("--duration", type=float, default=2.0, help="noise duration in seconds")
     p.add_argument("--tracks", type=int, default=10, help="number of random tracks to sweep")
-    _add_grid_flags(p)
+    _add_tuning(p, *_FRAME, *_GRID, "--order")
 
     p = sub.add_parser("metrics", help="report spectral loss and SDR for an estimate", **kw)
     p.add_argument("clean", help="clean reference WAV")
     p.add_argument("estimate", help="estimated/enhanced WAV")
     p.add_argument("gains_only", nargs="?", help="gains-only estimate WAV (defaults to estimate)")
-    p.add_argument("--compression", type=float, default=0.3, help="magnitude compression exponent")
-    p.add_argument("--magnitude-weight", type=float, default=0.3, help="complex-term weight")
-    p.add_argument("--pitch-weight", type=float, default=0.1, help="pitch-loss weight")
-    _add_grid_flags(p)
+    _add_tuning(p, *_FRAME, "--compression", "--magnitude-weight")
 
     return parser
 
@@ -231,6 +237,8 @@ def _cmd_filterbank(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.tracks < 1:
+        raise ValueError(f"--tracks must be at least 1, got {args.tracks}")
     grid = _grid(args)
     bank = build_bank(grid, order=args.order)
     rng = np.random.default_rng(args.seed)
@@ -271,11 +279,7 @@ def _cmd_metrics(args) -> int:
             f"lengths differ: clean={len(clean)}, estimate={len(estimate)}, "
             f"gains_only={len(gains_only)}"
         )
-    cfg = LossConfig(
-        compression=args.compression,
-        magnitude_weight=args.magnitude_weight,
-        pitch_weight=args.pitch_weight,
-    )
+    cfg = LossConfig(compression=args.compression, magnitude_weight=args.magnitude_weight)
     print("\n".join(_loss_lines(clean, estimate, gains_only, _frame_cfg(args), cfg)))
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .audio import AudioBuffer
 from .framing import FrameConfig, windows
-from .grid import F0Grid, F0Track, track_from_indices
+from .grid import F0Grid, F0Track, nearest_period_index, track_from_indices
 
 EMISSION_FLOOR = 1e-8
 PRIOR_FLOOR = 1e-12
@@ -50,9 +50,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0.0 < self.yin_threshold < 1.0:
             raise ValueError("yin_threshold must be in (0, 1)")
+        if not self.transition_width > 0.0:  # NaN fails too
+            raise ValueError("transition_width must be positive")
         if not 0.0 <= self.voicing_prior <= 1.0:
             raise ValueError("voicing_prior must be in [0, 1]")
-        if self.switch_cost < 0:
+        if not self.switch_cost >= 0.0:
             raise ValueError("switch_cost must be nonnegative")
 
     def analysis_window(self, grid: F0Grid) -> int:
@@ -122,7 +124,7 @@ def _posteriors(frames: np.ndarray, grid: F0Grid, cfg: EstimatorConfig) -> np.nd
     if dipped.size:
         tau = t_min + _threshold_pick(search[dipped], cfg.yin_threshold)
         refined = _parabolic_refine(dprime[dipped], tau)
-        pick = np.argmin(np.abs(grid.periods - refined[:, None]), axis=1)
+        pick = nearest_period_index(grid, refined)
         bumped = posterior[dipped].max(axis=1) * PICK_BUMP
         posterior[dipped, pick] = np.maximum(posterior[dipped, pick], bumped)
 

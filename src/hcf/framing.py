@@ -23,8 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import PIPELINE_RATE, AudioBuffer
 from .errors import ShapeError
 
-WINDOWS = ("rect", "sqrt_hann")
-
 #: Floor for the synthesis overlap normalization at signal edges.
 OVERLAP_EPS = 1e-8
 
@@ -54,18 +52,14 @@ class FrameConfig:
         return -(-n_samples // self.hop_size)
 
 
-def window_function(name: str, size: int) -> np.ndarray:
-    """Analysis/synthesis window by name: ``rect`` or ``sqrt_hann``.
+def sqrt_hann(size: int) -> np.ndarray:
+    """The analysis and synthesis window: a periodic sqrt-Hann.
 
-    The sqrt-Hann variant is periodic, so analysis*synthesis overlap-adds
-    to a constant when the hop is a quarter frame.
+    Periodic, so analysis*synthesis overlap-adds to a constant when the hop
+    is a quarter frame.
     """
-    if name == "rect":
-        return np.ones(size)
-    if name == "sqrt_hann":
-        n = np.arange(size)
-        return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
-    raise ValueError(f"unknown window {name!r}, expected one of {WINDOWS}")
+    n = np.arange(size)
+    return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
 
 
 def _samples(source) -> np.ndarray:
@@ -117,31 +111,24 @@ def chunk_signal(buffer, cfg: FrameConfig, pad: int) -> np.ndarray:
     return windows(x, cfg.n_frames(x.size), cfg.hop_size, -pad, cfg.frame_size + 2 * pad).T
 
 
-def stft(frames: np.ndarray, window: str = "sqrt_hann") -> np.ndarray:
-    """Windowed forward transform of framed data.
+def stft(frames: np.ndarray) -> np.ndarray:
+    """Sqrt-Hann windowed forward transform of framed data.
 
     Parameters
     ----------
     frames : np.ndarray
         ``(frame_size, n_frames)`` real matrix.
-    window : str
-        ``rect`` or ``sqrt_hann``, applied per column before the FFT.
 
     Returns
     -------
     np.ndarray
         Complex ``(frame_size//2 + 1, n_frames)`` spectrogram.
     """
-    w = window_function(window, frames.shape[0])
+    w = sqrt_hann(frames.shape[0])
     return np.fft.rfft(frames * w[:, None], axis=0)
 
 
-def istft_overlap_add(
-    spec: np.ndarray,
-    cfg: FrameConfig,
-    window: str = "sqrt_hann",
-    length: int | None = None,
-) -> AudioBuffer:
+def istft_overlap_add(spec: np.ndarray, cfg: FrameConfig, length: int | None = None) -> AudioBuffer:
     """Invert :func:`stft` by windowed overlap-add.
 
     Each column is inverse-transformed, multiplied by the synthesis window,
@@ -155,7 +142,7 @@ def istft_overlap_add(
             f"spectrogram has {spec.shape[0]} bins, config expects {cfg.n_bins}"
         )
     n_frames = spec.shape[1]
-    w = window_function(window, cfg.frame_size)
+    w = sqrt_hann(cfg.frame_size)
     frames = np.fft.irfft(spec, n=cfg.frame_size, axis=0) * w[:, None]
 
     total = (n_frames - 1) * cfg.hop_size + cfg.frame_size

@@ -72,12 +72,13 @@ def nearest_index(grid: F0Grid, f0: float) -> int:
     """
     if f0 <= 0:
         raise ValueError(f"f0 must be positive, got {f0}")
-    return nearest_period_index(grid, PIPELINE_RATE / f0)
+    return int(nearest_period_index(grid, PIPELINE_RATE / f0))
 
 
-def nearest_period_index(grid: F0Grid, period: float) -> int:
+def nearest_period_index(grid: F0Grid, period):
+    """Grid index of the candidate period closest to each ``period``, same shape."""
     # periods descend, so argmin's first-hit rule breaks ties long-ward
-    return int(np.argmin(np.abs(grid.periods - period)))
+    return np.argmin(np.abs(grid.periods - np.asarray(period)[..., None]), axis=-1)
 
 
 def gaussian_label(grid: F0Grid, target_index: int) -> np.ndarray:

@@ -155,6 +155,23 @@ class TestReadWav:
             hcf.read_wav(path)
 
 
+    @pytest.mark.parametrize(
+        "payload,fmt_code,channels,bits",
+        [
+            (struct.pack("<3h", 1, 2, 3) + b"\x00", 1, 1, 16),
+            (struct.pack("<2f", 0.5, -0.5) + b"\x00\x00", 3, 1, 32),
+            (b"\x00" * 7, 1, 1, 24),
+            (struct.pack("<5h", 1, 2, 3, 4, 5), 1, 2, 16),
+        ],
+        ids=["pcm16-stray-byte", "float32-stray-bytes", "pcm24-stray-byte", "stereo-stray-sample"],
+    )
+    def test_rejects_partial_sample_frame(self, tmp_path, payload, fmt_code, channels, bits):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes(payload, fmt_code=fmt_code, channels=channels, bits=bits))
+        with pytest.raises(AudioFormatError, match=r"data chunk at offset 36 .*sample frames"):
+            hcf.read_wav(path)
+
+
 class TestWriteWav:
     @pytest.mark.parametrize(
         "depth,tol", [("16", 1 / 32768), ("24", 1 / (1 << 23)), ("float32", 1e-7)]

@@ -1,4 +1,6 @@
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -85,11 +87,78 @@ class TestUsage:
         capsys.readouterr()
 
 
+#: Options each subcommand declares; any other flag is a usage error.
+_FRAME = {"--frame-size", "--hop"}
+_GRID = {"--f-min", "--f-max", "--grid-size"}
+_ESTIMATOR = {"--threshold", "--window", "--transition-width", "--voicing-prior", "--switch-cost"}
+DECLARED = {
+    "enhance": {"--clean", "--gain", "--strength", "--f0", "--rescale", "--diag", "--bits",
+                *_FRAME, *_GRID, "--order", *_ESTIMATOR},
+    "f0": {*_FRAME, *_GRID, *_ESTIMATOR},
+    "labels": _GRID,
+    "filterbank": {*_GRID, "--order"},
+    "verify": {"--seed", "--duration", "--tracks", *_FRAME, *_GRID, "--order"},
+    "metrics": {*_FRAME, "--compression", "--magnitude-weight"},
+}
+#: Positional arguments that get each subcommand past parsing.
+POSITIONALS = {
+    "f0": ["in.wav", "out.csv"],
+    "labels": ["track.csv", "out.hcf"],
+    "filterbank": ["out.hcf"],
+    "metrics": ["clean.wav", "estimate.wav"],
+}
+DROPPED = [
+    ("labels", "--frame-size"), ("labels", "--hop"), ("labels", "--order"),
+    ("filterbank", "--frame-size"), ("filterbank", "--hop"),
+    ("metrics", "--f-min"), ("metrics", "--f-max"), ("metrics", "--grid-size"),
+    ("metrics", "--order"), ("metrics", "--pitch-weight"),
+    ("f0", "--order"),
+]
+
+
+class TestDeclaredFlags:
+    @pytest.mark.parametrize("command", sorted(DECLARED))
+    def test_help_lists_exactly_the_declared_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert listed == DECLARED[command] | {"--help"}
+
+    @pytest.mark.parametrize("command,flag", DROPPED)
+    def test_undeclared_flag_is_a_usage_error(self, tmp_path, command, flag, capsys):
+        argv = [command, *(str(tmp_path / a) for a in POSITIONALS[command]), flag, "7"]
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("tracks", ["0", "-3"])
+    def test_verify_needs_a_track(self, tracks, capsys):
+        assert main(["verify", "--duration", "0.1", "--tracks", tracks]) == 2
+        assert "--tracks" in capsys.readouterr().err
+
+    def test_f0_rejects_zero_transition_width(self, tmp_path, capsys):
+        path = tmp_path / "tone.wav"
+        hcf.write_wav(buffer(tone(150.0, 0.2, amp=0.4)), path, bit_depth="float32")
+        out = tmp_path / "track.csv"
+        assert main(["f0", str(path), str(out), "--transition-width", "0"]) == 2
+        assert "transition_width" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDataErrors:
     def test_missing_wav(self, tmp_path, capsys):
         code = main(["f0", str(tmp_path / "absent.wav"), str(tmp_path / "out.csv")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_partial_sample_frame_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "odd.wav"
+        hcf.write_wav(buffer(tone(150.0, 0.2, amp=0.4)), path, bit_depth="16")
+        data = bytearray(path.read_bytes())
+        # grow the 44-byte header's data chunk by one stray byte past the last sample
+        struct.pack_into("<I", data, 40, struct.unpack_from("<I", data, 40)[0] + 1)
+        path.write_bytes(bytes(data) + b"\x00")
+        assert main(["f0", str(path), str(tmp_path / "track.csv")]) == 3
+        assert "sample frames" in capsys.readouterr().err
 
     def test_enhance_missing_noisy(self, tmp_path, capsys):
         code = main([

@@ -35,6 +35,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             hcf.EstimatorConfig(yin_threshold=0.0)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+    def test_transition_width_positive(self, width):
+        with pytest.raises(ValueError, match="transition_width"):
+            hcf.EstimatorConfig(transition_width=width)
+
+    @pytest.mark.parametrize("cost", [-1.0, float("nan")])
+    def test_switch_cost_nonnegative(self, cost):
+        with pytest.raises(ValueError, match="switch_cost"):
+            hcf.EstimatorConfig(switch_cost=cost)
+
 
 class TestYinFrame:
     def test_pure_100hz_peaks_at_index_96(self, grid):

@@ -64,6 +64,14 @@ class TestNearestIndex:
         assert nearest_period_index(grid, 766.5) == 0
         assert nearest_period_index(grid, 97.5) == 223
 
+    def test_nearest_period_vectorised(self, grid, rng):
+        periods = np.concatenate([rng.uniform(50.0, 900.0, 64), [766.5, 97.5, 768.0]])
+        picks = nearest_period_index(grid, periods)
+        assert picks.shape == periods.shape
+        # min() keeps the first of equal keys: the lower index, the longer period
+        expected = [min(range(grid.size), key=lambda i: abs(grid.periods[i] - p)) for p in periods]
+        assert picks.tolist() == expected
+
     def test_rejects_nonpositive(self, grid):
         with pytest.raises(ValueError):
             hcf.nearest_index(grid, 0.0)

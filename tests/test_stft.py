@@ -9,20 +9,13 @@ from helpers import interior, rel_rms
 
 class TestWindows:
     def test_sqrt_hann_squares_to_constant_overlap(self, frame_cfg):
-        w = hcf.window_function("sqrt_hann", frame_cfg.frame_size)
+        w = hcf.sqrt_hann(frame_cfg.frame_size)
         acc = np.zeros(frame_cfg.frame_size * 3)
         for k in range(acc.size // frame_cfg.hop_size - 3):
             start = k * frame_cfg.hop_size
             acc[start : start + frame_cfg.frame_size] += w * w
         steady = acc[frame_cfg.frame_size : 2 * frame_cfg.frame_size]
         np.testing.assert_allclose(steady, 2.0, atol=1e-12)
-
-    def test_rect_window(self):
-        np.testing.assert_array_equal(hcf.window_function("rect", 8), np.ones(8))
-
-    def test_unknown_window(self):
-        with pytest.raises(ValueError):
-            hcf.window_function("hamming", 16)
 
 
 class TestStft:
@@ -36,23 +29,23 @@ class TestStft:
         mags = np.abs(spec[:, 4])
         assert int(np.argmax(mags)) == 4
 
-    def test_rect_parseval(self, frame_cfg, rng):
+    def test_windowed_parseval(self, frame_cfg, rng):
         x = rng.standard_normal(1536)
         frames = hcf.frame_signal(x, frame_cfg)
-        spec = hcf.stft(frames[:, :1], window="rect")
+        spec = hcf.stft(frames[:, :1])
         # rfft energy needs doubled interior bins
         e_spec = (np.abs(spec[0, 0]) ** 2 + np.abs(spec[-1, 0]) ** 2
                   + 2 * np.sum(np.abs(spec[1:-1, 0]) ** 2)) / 1536
-        np.testing.assert_allclose(e_spec, np.sum(x**2), rtol=1e-10)
+        windowed = x * hcf.sqrt_hann(1536)
+        np.testing.assert_allclose(e_spec, np.sum(windowed**2), rtol=1e-10)
 
 
 class TestReconstruction:
-    @pytest.mark.parametrize("window", ["sqrt_hann", "rect"])
-    def test_perfect_reconstruction_interior(self, frame_cfg, rng, window):
+    def test_perfect_reconstruction_interior(self, frame_cfg, rng):
         x = rng.standard_normal(48000)
         frames = hcf.frame_signal(x, frame_cfg)
-        spec = hcf.stft(frames, window=window)
-        out = hcf.istft_overlap_add(spec, frame_cfg, window=window, length=x.size)
+        spec = hcf.stft(frames)
+        out = hcf.istft_overlap_add(spec, frame_cfg, length=x.size)
         mid = interior(x.size, frame_cfg)
         assert rel_rms(out.samples[mid] - x[mid], x[mid]) <= 1e-6
 

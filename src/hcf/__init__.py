@@ -35,6 +35,7 @@ from .errors import (
 from .estimator import EstimatorConfig, estimate_track, viterbi_track, yin_frame
 from .framing import (
     FrameConfig,
+    OverlapAdd,
     chunk_signal,
     frame_signal,
     istft_overlap_add,
@@ -73,6 +74,7 @@ __all__ = [
     "MacCounter",
     "MatrixFormatError",
     "MelFilterbank",
+    "OverlapAdd",
     "PIPELINE_RATE",
     "ShapeError",
     "VerificationError",

@@ -64,9 +64,9 @@ def read_wav(path) -> AudioBuffer:
     Raises
     ------
     AudioFormatError
-        If the header is malformed or the data chunk ends in a partial
-        sample frame (message names the byte offset), the encoding is
-        unsupported, or the sample rate is not 48000 Hz.
+        If the header is malformed or the data chunk is empty or ends in a
+        partial sample frame (message names the byte offset), the encoding
+        is unsupported, or the sample rate is not 48000 Hz.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -116,6 +116,8 @@ def read_wav(path) -> AudioBuffer:
             f"data chunk at offset {raw_at} holds {len(raw)} bytes, "
             f"not a whole number of {frame_bytes}-byte sample frames"
         )
+    if not raw:
+        raise AudioFormatError(f"data chunk at offset {raw_at} holds no samples")
 
     samples = _decode_samples(raw, audio_format, bits)
     if channels > 1:

@@ -239,6 +239,8 @@ def _cmd_filterbank(args) -> int:
 def _cmd_verify(args) -> int:
     if args.tracks < 1:
         raise ValueError(f"--tracks must be at least 1, got {args.tracks}")
+    if not (np.isfinite(args.duration) and args.duration > 0):
+        raise ValueError(f"--duration must be a positive number of seconds, got {args.duration}")
     grid = _grid(args)
     bank = build_bank(grid, order=args.order)
     rng = np.random.default_rng(args.seed)

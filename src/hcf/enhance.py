@@ -23,12 +23,16 @@ from .audio import PIPELINE_RATE, AudioBuffer
 from .comb import CombFilterBank, MacCounter, build_bank, filter_inference
 from .errors import ShapeError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, chunk_signal, frame_signal, istft_overlap_add, stft
+from .framing import FrameConfig, OverlapAdd, chunk_signal, frame_signal, stft
 from .grid import F0Grid, F0Track
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
 NOISE_EPS = 1e-12
 STRENGTH_EPS = 1e-12
+
+#: Frames per block in the stages after the pitch track; 64 keeps a block's
+#: spectra in cache.
+BLOCK_FRAMES = 64
 
 Provider = Union[str, float, np.ndarray]
 
@@ -113,11 +117,12 @@ def blend(noisy_spec, filtered_spec, strength, gain, cfg: BlendConfig = BlendCon
     return (weight * filtered_spec + (1.0 - weight) * noisy_spec) * gain
 
 
-def _resolve_map(value: Provider, oracle, name: str, shape) -> np.ndarray:
+def _resolve_map(value: Provider, name: str, shape) -> Optional[np.ndarray]:
+    """The provider's whole map, or None for the oracle, which runs per block."""
     if isinstance(value, str):
         if value != "oracle":
             raise ValueError(f"unknown {name} provider {value!r}")
-        return oracle()
+        return None
     if np.isscalar(value):
         return np.full(shape, float(value))
     arr = np.asarray(value, dtype=np.float64)
@@ -151,6 +156,10 @@ def enhance(
     only ``grid`` given the bank is built from it, otherwise the pipeline
     runs on ``bank.grid`` (the default grid when neither is given), and a
     ``grid`` that differs from ``bank.grid`` is rejected.
+
+    After the track every stage runs on blocks of ``BLOCK_FRAMES`` frames, so
+    memory beyond the input, output and maps is bounded; the results are those
+    of one pass over the whole buffer.
     """
     if noisy.sample_rate != PIPELINE_RATE:
         raise ShapeError(f"buffer rate {noisy.sample_rate} != pipeline rate {PIPELINE_RATE}")
@@ -177,34 +186,41 @@ def enhance(
     elif len(track) != n_frames:
         raise ShapeError(f"track has {len(track)} frames, expected {n_frames}")
 
-    filtered = filter_inference(bank, chunks, track, counter)
-
-    noisy_spec = stft(frames)
-    filtered_spec = stft(filtered)
-    clean_spec = None
-    if clean is not None:
-        clean_spec = stft(frame_signal(clean, frame_cfg))
-
-    fb = build_mel_filterbank(cfg=frame_cfg) if isinstance(gain, str) else None
-    shape = noisy_spec.shape
-    gain_map = _resolve_map(
-        gain, lambda: oracle_gain(noisy_spec, clean_spec, fb), "gain", shape
-    )
-    if np.any(gain_map < 0):
+    shape = (frame_cfg.n_bins, n_frames)
+    gain_map = _resolve_map(gain, "gain", shape)
+    if gain_map is not None and np.any(gain_map < 0):
         raise ValueError("gain map must be nonnegative")
-    strength_map = _resolve_map(
-        strength,
-        lambda: oracle_strength(noisy_spec, filtered_spec, clean_spec),
-        "strength",
-        shape,
-    )
-    strength_map = np.clip(strength_map, 0.0, 1.0)
-    strength_map[:, ~track.voiced_mask(grid)] = 0.0
+    given_strength = _resolve_map(strength, "strength", shape)
+    fb = build_mel_filterbank(cfg=frame_cfg) if gain_map is None else None
+    gain_map = np.empty(shape) if gain_map is None else gain_map
+    strength_map = np.empty(shape)
+    clean_frames = frame_signal(clean, frame_cfg) if needs_oracle else None
+    voiced = track.voiced_mask(grid)
+    ola = OverlapAdd(frame_cfg, len(noisy))
 
-    out_spec = blend(noisy_spec, filtered_spec, strength_map, gain_map, blend_cfg)
-    audio = istft_overlap_add(out_spec, frame_cfg, length=len(noisy))
+    for lo in range(0, n_frames, BLOCK_FRAMES):
+        cols = slice(lo, lo + BLOCK_FRAMES)
+        block_track = F0Track(track.indices[cols], track.f0[cols], track.voicing[cols])
+        filtered = filter_inference(bank, chunks[:, cols], block_track, counter)
+        noisy_spec = stft(frames[:, cols])
+        # an unvoiced frame leaves the comb untouched, so its spectrum is the noisy one
+        v = voiced[cols]
+        filtered_spec = noisy_spec.copy()
+        filtered_spec[:, v] = stft(filtered[:, v])
+        clean_spec = stft(clean_frames[:, cols]) if needs_oracle else None
+        if fb is not None:
+            gain_map[:, cols] = oracle_gain(noisy_spec, clean_spec, fb)
+        block_strength = strength_map[:, cols]
+        np.clip(
+            oracle_strength(noisy_spec, filtered_spec, clean_spec)
+            if given_strength is None else given_strength[:, cols],
+            0.0, 1.0, out=block_strength,
+        )
+        block_strength[:, ~v] = 0.0
+        ola.add(blend(noisy_spec, filtered_spec, block_strength, gain_map[:, cols], blend_cfg))
+
     return EnhanceResult(
-        audio=audio,
+        audio=ola.finish(),
         track=track,
         strength=strength_map,
         gain=gain_map,

@@ -128,36 +128,57 @@ def stft(frames: np.ndarray) -> np.ndarray:
     return np.fft.rfft(frames * w[:, None], axis=0)
 
 
-def istft_overlap_add(spec: np.ndarray, cfg: FrameConfig, length: int | None = None) -> AudioBuffer:
-    """Invert :func:`stft` by windowed overlap-add.
+class OverlapAdd:
+    """Windowed overlap-add that inverts :func:`stft`, fed a block of frames at a time.
 
-    Each column is inverse-transformed, multiplied by the synthesis window,
-    overlap-added at the hop, and the result is divided by the accumulated
-    analysis*synthesis window sum (a constant in steady state; floored at
-    ``OVERLAP_EPS`` near the edges where coverage is partial). ``length``
-    trims the output to the original sample count.
+    Frames are added in increasing frame order, so each sample's sums round as
+    in one pass over the whole spectrogram; the last ``frame_size - hop_size``
+    samples of signal and window sum carry between blocks. A finished sample is
+    divided by its window sum, floored at ``OVERLAP_EPS`` near the edges.
     """
-    if spec.shape[0] != cfg.n_bins:
-        raise ShapeError(
-            f"spectrogram has {spec.shape[0]} bins, config expects {cfg.n_bins}"
-        )
-    n_frames = spec.shape[1]
-    w = sqrt_hann(cfg.frame_size)
-    frames = np.fft.irfft(spec, n=cfg.frame_size, axis=0) * w[:, None]
 
-    total = (n_frames - 1) * cfg.hop_size + cfg.frame_size
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    wsq = w * w  # analysis and synthesis windows are identical
-    for t in range(n_frames):
-        start = t * cfg.hop_size
-        out[start : start + cfg.frame_size] += frames[:, t]
-        wsum[start : start + cfg.frame_size] += wsq
-    out /= np.maximum(wsum, OVERLAP_EPS)
+    def __init__(self, cfg: FrameConfig, length: int):
+        self.cfg = cfg
+        self._window = sqrt_hann(cfg.frame_size)
+        self._open = np.zeros((2, cfg.frame_size - cfg.hop_size))  # signal, window sum
+        self._out = np.zeros(length)
+        self._done = 0
 
-    if length is not None:
-        trimmed = np.zeros(length)
-        n = min(length, total)
-        trimmed[:n] = out[:n]
-        out = trimmed
-    return AudioBuffer(out, PIPELINE_RATE)
+    def add(self, spec: np.ndarray) -> None:
+        """Overlap-add the frames of a ``(n_bins, n)`` spectrogram block."""
+        cfg, (n_bins, n) = self.cfg, spec.shape
+        if n_bins != cfg.n_bins:
+            raise ShapeError(f"spectrogram has {n_bins} bins, config expects {cfg.n_bins}")
+        hop, segments = cfg.hop_size, cfg.frame_size // cfg.hop_size
+        frames = np.fft.irfft(spec, n=cfg.frame_size, axis=0) * self._window[:, None]
+        wsq = (self._window * self._window).reshape(segments, hop)
+        acc = np.zeros((2, n + segments - 1, hop))
+        acc[:, :segments - 1] = self._open.reshape(2, -1, hop)
+        # frame t adds its segment r to hop t + r: descending r adds in rising t
+        for r in range(segments - 1, -1, -1):
+            acc[0, r:r + n] += frames[r * hop:(r + 1) * hop].T
+            acc[1, r:r + n] += wsq[r]
+        self._open = acc[:, n:].reshape(2, -1)
+        self._emit(acc[:, :n].reshape(2, -1))
+
+    def _emit(self, acc: np.ndarray) -> None:
+        done = acc[0] / np.maximum(acc[1], OVERLAP_EPS)
+        kept = done[:max(self._out.size - self._done, 0)]
+        self._out[self._done:self._done + kept.size] = kept
+        self._done += done.size
+
+    def finish(self) -> AudioBuffer:
+        """Close the last frames' tail; return the ``length``-sample output."""
+        self._emit(self._open)
+        return AudioBuffer(self._out, PIPELINE_RATE)
+
+
+def istft_overlap_add(spec: np.ndarray, cfg: FrameConfig, length: int | None = None) -> AudioBuffer:
+    """Invert :func:`stft` (see :class:`OverlapAdd`); ``length`` trims or
+    zero-extends the output, which by default keeps every sample a frame reaches.
+    """
+    if length is None:
+        length = (spec.shape[1] - 1) * cfg.hop_size + cfg.frame_size
+    ola = OverlapAdd(cfg, length)
+    ola.add(spec)
+    return ola.finish()

@@ -1,10 +1,40 @@
-"""Shared signal builders for the test suite."""
+"""Shared signal builders and subprocess runners for the test suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import hcf
 
 FS = 48000
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+needs_rlimit_as = pytest.mark.skipif(
+    resource is None or not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS"
+)
+
+
+def run_capped_cli(*argv, timeout):
+    """Run the CLI in a subprocess whose address space is capped at 1 GiB,
+    so a test of memory use fails instead of exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    run_cli = "import sys; from hcf.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", run_cli, *argv],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def tone(freq, duration, amp=0.5, fs=FS, phase=0.0):

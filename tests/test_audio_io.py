@@ -154,6 +154,15 @@ class TestReadWav:
         with pytest.raises(AudioFormatError, match=r"format code 6"):
             hcf.read_wav(path)
 
+    @pytest.mark.parametrize(
+        "fmt_code,channels,bits", [(1, 1, 16), (3, 1, 32), (1, 2, 24)],
+        ids=["pcm16", "float32", "pcm24-stereo"],
+    )
+    def test_rejects_empty_data_chunk(self, tmp_path, fmt_code, channels, bits):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes(b"", fmt_code=fmt_code, channels=channels, bits=bits))
+        with pytest.raises(AudioFormatError, match=r"data chunk at offset 36 holds no samples"):
+            hcf.read_wav(path)
 
     @pytest.mark.parametrize(
         "payload,fmt_code,channels,bits",

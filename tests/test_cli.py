@@ -1,42 +1,16 @@
-import os
 import re
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-try:
-    import resource
-except ImportError:  # not on every platform
-    resource = None
-
 import hcf
 from hcf.cli import main
 
-from helpers import buffer, harmonic_complex, interior, noise_at_snr, rel_rms, tone
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-needs_rlimit_as = pytest.mark.skipif(
-    resource is None or not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS"
+from helpers import (
+    buffer, harmonic_complex, interior, needs_rlimit_as, noise_at_snr, rel_rms, run_capped_cli,
+    tone,
 )
-
-
-def run_capped_cli(*argv, timeout):
-    """Run the CLI in a subprocess whose address space is capped at 1 GiB,
-    so a test of memory use fails instead of exhausting the machine."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
-    run_cli = "import sys; from hcf.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run(
-        [sys.executable, "-c", run_cli, *argv],
-        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=timeout,
-    )
 
 
 @pytest.fixture()
@@ -130,6 +104,13 @@ class TestDeclaredFlags:
         assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("duration", ["inf", "nan", "-1", "0"])
+    def test_verify_needs_a_finite_positive_duration(self, duration, capsys):
+        assert main(["verify", "--duration", duration, "--tracks", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --duration must be a positive number of seconds")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tracks", ["0", "-3"])
     def test_verify_needs_a_track(self, tracks, capsys):
         assert main(["verify", "--duration", "0.1", "--tracks", tracks]) == 2
@@ -159,6 +140,20 @@ class TestDataErrors:
         path.write_bytes(bytes(data) + b"\x00")
         assert main(["f0", str(path), str(tmp_path / "track.csv")]) == 3
         assert "sample frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["f0", "metrics", "enhance"])
+    def test_empty_wav_exits_three(self, tmp_path, command, capsys):
+        # a valid header whose data chunk holds no samples is bad data, not bad usage
+        path = tmp_path / "empty.wav"
+        hcf.write_wav(buffer(np.zeros(0)), path, bit_depth="float32")
+        argv = {
+            "f0": ["f0", str(path), str(tmp_path / "track.csv")],
+            "metrics": ["metrics", str(path), str(path)],
+            "enhance": ["enhance", str(path), str(tmp_path / "out.wav"), "--clean", str(path)],
+        }[command]
+        assert main(argv) == 3
+        assert "data chunk at offset 36 holds no samples" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.wav"]
 
     def test_enhance_missing_noisy(self, tmp_path, capsys):
         code = main([
@@ -347,6 +342,29 @@ class TestEnhanceCommand:
         out = hcf.read_wav(out_path).samples
         sl = interior(noisy.size)
         assert rel_rms(out[sl] - noisy[sl], noisy[sl]) < 1e-5
+
+    @needs_rlimit_as
+    def test_long_input_fits_in_one_gib(self, tmp_path, rng):
+        # after the track, enhance works in frame blocks; 90 s with given
+        # maps needed over 900 MB when every stage ran on the whole buffer
+        seconds = 90
+        noisy = 0.1 * rng.standard_normal(seconds * hcf.PIPELINE_RATE)
+        hcf.write_wav(buffer(noisy), tmp_path / "noisy.wav", bit_depth="float32")
+        n_frames = hcf.FrameConfig().n_frames(noisy.size)
+        grid = hcf.F0Grid()
+        track = hcf.track_from_indices(grid, rng.integers(0, grid.label_size, n_frames))
+        hcf.write_track(track, tmp_path / "track.csv")
+        for name in ("gain", "strength"):
+            hcf.write_matrix(rng.random((769, n_frames), dtype=np.float32), tmp_path / f"{name}.hcf")
+        out_path = tmp_path / "out.wav"
+        done = run_capped_cli(
+            "enhance", str(tmp_path / "noisy.wav"), str(out_path),
+            "--f0", str(tmp_path / "track.csv"),
+            "--gain", str(tmp_path / "gain.hcf"), "--strength", str(tmp_path / "strength.hcf"),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert len(hcf.read_wav(out_path)) == noisy.size
 
     def test_rescale_flag_runs(self, tmp_path, wav_pair, capsys):
         clean_path, noisy_path, _, _ = wav_pair

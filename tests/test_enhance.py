@@ -5,6 +5,7 @@ import pytest
 
 import hcf
 from hcf.cli import main
+from hcf.enhance import BLOCK_FRAMES
 from hcf.errors import ShapeError
 
 from helpers import buffer, harmonic_complex, interior, noise_at_snr, rel_rms, tone
@@ -16,6 +17,32 @@ def all_voiced_track(n_frames, index=96):
 
 def all_unvoiced_track(n_frames, grid):
     return hcf.track_from_indices(grid, np.full(n_frames, grid.unvoiced_index))
+
+
+def assert_bit_identical(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def whole_buffer_enhance(noisy, clean, track, gain, strength, exponent, bank, counter=None):
+    """``enhance`` as one pass over the whole buffer, from the public stages.
+
+    ``gain``/``strength`` of None take the oracle. Returns (audio, strength, gain).
+    """
+    cfg = hcf.FrameConfig()
+    chunks = hcf.chunk_signal(noisy, cfg, bank.pad)
+    noisy_spec = hcf.stft(chunks[bank.pad:bank.pad + cfg.frame_size])
+    filtered_spec = hcf.stft(hcf.filter_inference(bank, chunks, track, counter))
+    if clean is not None:
+        clean_spec = hcf.stft(hcf.frame_signal(clean, cfg))
+    if gain is None:
+        gain = hcf.oracle_gain(noisy_spec, clean_spec, hcf.build_mel_filterbank(cfg=cfg))
+    if strength is None:
+        strength = hcf.oracle_strength(noisy_spec, filtered_spec, clean_spec)
+    strength = np.clip(strength, 0.0, 1.0)
+    strength[:, ~track.voiced_mask(bank.grid)] = 0.0
+    out_spec = hcf.blend(noisy_spec, filtered_spec, strength, gain, hcf.BlendConfig(exponent))
+    return hcf.istft_overlap_add(out_spec, cfg, length=len(noisy)).samples, strength, gain
 
 
 class TestOracleGain:
@@ -333,3 +360,49 @@ class TestEnhance:
         hcf.enhance(buffer(x), track=track, strength=1.0, gain=1.0, counter=counter)
         assert counter.inference == 3 * 1536 * n_frames
 
+
+class TestBlockedEnhance:
+    """``enhance`` runs in blocks of frames after the track; its results must
+    be those of one pass over the whole buffer."""
+
+    @pytest.mark.parametrize("n_frames", [40, 150])
+    @pytest.mark.parametrize("exponent", [1.0, 0.5])
+    def test_given_track_is_bit_identical(self, bank, grid, rng, n_frames, exponent):
+        assert n_frames % BLOCK_FRAMES  # a short last block; 40 is a single short block
+        x = 0.2 * rng.standard_normal(n_frames * 384 - 100)
+        indices = rng.integers(0, grid.size, n_frames)
+        indices[rng.random(n_frames) < 0.5] = grid.unvoiced_index
+        indices[BLOCK_FRAMES:2 * BLOCK_FRAMES] = grid.unvoiced_index  # a block with none voiced
+        track = hcf.track_from_indices(grid, indices)
+        # float32-valued maps, as the CLI reads them; strength overshoots [0, 1]
+        gain = rng.uniform(0.0, 1.5, (769, n_frames)).astype(np.float32).astype(np.float64)
+        strength = rng.uniform(-0.2, 1.2, (769, n_frames)).astype(np.float32).astype(np.float64)
+
+        counter, whole_counter = hcf.MacCounter(), hcf.MacCounter()
+        result = hcf.enhance(
+            buffer(x), track=track, gain=gain, strength=strength,
+            blend_cfg=hcf.BlendConfig(exponent), bank=bank, counter=counter,
+        )
+        audio, whole_strength, whole_gain = whole_buffer_enhance(
+            buffer(x), None, track, gain, strength, exponent, bank, whole_counter
+        )
+        assert_bit_identical(result.audio.samples, audio)
+        assert_bit_identical(result.strength, whole_strength)
+        assert_bit_identical(result.gain, whole_gain)
+        assert counter.inference == whole_counter.inference > 0
+
+    def test_oracle_matches_whole_buffer(self, bank, rng):
+        # the mel projections are BLAS products, which round differently
+        # once a block is narrower than the whole buffer
+        clean = harmonic_complex(150.0, 5, 1.2, amp=0.12)
+        noisy = clean + noise_at_snr(clean, 5.0, rng)
+        result = hcf.enhance(buffer(noisy), clean=buffer(clean), bank=bank)
+        assert len(result.track) > BLOCK_FRAMES
+        audio, strength, gain = whole_buffer_enhance(
+            buffer(noisy), buffer(clean), result.track, None, None, 1.0, bank
+        )
+        for actual, expected in (
+            (result.audio.samples, audio), (result.strength, strength), (result.gain, gain)
+        ):
+            assert actual.dtype == expected.dtype and actual.shape == expected.shape
+            assert np.abs(actual - expected).max() <= 1e-12

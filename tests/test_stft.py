@@ -3,8 +3,22 @@ import pytest
 
 import hcf
 from hcf.errors import ShapeError
+from hcf.framing import OVERLAP_EPS
 
 from helpers import interior, rel_rms
+
+
+def loop_overlap_add(spec, cfg):
+    """Reference synthesis: one frame at a time, in frame order."""
+    w = hcf.sqrt_hann(cfg.frame_size)
+    frames = np.fft.irfft(spec, n=cfg.frame_size, axis=0) * w[:, None]
+    total = (spec.shape[1] - 1) * cfg.hop_size + cfg.frame_size
+    out, wsum = np.zeros(total), np.zeros(total)
+    for t in range(spec.shape[1]):
+        start = t * cfg.hop_size
+        out[start:start + cfg.frame_size] += frames[:, t]
+        wsum[start:start + cfg.frame_size] += w * w
+    return out / np.maximum(wsum, OVERLAP_EPS)
 
 
 class TestWindows:
@@ -66,3 +80,20 @@ class TestReconstruction:
     def test_bin_count_checked(self, frame_cfg):
         with pytest.raises(ShapeError):
             hcf.istft_overlap_add(np.zeros((100, 4), dtype=complex), frame_cfg)
+
+    def test_matches_frame_loop_bit_for_bit(self, frame_cfg, rng):
+        spec = rng.standard_normal((769, 70)) + 1j * rng.standard_normal((769, 70))
+        expected = loop_overlap_add(spec, frame_cfg)
+        assert hcf.istft_overlap_add(spec, frame_cfg).samples.tobytes() == expected.tobytes()
+
+        # fed in uneven blocks, an empty one included, the sums round the same
+        ola = hcf.OverlapAdd(frame_cfg, expected.size + 500)
+        for lo, hi in [(0, 1), (1, 30), (30, 30), (30, 64), (64, 70)]:
+            ola.add(spec[:, lo:hi])
+        out = ola.finish().samples
+        assert out[:expected.size].tobytes() == expected.tobytes()
+        assert not np.any(out[expected.size:])
+        short = hcf.OverlapAdd(frame_cfg, 1000)
+        short.add(spec[:, :40])
+        short.add(spec[:, 40:])
+        assert short.finish().samples.tobytes() == expected[:1000].tobytes()

@@ -69,6 +69,13 @@ def _frame_cfg(args) -> FrameConfig:
     return FrameConfig(frame_size=args.frame_size, hop_size=args.hop)
 
 
+def _read_reference(path) -> AudioBuffer:
+    clean = read_wav(path)
+    if not np.any(clean.samples):  # no SNR or SDR exists against silence
+        raise DataError(f"clean reference {path} is identically zero")
+    return clean
+
+
 def _spectrum(buffer: AudioBuffer, frame_cfg: FrameConfig) -> np.ndarray:
     return stft(frame_signal(buffer, frame_cfg))
 
@@ -143,14 +150,14 @@ def _cmd_enhance(args) -> int:
         raise ValueError("need a gain/strength source: --clean or --gain/--strength")
 
     noisy = read_wav(args.noisy)
-    clean = read_wav(args.clean) if args.clean else None
+    clean = _read_reference(args.clean) if args.clean else None
     grid = _grid(args)
     bank = build_bank(grid, order=args.order)
     frame_cfg = _frame_cfg(args)
     track = read_track(args.f0, grid) if args.f0 else None
 
-    gain = read_matrix(args.gain).astype(np.float64) if args.gain else "oracle"
-    strength = read_matrix(args.strength).astype(np.float64) if args.strength else "oracle"
+    gain = read_matrix(args.gain) if args.gain else "oracle"
+    strength = read_matrix(args.strength) if args.strength else "oracle"
 
     result = enhance(
         noisy,
@@ -222,7 +229,7 @@ def _cmd_f0(args) -> int:
 def _cmd_labels(args) -> int:
     grid = _grid(args)
     track = read_track(args.track, grid)
-    labels = np.stack([gaussian_label(grid, int(i)) for i in track.indices])
+    labels = np.reshape([gaussian_label(grid, int(i)) for i in track.indices], (-1, grid.label_size))
     write_matrix(labels, args.out)
     print(f"wrote {labels.shape[0]}x{labels.shape[1]} label matrix to {args.out}")
     return 0
@@ -273,7 +280,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    clean = read_wav(args.clean)
+    clean = _read_reference(args.clean)
     estimate = read_wav(args.estimate)
     gains_only = read_wav(args.gains_only) if args.gains_only else estimate
     if not (len(clean) == len(estimate) == len(gains_only)):

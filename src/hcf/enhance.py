@@ -118,14 +118,14 @@ def blend(noisy_spec, filtered_spec, strength, gain, cfg: BlendConfig = BlendCon
 
 
 def _resolve_map(value: Provider, name: str, shape) -> Optional[np.ndarray]:
-    """The provider's whole map, or None for the oracle, which runs per block."""
+    """The provider's map, uncopied (a scalar broadcasts), or None for the per-block oracle."""
     if isinstance(value, str):
         if value != "oracle":
             raise ValueError(f"unknown {name} provider {value!r}")
         return None
-    if np.isscalar(value):
-        return np.full(shape, float(value))
-    arr = np.asarray(value, dtype=np.float64)
+    arr = np.asarray(value)
+    arr = arr if arr.dtype.kind == "f" else arr.astype(np.float64)
+    arr = np.broadcast_to(arr, shape) if arr.ndim == 0 else arr
     if arr.shape != shape:
         raise ShapeError(f"{name} map shape {arr.shape} != expected {shape}")
     if not np.all(np.isfinite(arr)):

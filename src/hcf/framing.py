@@ -23,10 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import PIPELINE_RATE, AudioBuffer
 from .errors import ShapeError
 
-#: Floor for the synthesis overlap normalization at signal edges.
-OVERLAP_EPS = 1e-8
-
-
 @dataclass(frozen=True)
 class FrameConfig:
     """Frame geometry: 32 ms frames, 8 ms hop at 48 kHz."""
@@ -35,11 +31,11 @@ class FrameConfig:
     hop_size: int = 384
 
     def __post_init__(self):
-        if self.frame_size <= 0 or self.hop_size <= 0:
-            raise ValueError("frame_size and hop_size must be positive")
-        if self.frame_size % self.hop_size != 0:
+        # without overlap the synthesis window sum is w*w itself, 0 at each frame's start
+        if not 0 < self.hop_size < self.frame_size or self.frame_size % self.hop_size:
             raise ValueError(
-                f"hop_size {self.hop_size} must divide frame_size {self.frame_size}"
+                f"hop_size {self.hop_size} must be a positive divisor of frame_size "
+                f"{self.frame_size} and smaller, so that frames overlap"
             )
 
     @property
@@ -131,16 +127,19 @@ def stft(frames: np.ndarray) -> np.ndarray:
 class OverlapAdd:
     """Windowed overlap-add that inverts :func:`stft`, fed a block of frames at a time.
 
-    Frames are added in increasing frame order, so each sample's sums round as
-    in one pass over the whole spectrogram; the last ``frame_size - hop_size``
-    samples of signal and window sum carry between blocks. A finished sample is
-    divided by its window sum, floored at ``OVERLAP_EPS`` near the edges.
+    Frames are added in increasing frame order, so each sample's sum rounds as
+    in one pass; the last ``frame_size - hop_size`` samples carry between blocks.
+    A finished sample is divided by the steady-state window sum, so the first
+    and last ``frame_size - hop_size`` samples fade in and out like the window.
     """
 
     def __init__(self, cfg: FrameConfig, length: int):
         self.cfg = cfg
         self._window = sqrt_hann(cfg.frame_size)
-        self._open = np.zeros((2, cfg.frame_size - cfg.hop_size))  # signal, window sum
+        wsq = (self._window * self._window).reshape(-1, cfg.hop_size)
+        # steady-state window sum, added in the order an interior sample's frames arrive
+        self._norm = sum(wsq[::-1])
+        self._open = np.zeros((wsq.shape[0] - 1, cfg.hop_size))
         self._out = np.zeros(length)
         self._done = 0
 
@@ -151,21 +150,17 @@ class OverlapAdd:
             raise ShapeError(f"spectrogram has {n_bins} bins, config expects {cfg.n_bins}")
         hop, segments = cfg.hop_size, cfg.frame_size // cfg.hop_size
         frames = np.fft.irfft(spec, n=cfg.frame_size, axis=0) * self._window[:, None]
-        wsq = (self._window * self._window).reshape(segments, hop)
-        acc = np.zeros((2, n + segments - 1, hop))
-        acc[:, :segments - 1] = self._open.reshape(2, -1, hop)
+        acc = np.concatenate([self._open, np.zeros((n, hop))])
         # frame t adds its segment r to hop t + r: descending r adds in rising t
         for r in range(segments - 1, -1, -1):
-            acc[0, r:r + n] += frames[r * hop:(r + 1) * hop].T
-            acc[1, r:r + n] += wsq[r]
-        self._open = acc[:, n:].reshape(2, -1)
-        self._emit(acc[:, :n].reshape(2, -1))
+            acc[r:r + n] += frames[r * hop:(r + 1) * hop].T
+        self._open = acc[n:]
+        self._emit(acc[:n])
 
     def _emit(self, acc: np.ndarray) -> None:
-        done = acc[0] / np.maximum(acc[1], OVERLAP_EPS)
-        kept = done[:max(self._out.size - self._done, 0)]
-        self._out[self._done:self._done + kept.size] = kept
-        self._done += done.size
+        kept = self._out[self._done:self._done + acc.size]
+        kept[:] = (acc / self._norm).ravel()[:kept.size]
+        self._done += acc.size
 
     def finish(self) -> AudioBuffer:
         """Close the last frames' tail; return the ``length``-sample output."""

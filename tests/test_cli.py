@@ -116,6 +116,10 @@ class TestDeclaredFlags:
         assert main(["verify", "--duration", "0.1", "--tracks", tracks]) == 2
         assert "--tracks" in capsys.readouterr().err
 
+    def test_frames_must_overlap(self, capsys):
+        assert main(["verify", "--duration", "0.1", "--tracks", "1", "--hop", "1536"]) == 2
+        assert "frames overlap" in capsys.readouterr().err
+
     def test_f0_rejects_zero_transition_width(self, tmp_path, capsys):
         path = tmp_path / "tone.wav"
         hcf.write_wav(buffer(tone(150.0, 0.2, amp=0.4)), path, bit_depth="float32")
@@ -141,19 +145,33 @@ class TestDataErrors:
         assert main(["f0", str(path), str(tmp_path / "track.csv")]) == 3
         assert "sample frames" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["f0", "metrics", "enhance"])
+    @pytest.mark.parametrize(
+        "command", ["f0", "metrics", "enhance", "metrics-silent-clean", "enhance-silent-clean"]
+    )
     def test_empty_wav_exits_three(self, tmp_path, command, capsys):
-        # a valid header whose data chunk holds no samples is bad data, not bad usage
+        # a valid header whose data chunk holds no samples is bad data, not bad
+        # usage; so is an all-zero clean reference, against which no SNR exists
         path = tmp_path / "empty.wav"
         hcf.write_wav(buffer(np.zeros(0)), path, bit_depth="float32")
+        silent, noisy = tmp_path / "silent.wav", tmp_path / "noisy.wav"
+        hcf.write_wav(buffer(np.zeros(4800)), silent, bit_depth="float32")
+        hcf.write_wav(buffer(tone(150.0, 0.1, amp=0.4)), noisy, bit_depth="float32")
         argv = {
             "f0": ["f0", str(path), str(tmp_path / "track.csv")],
             "metrics": ["metrics", str(path), str(path)],
             "enhance": ["enhance", str(path), str(tmp_path / "out.wav"), "--clean", str(path)],
+            "metrics-silent-clean": ["metrics", str(silent), str(noisy)],
+            "enhance-silent-clean": [
+                "enhance", str(noisy), str(tmp_path / "out.wav"),
+                "--clean", str(silent), "--diag", str(tmp_path / "diag"),
+            ],
         }[command]
         assert main(argv) == 3
-        assert "data chunk at offset 36 holds no samples" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.wav"]
+        expected = "is identically zero" if "silent" in command else (
+            "data chunk at offset 36 holds no samples"
+        )
+        assert expected in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.wav", "noisy.wav", "silent.wav"]
 
     def test_enhance_missing_noisy(self, tmp_path, capsys):
         code = main([
@@ -261,6 +279,14 @@ class TestDumps:
         assert mat[0, 96] == 1.0
         assert mat[1, 225] == 1.0 and mat[1, :225].max() == 0.0
         assert mat[2, 0] == 1.0
+
+    def test_labels_from_header_only_track(self, tmp_path, capsys):
+        track_path = tmp_path / "track.csv"
+        hcf.write_track(hcf.track_from_indices(hcf.F0Grid(), []), track_path)
+        out = tmp_path / "labels.hcf"
+        assert main(["labels", str(track_path), str(out)]) == 0
+        assert "0x226" in capsys.readouterr().out
+        assert hcf.read_matrix(out).shape == (0, 226)
 
     def test_f0_track_round_trip(self, tmp_path, capsys):
         path = tmp_path / "tone.wav"

@@ -323,9 +323,7 @@ class TestEnhance:
             ]) == 0
             capsys.readouterr()
             out = hcf.read_wav(out_path).samples
-            # the float32 WAV writer clamps to [-1, 1]; edge samples overshoot
-            expected = np.clip(result.audio.samples, -1.0, 1.0)
-            assert np.abs(out - expected).max() <= 2.0 ** -23
+            assert np.abs(out - result.audio.samples).max() <= 2.0 ** -23
 
     def test_grid_must_be_the_bank_grid(self, bank, rng):
         # a size-100 grid counts index 100 as unvoiced; the default bank would
@@ -346,6 +344,40 @@ class TestEnhance:
             hcf.enhance(buffer(x), gain="magic", strength=0.0)
         with pytest.raises(ValueError):
             hcf.enhance(buffer(x), gain=-0.5, strength=0.0)
+        with pytest.raises(ValueError, match="gain map contains non-finite entries"):
+            hcf.enhance(buffer(x), gain=float("nan"), strength=0.0)
+
+    def test_given_maps_are_not_copied(self, rng):
+        x = rng.standard_normal(12000) * 0.1
+        n_frames = hcf.FrameConfig().n_frames(x.size)
+        gain = rng.uniform(size=(769, n_frames)).astype(np.float32)
+        result = hcf.enhance(buffer(x), strength=0.5, gain=gain)
+        assert result.gain is gain
+        scalar = hcf.enhance(buffer(x), strength=0.5, gain=0.75)
+        assert scalar.gain.strides == (0, 0) and not scalar.gain.flags.writeable
+        assert scalar.audio.samples.tobytes() == hcf.enhance(
+            buffer(x), strength=0.5, gain=np.full((769, n_frames), 0.75)
+        ).audio.samples.tobytes()
+
+    def test_edges_never_exceed_input_peak(self, grid, rng):
+        # inconsistent spectra at the partly covered edges fade with the
+        # window; dividing by the partial window sum amplified them instead
+        clean = harmonic_complex(150.0, 5, 0.5, amp=0.1)
+        harmonic = clean + noise_at_snr(clean, 5.0, rng)
+        noise = 0.1 * rng.standard_normal(24000)
+        n_frames = hcf.FrameConfig().n_frames(noise.size)
+        cases = [
+            (harmonic, {"clean": buffer(clean), "track": all_voiced_track(
+                n_frames, hcf.nearest_index(grid, 150.0))}),
+            (noise, {
+                "track": hcf.track_from_indices(grid, rng.integers(0, grid.label_size, n_frames)),
+                "gain": rng.uniform(size=(769, n_frames)),
+                "strength": rng.uniform(size=(769, n_frames)),
+            }),
+        ]
+        for x, kwargs in cases:
+            out = hcf.enhance(buffer(x), **kwargs).audio.samples
+            assert np.abs(out[:1536 - 384]).max() <= np.abs(x).max()
 
     def test_array_provider_shape_checked(self, rng):
         x = rng.standard_normal(9600)

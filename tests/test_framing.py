@@ -17,6 +17,9 @@ class TestFrameConfig:
     def test_hop_must_divide_frame(self):
         with pytest.raises(ValueError):
             hcf.FrameConfig(frame_size=1536, hop_size=500)
+        for frame_size, hop_size in [(1536, 1536), (1536, 0), (-1536, 384), (1536, 3072)]:
+            with pytest.raises(ValueError, match="overlap"):
+                hcf.FrameConfig(frame_size=frame_size, hop_size=hop_size)
 
     def test_n_frames(self, frame_cfg):
         assert frame_cfg.n_frames(1) == 1

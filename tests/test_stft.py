@@ -3,13 +3,14 @@ import pytest
 
 import hcf
 from hcf.errors import ShapeError
-from hcf.framing import OVERLAP_EPS
 
 from helpers import interior, rel_rms
 
 
 def loop_overlap_add(spec, cfg):
-    """Reference synthesis: one frame at a time, in frame order."""
+    """Reference synthesis: one frame at a time, in frame order, divided by the
+    window sum that the frames reach in steady state (at least
+    ``frame_size // hop_size`` frames)."""
     w = hcf.sqrt_hann(cfg.frame_size)
     frames = np.fft.irfft(spec, n=cfg.frame_size, axis=0) * w[:, None]
     total = (spec.shape[1] - 1) * cfg.hop_size + cfg.frame_size
@@ -18,7 +19,8 @@ def loop_overlap_add(spec, cfg):
         start = t * cfg.hop_size
         out[start:start + cfg.frame_size] += frames[:, t]
         wsum[start:start + cfg.frame_size] += w * w
-    return out / np.maximum(wsum, OVERLAP_EPS)
+    steady = wsum[cfg.frame_size - cfg.hop_size:cfg.frame_size]
+    return out / np.tile(steady, total // cfg.hop_size)
 
 
 class TestWindows:
@@ -97,3 +99,22 @@ class TestReconstruction:
         short.add(spec[:, :40])
         short.add(spec[:, 40:])
         assert short.finish().samples.tobytes() == expected[:1000].tobytes()
+
+    @pytest.mark.parametrize("frame_size,hop_size", [(16, 4), (16, 8), (1536, 768), (1536, 192)])
+    def test_other_geometries_match_frame_loop(self, frame_size, hop_size, rng):
+        cfg = hcf.FrameConfig(frame_size=frame_size, hop_size=hop_size)
+        spec = rng.standard_normal((cfg.n_bins, 20)) + 1j * rng.standard_normal((cfg.n_bins, 20))
+        expected = loop_overlap_add(spec, cfg)
+        ola = hcf.OverlapAdd(cfg, expected.size)
+        for lo, hi in [(0, 3), (3, 11), (11, 20)]:
+            ola.add(spec[:, lo:hi])
+        assert ola.finish().samples.tobytes() == expected.tobytes()
+
+    def test_edges_fade_with_the_window(self, frame_cfg, rng):
+        # the partly covered edges are divided by the full window sum, never less
+        x = rng.standard_normal(20 * frame_cfg.hop_size)
+        out = hcf.istft_overlap_add(hcf.stft(hcf.frame_signal(x, frame_cfg)), frame_cfg).samples
+        w = hcf.sqrt_hann(frame_cfg.frame_size)
+        edge = frame_cfg.frame_size - frame_cfg.hop_size
+        ramp = np.cumsum((w * w).reshape(-1, frame_cfg.hop_size), axis=0)[:-1].ravel() / 2.0
+        np.testing.assert_allclose(out[:edge], x[:edge] * ramp, atol=1e-12)

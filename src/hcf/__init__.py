@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     VerificationError,
 )
-from .estimator import EstimatorConfig, estimate_track, viterbi_track, yin_frame
+from .estimator import EstimatorConfig, estimate_track, viterbi_track
 from .framing import (
     FrameConfig,
     OverlapAdd,
@@ -116,5 +116,4 @@ __all__ = [
     "write_matrix",
     "write_track",
     "write_wav",
-    "yin_frame",
 ]

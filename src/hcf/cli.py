@@ -18,11 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioBuffer, PIPELINE_RATE, read_wav, write_wav
-from .comb import build_bank, filter_all_candidates, filter_inference, select_candidate
-from .enhance import BlendConfig, enhance
+from .comb import (
+    CombFilterBank, build_bank, filter_all_candidates, filter_inference, select_candidate,
+)
+from .enhance import BLOCK_FRAMES, BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, chunk_signal, frame_signal, istft_overlap_add, stft
+from .framing import FrameConfig, chunk_signal, frame_signal, stft
 from .grid import F0Grid, gaussian_label, read_track, track_from_indices, write_track
 from .matrixio import read_matrix, write_matrix
 from .metrics import LossConfig, sdr, se_loss, snr
@@ -74,10 +76,6 @@ def _read_reference(path) -> AudioBuffer:
     if not np.any(clean.samples):  # no SNR or SDR exists against silence
         raise DataError(f"clean reference {path} is identically zero")
     return clean
-
-
-def _spectrum(buffer: AudioBuffer, frame_cfg: FrameConfig) -> np.ndarray:
-    return stft(frame_signal(buffer, frame_cfg))
 
 
 def _estimator_cfg(args) -> EstimatorConfig:
@@ -187,15 +185,23 @@ def _cmd_enhance(args) -> int:
         write_matrix(result.strength, diag / "strength.hcf")
         write_matrix(result.gain, diag / "gain.hcf")
         if clean is not None:
-            _write_report(diag / "report.txt", clean, noisy, result, frame_cfg, LossConfig())
+            _write_report(diag / "report.txt", clean, noisy, result, frame_cfg, bank)
     return 0
 
 
 def _loss_lines(clean, estimate, gains_only, frame_cfg: FrameConfig, cfg: LossConfig) -> list[str]:
-    """The loss and SDR lines that ``hcf metrics`` prints and ``report.txt`` holds."""
-    total, mag0, mag, cplx = se_loss(
-        *(_spectrum(b, frame_cfg) for b in (clean, estimate, gains_only)), cfg
-    )
+    """The loss and SDR lines that ``hcf metrics`` prints and ``report.txt`` holds.
+
+    The loss terms are means over frames, taken block by block and weighted
+    by each block's frame count, so no whole-buffer spectrum is formed.
+    """
+    frames = [frame_signal(b, frame_cfg) for b in (clean, estimate, gains_only)]
+    n_frames = frames[0].shape[1]
+    sums = np.zeros(4)
+    for lo in range(0, n_frames, BLOCK_FRAMES):
+        spectra = [stft(f[:, lo:lo + BLOCK_FRAMES]) for f in frames]
+        sums += np.multiply(se_loss(*spectra, cfg), spectra[0].shape[1])
+    total, mag0, mag, cplx = sums / n_frames
     return [
         f"se_loss={total:.6g}",
         f"mag_gains_only={mag0:.6g}",
@@ -206,12 +212,14 @@ def _loss_lines(clean, estimate, gains_only, frame_cfg: FrameConfig, cfg: LossCo
 
 
 def _write_report(
-    path, clean: AudioBuffer, noisy: AudioBuffer, result, frame_cfg: FrameConfig, cfg: LossConfig
+    path, clean: AudioBuffer, noisy: AudioBuffer, result, frame_cfg: FrameConfig,
+    bank: CombFilterBank,
 ) -> None:
     # the gains-only estimate is the blend at strength 0: noisy spectrum times gain
-    noisy_spec = _spectrum(noisy, frame_cfg)
-    gains_only = istft_overlap_add(noisy_spec * result.gain, frame_cfg, length=len(noisy))
-    lines = _loss_lines(clean, result.audio, gains_only, frame_cfg, cfg)
+    gains_only = enhance(
+        noisy, track=result.track, gain=result.gain, strength=0.0, frame_cfg=frame_cfg, bank=bank
+    ).audio
+    lines = _loss_lines(clean, result.audio, gains_only, frame_cfg, LossConfig())
     lines.append(f"latency_samples={result.latency_samples}")
     Path(path).write_text("\n".join(lines) + "\n")
 

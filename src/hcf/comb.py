@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
 from .grid import F0Grid, F0Track
@@ -113,6 +112,14 @@ def _check_chunks(bank: CombFilterBank, chunks: np.ndarray) -> int:
     return frame
 
 
+def _check_track(track: F0Track, n_frames: int, n_rows: int) -> None:
+    """One index per frame, each naming a row of the bank: ``[0, n_rows)``."""
+    if len(track) != n_frames:
+        raise ShapeError(f"track has {len(track)} frames, expected {n_frames}")
+    if np.any((track.indices < 0) | (track.indices >= n_rows)):
+        raise ShapeError(f"track indices must lie in [0, {n_rows - 1}]")
+
+
 def filter_all_candidates(
     bank: CombFilterBank, chunks: np.ndarray, counter: Optional[MacCounter] = None
 ) -> np.ndarray:
@@ -124,7 +131,12 @@ def filter_all_candidates(
     the weight tensor itself. Row N is the untouched center slice.
     """
     frame = _check_chunks(bank, chunks)
-    out = _kernels.comb_all(chunks.T, bank.weights[:, 0, :, 0])
+    rows = bank.weights[:, 0, :, 0]
+    frames_first = chunks.T
+    out = np.zeros((rows.shape[0], chunks.shape[1], frame))
+    # one accumulation per nonzero weight, over every frame at once
+    for i, j in zip(*np.nonzero(rows)):
+        out[i] += rows[i, j] * frames_first[:, j:j + frame]
     if counter is not None:
         counter.parallel += bank.nonzero_taps() * frame * chunks.shape[1]
     return out.transpose(0, 2, 1)
@@ -135,10 +147,7 @@ def select_candidate(all_candidates: np.ndarray, track: F0Track) -> np.ndarray:
     if all_candidates.ndim != 3:
         raise ShapeError(f"expected (rows, frame, n_frames), got {all_candidates.shape}")
     n_rows, _, n_frames = all_candidates.shape
-    if len(track) != n_frames:
-        raise ShapeError(f"track has {len(track)} frames, tensor has {n_frames}")
-    if track.indices.max(initial=0) >= n_rows:
-        raise ShapeError("track index exceeds candidate rows")
+    _check_track(track, n_frames, n_rows)
     return all_candidates[track.indices, :, np.arange(n_frames)].T
 
 
@@ -155,13 +164,17 @@ def filter_inference(
     unvoiced frames pass the center slice through exactly.
     """
     frame = _check_chunks(bank, chunks)
-    n_frames = chunks.shape[1]
-    if len(track) != n_frames:
-        raise ShapeError(f"track has {len(track)} frames, chunks have {n_frames}")
-    sel = np.zeros(n_frames, dtype=np.int64)
+    _check_track(track, chunks.shape[1], bank.grid.label_size)
     voiced = track.voiced_mask(bank.grid)
-    sel[voiced] = bank.rounded_periods[track.indices[voiced]]
-    out = _kernels.comb_inference(chunks.T, sel, bank.taps, bank.pad, frame)
+    frames_first, m, pad = chunks.T, bank.order, bank.pad
+    out = np.zeros((chunks.shape[1], frame))
+    for t in np.flatnonzero(voiced):
+        period = int(bank.rounded_periods[track.indices[t]])
+        row = out[t]
+        for k in range(-m, m + 1):
+            base = pad - k * period
+            row += bank.taps[k + m] * frames_first[t, base:base + frame]
+    out[~voiced] = frames_first[~voiced, pad:pad + frame]
     if counter is not None:
         counter.inference += len(bank.taps) * frame * int(voiced.sum())
     return out.T

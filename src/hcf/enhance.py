@@ -44,8 +44,8 @@ class BlendConfig:
     exponent: float = 1.0
 
     def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
+        if not 0.0 < self.exponent < np.inf:  # NaN fails too
+            raise ValueError("exponent must be positive and finite")
 
 
 @dataclass

@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .audio import AudioBuffer
 from .framing import FrameConfig, windows
 from .grid import F0Grid, F0Track, nearest_period_index, track_from_indices
@@ -69,6 +68,33 @@ class EstimatorConfig:
         return int(self.window)
 
 
+def yin_difference(x: np.ndarray, w_len: int, tau_max: int) -> np.ndarray:
+    """Squared-difference curves d[..., 0..tau_max] over w_len-sample windows.
+
+    d[tau] = sum_{s<w_len} (x[s] - x[s+tau])^2 for every row of ``x``, so a
+    row needs at least ``w_len + tau_max`` samples. Computed as
+    ``E_head + E_tau - 2 r(tau)`` from one cumulative energy sum and an FFT
+    cross-correlation ``r`` of length ``w_len + tau_max``, where no lag
+    wraps; rounding can leave tiny negatives, which are clamped to 0.
+    """
+    n = w_len + tau_max
+    if x.shape[-1] < n:
+        raise ValueError(
+            f"window of {x.shape[-1]} samples too short for "
+            f"w_len={w_len}, tau_max={tau_max}"
+        )
+    x = x[..., :n]
+    r = np.fft.irfft(np.conj(np.fft.rfft(x[..., :w_len], n)) * np.fft.rfft(x, n), n)
+    energy = np.zeros(x.shape[:-1] + (n + 1,))
+    np.cumsum(x * x, axis=-1, out=energy[..., 1:])
+    lags = slice(0, tau_max + 1)
+    d = energy[..., w_len:w_len + 1] + energy[..., w_len:] - energy[..., lags]
+    d -= 2.0 * r[..., lags]
+    np.maximum(d, 0.0, out=d)
+    d[..., 0] = 0.0
+    return d
+
+
 def _cmndf(d: np.ndarray) -> np.ndarray:
     """Cumulative-mean-normalized difference per row; d'(0) = 1 by convention."""
     out = np.ones_like(d)
@@ -111,7 +137,7 @@ def _posteriors(frames: np.ndarray, grid: F0Grid, cfg: EstimatorConfig) -> np.nd
     periods = grid.rounded_periods()
     t_max = int(periods.max())
     t_min = int(periods.min())
-    d = _kernels.yin_difference(frames, frames.shape[1] - t_max, t_max)
+    d = yin_difference(frames, frames.shape[1] - t_max, t_max)
     dprime = _cmndf(d)
 
     posterior = np.zeros((frames.shape[0], grid.label_size))
@@ -134,18 +160,6 @@ def _posteriors(frames: np.ndarray, grid: F0Grid, cfg: EstimatorConfig) -> np.nd
     posterior[flat] = 0.0
     posterior[flat, grid.unvoiced_index] = 1.0
     return posterior
-
-
-def yin_frame(samples, grid: F0Grid, cfg: EstimatorConfig) -> np.ndarray:
-    """Posterior over the ``N+1`` slots for one analysis window.
-
-    Peak-normalized to 1; an all-zero window maps to the unvoiced one-hot.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    t_max = int(grid.rounded_periods().max())
-    if x.shape[0] < 2 * t_max:
-        raise ValueError(f"window of {x.shape[0]} samples, need >= {2 * t_max}")
-    return _posteriors(x[None, :], grid, cfg)[0]
 
 
 def transition_weights(grid_size: int, cfg: EstimatorConfig) -> np.ndarray:
@@ -183,7 +197,18 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
     initial[:grid.size] = np.log(max(prior / grid.size, PRIOR_FLOOR))
     initial[grid.size] = np.log(max(1.0 - prior, PRIOR_FLOOR))
 
-    path = _kernels.viterbi_core(emissions, transition_weights(grid.size, cfg), initial)
+    into = transition_weights(grid.size, cfg).T.copy()  # row j: every move into j
+    score = initial + emissions[0]
+    back = np.zeros(emissions.shape, dtype=np.min_scalar_type(grid.size))
+    states = np.arange(grid.label_size)
+    for t in range(1, len(emissions)):
+        cand = into + score
+        back[t] = np.argmax(cand, axis=1)  # ties go to the lowest state
+        score = cand[states, back[t]] + emissions[t]
+    path = np.empty(len(emissions), dtype=np.int64)
+    path[-1] = np.argmax(score)
+    for t in range(len(emissions) - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
     return track_from_indices(grid, path)
 
 

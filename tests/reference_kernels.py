@@ -1,11 +1,14 @@
-"""Scalar-loop reference kernels, the oracles for ``hcf._kernels``.
+"""Scalar-loop reference kernels, the oracles for the pipeline's numpy loops.
 
-The comb and Viterbi loops add in the same order as the vectorized kernels,
-so their parity tests in ``test_comb.py`` demand exact equality. The YIN
-loop sums each window serially where numpy's dot product does not, so its
-test allows a relative tolerance of 1e-9. Chunks are frame-major, and
-``periods`` holds one period per weight row with 0 for the identity
-(unvoiced) row.
+``_comb_all_py`` checks ``comb.filter_all_candidates``, ``_comb_inference_py``
+``comb.filter_inference``, ``_yin_difference_py`` ``estimator.yin_difference``
+and ``_viterbi_py`` the max-path loop in ``estimator.viterbi_track``. The comb
+and Viterbi loops add in the same order as the numpy ones, so their parity
+tests in ``test_comb.py`` demand exact equality. The YIN loop sums each window
+serially where numpy's dot product does not, so its test allows a relative
+tolerance of 1e-9. Chunks here are frame-major, the transpose of the
+pipeline's samples-by-frames layout, and ``periods`` holds one period per
+weight row with 0 for the identity (unvoiced) row.
 
 ``_yin_posterior_py`` and ``_track_posteriors_py`` are the one-window-at-a-
 time pitch posterior, the oracle for the batched one in ``hcf.estimator``.

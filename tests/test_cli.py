@@ -392,6 +392,42 @@ class TestEnhanceCommand:
         assert done.returncode == 0, done.stderr
         assert len(hcf.read_wav(out_path)) == noisy.size
 
+    @needs_rlimit_as
+    def test_long_diag_run_fits_in_one_gib(self, tmp_path, rng):
+        # report.txt's gains-only estimate and loss terms are taken in frame
+        # blocks; whole-buffer spectra of 90 s need more than 1 GiB
+        seconds = 90
+        clean = harmonic_complex(150.0, 4, seconds, amp=0.1)
+        noisy = clean + 0.05 * rng.standard_normal(clean.size)
+        hcf.write_wav(buffer(clean), tmp_path / "clean.wav", bit_depth="float32")
+        hcf.write_wav(buffer(noisy), tmp_path / "noisy.wav", bit_depth="float32")
+        grid = hcf.F0Grid()
+        n_frames = hcf.FrameConfig().n_frames(clean.size)
+        hcf.write_track(
+            hcf.track_from_indices(grid, np.full(n_frames, hcf.nearest_index(grid, 150.0))),
+            tmp_path / "track.csv",
+        )
+        diag = tmp_path / "diag"
+        done = run_capped_cli(
+            "enhance", str(tmp_path / "noisy.wav"), str(tmp_path / "out.wav"),
+            "--clean", str(tmp_path / "clean.wav"), "--f0", str(tmp_path / "track.csv"),
+            "--diag", str(diag), timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "se_loss=" in (diag / "report.txt").read_text()
+
+    @needs_rlimit_as
+    def test_long_metrics_fit_in_one_gib(self, tmp_path, rng):
+        seconds = 90
+        clean = 0.1 * rng.standard_normal(seconds * hcf.PIPELINE_RATE)
+        hcf.write_wav(buffer(clean), tmp_path / "clean.wav", bit_depth="float32")
+        hcf.write_wav(buffer(0.5 * clean), tmp_path / "estimate.wav", bit_depth="float32")
+        done = run_capped_cli(
+            "metrics", str(tmp_path / "clean.wav"), str(tmp_path / "estimate.wav"), timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "se_loss=" in done.stdout
+
     def test_rescale_flag_runs(self, tmp_path, wav_pair, capsys):
         clean_path, noisy_path, _, _ = wav_pair
         code = main([

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import hcf
-from hcf import _kernels
 from hcf.cli import VERIFY_TOLERANCE
 from hcf.errors import ShapeError
+from hcf.estimator import EMISSION_FLOOR, transition_weights, yin_difference
 
 from helpers import periodic_tone
 from reference_kernels import (
@@ -187,6 +187,16 @@ class TestPathEquivalence:
         with pytest.raises(ShapeError):
             hcf.filter_inference(bank, chunks, hcf.track_from_indices(grid, [0]))
 
+    @pytest.mark.parametrize("index", [-1, 226])
+    def test_out_of_range_index_rejected_on_both_routes(self, bank, rng, index):
+        # an F0Track built by hand skips track_from_indices' range check
+        chunks = rng.standard_normal((3072, 2))
+        track = hcf.F0Track(indices=[0, index], f0=[100.0, 100.0], voicing=[1.0, 1.0])
+        with pytest.raises(ShapeError, match=r"\[0, 225\]"):
+            hcf.filter_inference(bank, chunks, track)
+        with pytest.raises(ShapeError, match=r"\[0, 225\]"):
+            hcf.select_candidate(hcf.filter_all_candidates(bank, chunks), track)
+
 
 class TestPeriodicInvariance:
     @pytest.mark.parametrize("index", [0, 32, 96, 128, 200, 224])
@@ -256,32 +266,35 @@ class TestFrequencyResponse:
 
 
 class TestKernelParity:
-    """Each numpy kernel against its scalar loop in reference_kernels."""
+    """Each numpy loop against its scalar loop in reference_kernels."""
 
     def test_comb_kernels_match_reference(self, rng):
-        bank = hcf.build_bank(desk_grid())
+        grid = desk_grid()
+        bank = hcf.build_bank(grid)
         frame = 16
-        contiguous = rng.standard_normal((4, frame + 2 * bank.pad))
-        # the pipeline passes overlapping strided rows of one buffer, uncopied
+        contiguous = rng.standard_normal((frame + 2 * bank.pad, 4))
+        # the pipeline passes overlapping strided columns of one buffer, uncopied
         cfg = hcf.FrameConfig(frame_size=frame, hop_size=4)
-        strided = hcf.chunk_signal(rng.standard_normal(16), cfg, bank.pad).T
-        assert np.shares_memory(strided[0], strided[1])
+        strided = hcf.chunk_signal(rng.standard_normal(16), cfg, bank.pad)
+        assert np.shares_memory(strided[:, 0], strided[:, 1])
         periods = np.concatenate([bank.rounded_periods, [0]])
-        sel = np.array([12, 0, 8, 4], dtype=np.int64)
-        for chunks_fm in (contiguous, strided):
+        track = hcf.track_from_indices(grid, [0, 5, 2, 4])
+        for chunks in (contiguous, strided):
             np.testing.assert_array_equal(
-                _kernels.comb_all(chunks_fm, bank.weights[:, 0, :, 0]),
-                _comb_all_py(chunks_fm, periods, bank.taps, bank.pad, frame),
+                hcf.filter_all_candidates(bank, chunks).transpose(0, 2, 1),
+                _comb_all_py(chunks.T, periods, bank.taps, bank.pad, frame),
             )
             np.testing.assert_array_equal(
-                _kernels.comb_inference(chunks_fm, sel, bank.taps, bank.pad, frame),
-                _comb_inference_py(chunks_fm, sel, bank.taps, bank.pad, frame),
+                hcf.filter_inference(bank, chunks, track).T,
+                _comb_inference_py(
+                    chunks.T, periods[track.indices], bank.taps, bank.pad, frame
+                ),
             )
 
     def test_yin_difference_matches_reference(self, rng):
         x = rng.standard_normal(400)
         np.testing.assert_allclose(
-            _kernels.yin_difference(x, 200, 150),
+            yin_difference(x, 200, 150),
             _yin_difference_py(x, 200, 150),
             rtol=1e-9,
             atol=1e-12,
@@ -289,7 +302,7 @@ class TestKernelParity:
 
     def test_yin_difference_matches_reference_per_row(self, rng):
         rows = rng.standard_normal((3, 400))
-        d = _kernels.yin_difference(rows, 200, 150)
+        d = yin_difference(rows, 200, 150)
         assert d.shape == (3, 151)
         for row, got in zip(rows, d):
             np.testing.assert_allclose(
@@ -298,7 +311,7 @@ class TestKernelParity:
 
     def test_yin_difference_on_exactly_periodic_row(self, rng):
         rows = np.stack([periodic_tone(100, 500), rng.standard_normal(500)])
-        d = _kernels.yin_difference(rows, 200, 300)
+        d = yin_difference(rows, 200, 300)
         assert np.all(d >= 0.0)
         lags = [100, 200, 300]
         expected = _yin_difference_py(rows[0], 200, 300)
@@ -306,14 +319,22 @@ class TestKernelParity:
         e_head = float(np.sum(rows[0, :200] ** 2))
         np.testing.assert_allclose(d[0, lags], expected[lags], rtol=0, atol=1e-12 * e_head)
 
-    def test_viterbi_core_matches_reference(self, rng):
-        em = rng.standard_normal((7, 11))
-        trans = rng.standard_normal((7, 7))
-        init = rng.standard_normal(7)
-        np.testing.assert_array_equal(
-            _kernels.viterbi_core(em.T, trans, init), _viterbi_py(em, trans, init)
-        )
+    def test_viterbi_track_matches_reference(self, rng, monkeypatch):
+        grid = desk_grid()
+        cfg = hcf.EstimatorConfig(transition_width=1.5, voicing_prior=0.3, switch_cost=0.5)
+        # few distinct values, so scores tie and the tie-break is pinned; 0 hits the floor
+        post = rng.choice([0.0, 0.5, 1.0], size=(11, grid.label_size))
+        emissions = np.log(np.maximum(post, EMISSION_FLOOR)).T
+        initial = np.log(np.r_[np.full(grid.size, 0.3 / grid.size), 0.7])
+        # the model's weights, then asymmetric ones, which pin the move direction
+        asymmetric = rng.integers(-2, 3, (grid.label_size, grid.label_size)).astype(float)
+        for trans in (transition_weights(grid.size, cfg), asymmetric):
+            monkeypatch.setattr("hcf.estimator.transition_weights", lambda *_: trans)
+            np.testing.assert_array_equal(
+                hcf.viterbi_track(post, grid, cfg).indices,
+                _viterbi_py(emissions, trans, initial),
+            )
 
     def test_yin_window_length_validated(self):
         with pytest.raises(ValueError):
-            _kernels.yin_difference(np.zeros(100), 80, 40)
+            yin_difference(np.zeros(100), 80, 40)

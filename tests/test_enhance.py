@@ -199,8 +199,9 @@ class TestBlend:
             hcf.blend(y, ycf, ones, ones[:, :3])
 
     def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            hcf.BlendConfig(exponent=0.0)
+        for exponent in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="exponent"):
+                hcf.BlendConfig(exponent=exponent)
 
 
 class TestEnhance:
@@ -346,6 +347,18 @@ class TestEnhance:
             hcf.enhance(buffer(x), gain=-0.5, strength=0.0)
         with pytest.raises(ValueError, match="gain map contains non-finite entries"):
             hcf.enhance(buffer(x), gain=float("nan"), strength=0.0)
+
+    @pytest.mark.parametrize("index", [-1, 226])
+    def test_out_of_range_track_index_rejected(self, rng, index):
+        # a hand-built F0Track skips track_from_indices' range check
+        x = rng.standard_normal(9600)
+        n_frames = hcf.FrameConfig().n_frames(x.size)
+        track = hcf.F0Track(
+            indices=np.full(n_frames, index), f0=np.full(n_frames, 100.0),
+            voicing=np.ones(n_frames),
+        )
+        with pytest.raises(ShapeError, match=r"\[0, 225\]"):
+            hcf.enhance(buffer(x), track=track, gain=1.0, strength=1.0)
 
     def test_given_maps_are_not_copied(self, rng):
         x = rng.standard_normal(12000) * 0.1

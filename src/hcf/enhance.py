@@ -20,18 +20,19 @@ from typing import Optional, Union
 import numpy as np
 
 from .audio import PIPELINE_RATE, AudioBuffer
-from .comb import CombFilterBank, MacCounter, build_bank, filter_inference
+from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
 from .errors import ShapeError
 from .estimator import EstimatorConfig, estimate_track
 from .framing import FrameConfig, OverlapAdd, chunk_signal, frame_signal, stft
 from .grid import F0Grid, F0Track
+from .helper import in_order
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
 NOISE_EPS = 1e-12
 STRENGTH_EPS = 1e-12
 
 #: Frames per block in the stages after the pitch track; 64 keeps a block's
-#: spectra in cache.
+#: spectra in cache. A helper thread runs every other block.
 BLOCK_FRAMES = 64
 
 Provider = Union[str, float, np.ndarray]
@@ -52,7 +53,9 @@ class BlendConfig:
 class EnhanceResult:
     audio: AudioBuffer
     track: F0Track
+    #: The clipped strength the blend used, stored as float32.
     strength: np.ndarray
+    #: The given gain map as passed, or the oracle's stored as float32.
     gain: np.ndarray
     posteriors: Optional[np.ndarray]
     #: Samples of context the pipeline needs past a frame's first sample:
@@ -159,7 +162,10 @@ def enhance(
 
     After the track every stage runs on blocks of ``BLOCK_FRAMES`` frames, so
     memory beyond the input, output and maps is bounded; the results are those
-    of one pass over the whole buffer.
+    of one pass over the whole buffer. One helper thread runs every other
+    block (and, in :func:`estimate_track`, the posterior blocks); no result
+    depends on which thread ran a block. A frame whose given strength is 0 in
+    every bin skips the comb, like an unvoiced frame.
     """
     if noisy.sample_rate != PIPELINE_RATE:
         raise ShapeError(f"buffer rate {noisy.sample_rate} != pipeline rate {PIPELINE_RATE}")
@@ -183,8 +189,8 @@ def enhance(
     posteriors = None
     if track is None:
         track, posteriors = estimate_track(noisy, grid, est_cfg, frame_cfg)
-    elif len(track) != n_frames:
-        raise ShapeError(f"track has {len(track)} frames, expected {n_frames}")
+    else:
+        _check_track(track, n_frames, grid.label_size)
 
     shape = (frame_cfg.n_bins, n_frames)
     gain_map = _resolve_map(gain, "gain", shape)
@@ -192,32 +198,49 @@ def enhance(
         raise ValueError("gain map must be nonnegative")
     given_strength = _resolve_map(strength, "strength", shape)
     fb = build_mel_filterbank(cfg=frame_cfg) if gain_map is None else None
-    gain_map = np.empty(shape) if gain_map is None else gain_map
-    strength_map = np.empty(shape)
+    gain_map = np.empty(shape, np.float32) if gain_map is None else gain_map
+    strength_map = np.empty(shape, np.float32)
     clean_frames = frame_signal(clean, frame_cfg) if needs_oracle else None
     voiced = track.voiced_mask(grid)
-    ola = OverlapAdd(frame_cfg, len(noisy))
 
-    for lo in range(0, n_frames, BLOCK_FRAMES):
+    def run_block(lo):
+        """One block's output spectrum and comb MACs; writes only its own map columns."""
         cols = slice(lo, lo + BLOCK_FRAMES)
-        block_track = F0Track(track.indices[cols], track.f0[cols], track.voicing[cols])
-        filtered = filter_inference(bank, chunks[:, cols], block_track, counter)
-        noisy_spec = stft(frames[:, cols])
-        # an unvoiced frame leaves the comb untouched, so its spectrum is the noisy one
         v = voiced[cols]
+        noisy_spec = stft(frames[:, cols])
+        block_strength = np.empty(noisy_spec.shape)
+        combed = v
+        if given_strength is not None:
+            np.clip(given_strength[:, cols], 0.0, 1.0, out=block_strength)
+            block_strength[:, ~v] = 0.0
+            combed = v & block_strength.any(axis=0)
+        indices = np.where(combed, track.indices[cols], grid.unvoiced_index)
+        block_track = F0Track(indices, track.f0[cols], track.voicing[cols])
+        macs = MacCounter()
+        filtered = filter_inference(bank, chunks[:, cols], block_track, macs)
+        # a frame left out of the comb passes through, so its spectrum is the noisy one
         filtered_spec = noisy_spec.copy()
-        filtered_spec[:, v] = stft(filtered[:, v])
+        filtered_spec[:, combed] = stft(filtered[:, combed])
         clean_spec = stft(clean_frames[:, cols]) if needs_oracle else None
-        if fb is not None:
-            gain_map[:, cols] = oracle_gain(noisy_spec, clean_spec, fb)
-        block_strength = strength_map[:, cols]
-        np.clip(
-            oracle_strength(noisy_spec, filtered_spec, clean_spec)
-            if given_strength is None else given_strength[:, cols],
-            0.0, 1.0, out=block_strength,
-        )
-        block_strength[:, ~v] = 0.0
-        ola.add(blend(noisy_spec, filtered_spec, block_strength, gain_map[:, cols], blend_cfg))
+        if given_strength is None:
+            np.clip(oracle_strength(noisy_spec, filtered_spec, clean_spec), 0.0, 1.0,
+                    out=block_strength)
+            block_strength[:, ~v] = 0.0
+        strength_map[:, cols] = block_strength
+        if fb is None:
+            block_gain = gain_map[:, cols]
+        else:
+            block_gain = oracle_gain(noisy_spec, clean_spec, fb)
+            gain_map[:, cols] = block_gain
+        out = blend(noisy_spec, filtered_spec, block_strength, block_gain, blend_cfg)
+        return out, macs.inference
+
+    ola = OverlapAdd(frame_cfg, len(noisy))
+    with in_order(run_block, range(0, n_frames, BLOCK_FRAMES), every=2) as blocks:
+        for spec, macs in blocks:
+            ola.add(spec)
+            if counter is not None:
+                counter.inference += macs
 
     return EnhanceResult(
         audio=ola.finish(),

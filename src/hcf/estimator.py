@@ -18,14 +18,17 @@ multiple-of-T dip scores just as well. The unvoiced slot scores
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import PIPELINE_RATE, AudioBuffer
+from .errors import ShapeError
 from .framing import FrameConfig, windows
 from .grid import F0Grid, F0Track, nearest_period_index, track_from_indices
+from .helper import in_order
 
 EMISSION_FLOOR = 1e-8
 PRIOR_FLOOR = 1e-12
@@ -34,7 +37,8 @@ PRIOR_FLOOR = 1e-12
 #: it only has to beat equal-salience octave dips.
 PICK_BUMP = 1.001
 
-#: Frames per block in ``estimate_track``; bounds the transient arrays.
+#: Frames per block in ``estimate_track``; bounds the transient arrays, and
+#: the Viterbi pass decodes each block while the next one is computed.
 BLOCK_FRAMES = 256
 
 
@@ -181,33 +185,40 @@ def transition_weights(grid_size: int, cfg: EstimatorConfig) -> np.ndarray:
 def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
     """Smooth per-frame posteriors into the best state path.
 
-    ``posteriors`` is (n_frames, N+1); emissions are log posteriors clamped
-    at 1e-8 so zero entries stay finite. Decoded voiced states carry
-    ``f0 = f_s / period``; voicing is the hard 0/1 decode.
+    ``posteriors`` is (n_frames, N+1), or an iterator over such blocks in
+    frame order, which the forward pass decodes as they arrive. Emissions are
+    log posteriors clamped at 1e-8 so zero entries stay finite. Decoded voiced
+    states carry ``f0 = f_s / period``; voicing is the hard 0/1 decode.
     """
-    post = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
-    if post.shape[1] != grid.label_size:
-        raise ValueError(
-            f"posterior dimension {post.shape[1]} != grid label size {grid.label_size}"
-        )
-    emissions = np.log(np.maximum(post, EMISSION_FLOOR))
-
+    blocks = posteriors if isinstance(posteriors, Iterator) else [posteriors]
     prior = cfg.voicing_prior
     initial = np.empty(grid.label_size)
     initial[:grid.size] = np.log(max(prior / grid.size, PRIOR_FLOOR))
     initial[grid.size] = np.log(max(1.0 - prior, PRIOR_FLOOR))
 
     into = transition_weights(grid.size, cfg).T.copy()  # row j: every move into j
-    score = initial + emissions[0]
-    back = np.zeros(emissions.shape, dtype=np.min_scalar_type(grid.size))
     states = np.arange(grid.label_size)
-    for t in range(1, len(emissions)):
-        cand = into + score
-        back[t] = np.argmax(cand, axis=1)  # ties go to the lowest state
-        score = cand[states, back[t]] + emissions[t]
-    path = np.empty(len(emissions), dtype=np.int64)
+    score, backs = None, []
+    for block in blocks:
+        post = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        if post.shape[1] != grid.label_size:
+            raise ValueError(
+                f"posterior dimension {post.shape[1]} != grid label size {grid.label_size}"
+            )
+        emissions = np.log(np.maximum(post, EMISSION_FLOOR))
+        back = np.zeros(emissions.shape, dtype=np.min_scalar_type(grid.size))
+        first = 0
+        if score is None and len(emissions):
+            score, first = initial + emissions[0], 1
+        for t in range(first, len(emissions)):
+            cand = into + score
+            back[t] = np.argmax(cand, axis=1)  # ties go to the lowest state
+            score = cand[states, back[t]] + emissions[t]
+        backs.append(back)
+    back = np.concatenate(backs)
+    path = np.empty(len(back), dtype=np.int64)
     path[-1] = np.argmax(score)
-    for t in range(len(emissions) - 1, 0, -1):
+    for t in range(len(back) - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return track_from_indices(grid, path)
 
@@ -222,9 +233,12 @@ def estimate_track(
 
     Analysis windows are centered on the pipeline frames (hop
     ``frame_cfg.hop_size``), so entry t lines up with frame t everywhere
-    else in the pipeline. Returns ``(track, posteriors)`` with posteriors
-    shaped (n_frames, N+1).
+    else in the pipeline. A helper thread computes the posterior blocks while
+    this one decodes the blocks already done. Returns ``(track, posteriors)``
+    with posteriors shaped (n_frames, N+1).
     """
+    if buffer.sample_rate != PIPELINE_RATE:
+        raise ShapeError(f"buffer rate {buffer.sample_rate} != pipeline rate {PIPELINE_RATE}")
     x = buffer.samples
     window = cfg.analysis_window(grid)
     n_frames = frame_cfg.n_frames(x.shape[0])
@@ -232,6 +246,12 @@ def estimate_track(
     frames = windows(x, n_frames, frame_cfg.hop_size, offset, window)
 
     posteriors = np.empty((n_frames, grid.label_size))
-    for lo in range(0, n_frames, BLOCK_FRAMES):
-        posteriors[lo:lo + BLOCK_FRAMES] = _posteriors(frames[lo:lo + BLOCK_FRAMES], grid, cfg)
-    return viterbi_track(posteriors, grid, cfg), posteriors
+
+    def block(lo):
+        rows = posteriors[lo:lo + BLOCK_FRAMES]
+        rows[:] = _posteriors(frames[lo:lo + BLOCK_FRAMES], grid, cfg)
+        return rows
+
+    with in_order(block, range(0, n_frames, BLOCK_FRAMES)) as blocks:
+        track = viterbi_track(blocks, grid, cfg)
+    return track, posteriors

@@ -1,4 +1,8 @@
+import hashlib
 import importlib
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -432,7 +436,8 @@ class TestBlockedEnhance:
             buffer(x), None, track, gain, strength, exponent, bank, whole_counter
         )
         assert_bit_identical(result.audio.samples, audio)
-        assert_bit_identical(result.strength, whole_strength)
+        # the strength map is stored as float32; the blend used the float64 values
+        assert_bit_identical(result.strength, whole_strength.astype(np.float32))
         assert_bit_identical(result.gain, whole_gain)
         assert counter.inference == whole_counter.inference > 0
 
@@ -446,8 +451,132 @@ class TestBlockedEnhance:
         audio, strength, gain = whole_buffer_enhance(
             buffer(noisy), buffer(clean), result.track, None, None, 1.0, bank
         )
-        for actual, expected in (
-            (result.audio.samples, audio), (result.strength, strength), (result.gain, gain)
-        ):
-            assert actual.dtype == expected.dtype and actual.shape == expected.shape
-            assert np.abs(actual - expected).max() <= 1e-12
+        samples = result.audio.samples
+        assert samples.dtype == audio.dtype and samples.shape == audio.shape
+        assert np.abs(samples - audio).max() <= 1e-12
+        # the maps are stored as float32, so the rounding gap can cost one float32 spacing
+        for actual, expected in ((result.strength, strength), (result.gain, gain)):
+            assert actual.dtype == np.float32 and actual.shape == expected.shape
+            assert np.all(np.abs(actual - expected) <= np.spacing(expected.astype(np.float32)))
+
+    def test_zero_strength_skips_the_comb(self, bank, grid, rng):
+        # a frame the blend weights by 0 is passed through like an unvoiced one
+        n_frames = 150
+        x = 0.2 * rng.standard_normal(n_frames * 384)
+        indices = rng.integers(0, grid.size, n_frames)
+        indices[rng.random(n_frames) < 0.3] = grid.unvoiced_index
+        track = hcf.track_from_indices(grid, indices)
+        gain = rng.uniform(0.0, 1.0, (769, n_frames))
+        strength = rng.uniform(-0.5, 1.0, (769, n_frames))
+        strength[:, rng.random(n_frames) < 0.5] = -0.25  # clips to an all-zero column
+        for given in (0.0, strength):
+            counter = hcf.MacCounter()
+            result = hcf.enhance(
+                buffer(x), track=track, gain=gain, strength=given, bank=bank, counter=counter
+            )
+            audio, whole_strength, _ = whole_buffer_enhance(
+                buffer(x), None, track, gain, np.broadcast_to(given, gain.shape), 1.0, bank
+            )
+            assert_bit_identical(result.audio.samples, audio)
+            assert_bit_identical(result.strength, whole_strength.astype(np.float32))
+            combed = track.voiced_mask(grid) & whole_strength.any(axis=0)
+            assert counter.inference == 3 * 1536 * int(combed.sum())
+        assert 0 < combed.sum() < track.voiced_mask(grid).sum()
+
+    def test_zero_strength_map_does_no_comb_work(self, rng):
+        x = harmonic_complex(150.0, 5, 1.2, amp=0.12) + 0.01 * rng.standard_normal(57600)
+        counter = hcf.MacCounter()
+        result = hcf.enhance(buffer(x), gain=0.5, strength=0.0, counter=counter)
+        assert result.track.voiced_mask(hcf.F0Grid()).any()
+        assert counter.inference == 0
+
+
+def _oracle_case(seconds=1.2, seed=5):
+    rng = np.random.default_rng(seed)
+    clean = harmonic_complex(150.0, 5, seconds, amp=0.12)
+    clean[: clean.size // 4] = 0.0  # unvoiced frames among voiced ones
+    return buffer(clean + noise_at_snr(clean, 20.0, rng)), buffer(clean)
+
+
+def _digest(result):
+    h = hashlib.sha256()
+    for arr in (result.audio.samples, result.track.indices, result.strength, result.gain):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _fork_child(conn, noisy, clean):
+    conn.send(_digest(hcf.enhance(noisy, clean=clean)))
+    conn.close()
+
+
+class TestThreadedEnhance:
+    """``enhance`` and ``estimate_track`` each run one helper thread per call."""
+
+    def test_concurrent_calls_match_sequential(self):
+        cases = [_oracle_case(1.2, seed) for seed in (1, 2, 3)]
+        expected = [_digest(hcf.enhance(noisy, clean=clean)) for noisy, clean in cases]
+        got = [None] * len(cases)
+
+        def run(i):
+            got[i] = _digest(hcf.enhance(cases[i][0], clean=cases[i][1]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared update would be lost
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    @pytest.mark.parametrize("on_helper", [True, False])
+    def test_block_exception_reaches_the_caller(self, monkeypatch, on_helper):
+        noisy, clean = _oracle_case(3.0)
+        assert hcf.FrameConfig().n_frames(len(noisy)) > 4 * BLOCK_FRAMES
+        module = importlib.import_module("hcf.enhance")
+        real_blend, caller = module.blend, threading.current_thread()
+        calls = []
+
+        def failing_blend(*args, **kwargs):
+            mine = [t for t in calls if (t is caller) != on_helper]
+            calls.append(threading.current_thread())
+            if (threading.current_thread() is caller) != on_helper and mine:
+                raise RuntimeError("block failed")  # the second call on that thread
+            return real_blend(*args, **kwargs)
+
+        monkeypatch.setattr(module, "blend", failing_blend)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            hcf.enhance(noisy, clean=clean)
+        assert threading.active_count() == before
+        assert any((t is caller) != on_helper for t in calls)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_after_a_call_gets_the_same_audio(self):
+        noisy, clean = _oracle_case()
+        expected = _digest(hcf.enhance(noisy, clean=clean))
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fork_child, args=(send, noisy, clean))
+        child.start()
+        send.close()
+        assert receive.poll(60)
+        got = receive.recv()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == expected
+
+    def test_mac_count_is_exact_over_blocks(self):
+        noisy, clean = _oracle_case(2.0)
+        counter = hcf.MacCounter()
+        result = hcf.enhance(noisy, clean=clean, counter=counter)
+        voiced = int(result.track.voiced_mask(hcf.F0Grid()).sum())
+        assert len(result.track) > 2 * BLOCK_FRAMES and 0 < voiced < len(result.track)
+        assert counter.inference == 3 * 1536 * voiced

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 import hcf
-from hcf.estimator import transition_weights
+from hcf.errors import ShapeError
+from hcf.estimator import BLOCK_FRAMES, _posteriors, transition_weights
+from hcf.framing import windows
 
 from reference_kernels import _track_posteriors_py
 
@@ -186,6 +188,11 @@ class TestEstimateTrack:
         boundary_frame = int(0.5 * fs) // 384
         assert abs(int(flips[0]) + 1 - boundary_frame) <= 3
 
+    def test_rejects_a_buffer_not_at_the_pipeline_rate(self, grid):
+        # at 16 kHz a 200 Hz tone would read as about 302 Hz on the 48 kHz grid
+        with pytest.raises(ShapeError, match="16000"):
+            hcf.estimate_track(hcf.AudioBuffer(tone(200.0, 0.5, fs=16000), 16000), grid, CFG)
+
     def test_track_aligns_with_frame_count(self, grid, frame_cfg):
         x = tone(130.0, 0.25)
         track, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
@@ -238,3 +245,31 @@ class TestBatchedPosterior:
         one_hot = np.zeros(grid.label_size)
         one_hot[grid.unvoiced_index] = 1.0
         np.testing.assert_array_equal(posteriors[silent], np.tile(one_hot, (silent.sum(), 1)))
+
+
+class TestPipelinedEstimate:
+    """A helper thread computes the posterior blocks while the Viterbi pass
+    decodes; both must equal the serial computation bit for bit."""
+
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 700])
+    def test_matches_serial_blocks_and_whole_decode(self, grid, frame_cfg, n_frames):
+        x = _voiced_in_noise(n_frames * 384 / 48000, n_frames)
+        x[: x.size // 3] = 0.0  # a silent stretch, so the track switches voicing
+        assert frame_cfg.n_frames(x.size) == n_frames
+        track, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+
+        window = CFG.analysis_window(grid)
+        frames = windows(x, n_frames, 384, (1536 - window) // 2, window)
+        serial = np.concatenate([
+            _posteriors(frames[lo:lo + BLOCK_FRAMES], grid, CFG)
+            for lo in range(0, n_frames, BLOCK_FRAMES)
+        ])
+        assert posteriors.tobytes() == serial.tobytes()
+        whole = hcf.viterbi_track(posteriors, grid, CFG)
+        assert track.indices.tobytes() == whole.indices.tobytes()
+
+    def test_decodes_an_iterator_of_blocks_like_the_whole_array(self, grid, rng):
+        post = rng.uniform(1e-6, 1.0, size=(300, grid.label_size))
+        whole = hcf.viterbi_track(post, grid, CFG)
+        blocks = iter([post[:1], post[1:1], post[1:120], post[120:]])
+        np.testing.assert_array_equal(hcf.viterbi_track(blocks, grid, CFG).indices, whole.indices)

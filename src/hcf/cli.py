@@ -181,7 +181,7 @@ def _cmd_enhance(args) -> int:
     if args.diag:
         diag = Path(args.diag)
         diag.mkdir(parents=True, exist_ok=True)
-        write_track(result.track, diag / "track.csv")
+        write_track(result.track, diag / "track.csv", grid)
         write_matrix(result.strength, diag / "strength.hcf")
         write_matrix(result.gain, diag / "gain.hcf")
         if clean is not None:
@@ -228,7 +228,7 @@ def _cmd_f0(args) -> int:
     buffer = read_wav(args.wav)
     grid = _grid(args)
     track, _ = estimate_track(buffer, grid, _estimator_cfg(args), _frame_cfg(args))
-    write_track(track, args.out)
+    write_track(track, args.out, grid)
     voiced = int(track.voiced_mask(grid).sum())
     print(f"wrote {len(track)} frames ({voiced} voiced) to {args.out}")
     return 0

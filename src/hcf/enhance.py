@@ -214,10 +214,9 @@ def enhance(
             np.clip(given_strength[:, cols], 0.0, 1.0, out=block_strength)
             block_strength[:, ~v] = 0.0
             combed = v & block_strength.any(axis=0)
-        indices = np.where(combed, track.indices[cols], grid.unvoiced_index)
-        block_track = F0Track(indices, track.f0[cols], track.voicing[cols])
+        combed_track = F0Track(np.where(combed, track.indices[cols], grid.unvoiced_index))
         macs = MacCounter()
-        filtered = filter_inference(bank, chunks[:, cols], block_track, macs)
+        filtered = filter_inference(bank, chunks[:, cols], combed_track, macs)
         # a frame left out of the comb passes through, so its spectrum is the noisy one
         filtered_spec = noisy_spec.copy()
         filtered_spec[:, combed] = stft(filtered[:, combed])

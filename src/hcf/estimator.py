@@ -187,8 +187,8 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
 
     ``posteriors`` is (n_frames, N+1), or an iterator over such blocks in
     frame order, which the forward pass decodes as they arrive. Emissions are
-    log posteriors clamped at 1e-8 so zero entries stay finite. Decoded voiced
-    states carry ``f0 = f_s / period``; voicing is the hard 0/1 decode.
+    log posteriors clamped at 1e-8 so zero entries stay finite. An input with
+    no frames at all raises ``ValueError``.
     """
     blocks = posteriors if isinstance(posteriors, Iterator) else [posteriors]
     prior = cfg.voicing_prior
@@ -215,6 +215,8 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
             back[t] = np.argmax(cand, axis=1)  # ties go to the lowest state
             score = cand[states, back[t]] + emissions[t]
         backs.append(back)
+    if score is None:
+        raise ValueError("viterbi_track got no posterior frames to decode (empty input)")
     back = np.concatenate(backs)
     path = np.empty(len(back), dtype=np.int64)
     path[-1] = np.argmax(score)

@@ -54,8 +54,8 @@ class F0Grid:
     def label_size(self) -> int:
         return self.size + 1
 
-    def frequency(self, index: int) -> float:
-        """Candidate frequency in hertz for a voiced grid index."""
+    def frequency(self, index):
+        """Candidate frequency in hertz for a voiced grid index, or an array of them."""
         return PIPELINE_RATE / self.periods[index]
 
     def rounded_periods(self) -> np.ndarray:
@@ -126,20 +126,17 @@ def bce_loss(label: np.ndarray, estimate: np.ndarray) -> float:
     return float(per_entry.sum(axis=0).mean())
 
 
-@dataclass
+@dataclass(frozen=True)
 class F0Track:
-    """Per-frame pitch decisions: grid index, frequency, and voicing."""
+    """One grid index per frame; frequency and voicing follow from the grid."""
 
     indices: np.ndarray
-    f0: np.ndarray
-    voicing: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.f0 = np.asarray(self.f0, dtype=np.float64)
-        self.voicing = np.asarray(self.voicing, dtype=np.float64)
-        if not (self.indices.shape == self.f0.shape == self.voicing.shape):
-            raise ShapeError("track arrays must share one shape")
+        indices = np.asarray(self.indices, dtype=np.int64)
+        if indices.ndim != 1:
+            raise ShapeError(f"track indices must be 1-D, got shape {indices.shape}")
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return self.indices.size
@@ -147,34 +144,36 @@ class F0Track:
     def voiced_mask(self, grid: F0Grid) -> np.ndarray:
         return self.indices != grid.unvoiced_index
 
+    def f0_hz(self, grid: F0Grid) -> np.ndarray:
+        """Each frame's candidate frequency on ``grid`` in hertz; 0 on unvoiced frames."""
+        voiced = self.voiced_mask(grid)
+        f0 = np.zeros(self.indices.size)
+        f0[voiced] = grid.frequency(self.indices[voiced])
+        return f0
+
 
 def track_from_indices(grid: F0Grid, indices) -> F0Track:
-    """Build a track from grid indices alone (voicing 1.0 on voiced frames)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() > grid.unvoiced_index):
-        raise ValueError("grid index out of range")
-    voiced = indices != grid.unvoiced_index
-    f0 = np.zeros(indices.size)
-    f0[voiced] = PIPELINE_RATE / grid.periods[indices[voiced]]
-    return F0Track(indices=indices, f0=f0, voicing=voiced.astype(np.float64))
+    """Build a track from grid indices; one outside ``[0, grid.size]`` raises ShapeError."""
+    track = F0Track(indices)
+    outside = np.flatnonzero((track.indices < 0) | (track.indices > grid.unvoiced_index))
+    if outside.size:
+        t = outside[0]
+        raise ShapeError(f"frame {t}: grid index {track.indices[t]} outside [0, {grid.size}]")
+    return track
 
 
 TRACK_HEADER = ["frame", "grid_index", "f0_hz", "voicing"]
 
 
-def write_track(track: F0Track, path) -> None:
-    """Write a track as CSV with header ``frame,grid_index,f0_hz,voicing``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACK_HEADER)
-        for t in range(len(track)):
-            writer.writerow(
-                [t, int(track.indices[t]), f"{track.f0[t]:.6f}", f"{track.voicing[t]:.6f}"]
-            )
+def write_track(track: F0Track, path, grid: F0Grid) -> None:
+    """Write CSV ``frame,grid_index,f0_hz,voicing``, CRLF lines; ``grid`` gives the last two."""
+    columns = [np.arange(len(track)), track.indices, track.f0_hz(grid), track.voiced_mask(grid)]
+    np.savetxt(path, np.column_stack(columns), fmt=["%d", "%d", "%.6f", "%.6f"], delimiter=",",
+               newline="\r\n", header=",".join(TRACK_HEADER), comments="")
 
 
 def read_track(path, grid: F0Grid) -> F0Track:
-    """Read a track CSV, validating indices against the grid."""
+    """Read a track CSV; every row's ``f0_hz`` and ``voicing`` must match its index on ``grid``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -182,26 +181,25 @@ def read_track(path, grid: F0Grid) -> F0Track:
             raise DataError(f"bad track header {header!r}, expected {TRACK_HEADER}")
         rows = list(reader)
     indices = np.zeros(len(rows), dtype=np.int64)
-    f0 = np.zeros(len(rows))
-    voicing = np.zeros(len(rows))
+    f0, voicing = np.zeros((2, len(rows)))
     for n, row in enumerate(rows):
         if len(row) != 4:
             raise DataError(f"track row {n + 1} has {len(row)} fields, expected 4")
         try:
-            frame, idx = int(row[0]), int(row[1])
+            frame, indices[n] = int(row[0]), int(row[1])
             f0[n], voicing[n] = float(row[2]), float(row[3])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DataError(f"track row {n + 1}: {exc}") from exc
         if frame != n:
             raise DataError(f"track row {n + 1}: frame numbers must be 0..N-1 in order")
-        if not 0 <= idx <= grid.unvoiced_index:
-            raise DataError(
-                f"track row {n + 1}: grid index {idx} outside [0, {grid.unvoiced_index}]"
-            )
-        if (idx == grid.unvoiced_index) != (f0[n] == 0.0):
-            raise DataError(
-                f"track row {n + 1}: unvoiced rows need grid_index="
-                f"{grid.unvoiced_index} and f0_hz=0"
-            )
-        indices[n] = idx
-    return F0Track(indices=indices, f0=f0, voicing=voicing)
+    track = track_from_indices(grid, indices)
+    expected, voiced = track.f0_hz(grid), track.voiced_mask(grid)
+    # f0_hz is printed to 6 decimals; a NaN fails the ``<=`` too
+    off = ~(np.abs(f0 - expected) <= 1e-6) | (voicing != voiced)
+    if off.any():
+        n = int(np.argmax(off))
+        raise DataError(
+            f"track row {n + 1}: grid index {indices[n]} needs f0_hz={expected[n]:.6f}, voicing="
+            f"{voiced[n]:d} on this grid (0 and 0 if unvoiced), not {f0[n]:g} and {voicing[n]:g}"
+        )
+    return track

@@ -186,7 +186,7 @@ class TestDataErrors:
         grid = hcf.F0Grid()
         short = hcf.track_from_indices(grid, [96, 96, 96])
         track_path = tmp_path / "short.csv"
-        hcf.write_track(short, track_path)
+        hcf.write_track(short, track_path, grid)
         code = main([
             "enhance", str(noisy_path), str(tmp_path / "out.wav"),
             "--clean", str(clean_path), "--f0", str(track_path),
@@ -269,7 +269,7 @@ class TestDumps:
         grid = hcf.F0Grid()
         track = hcf.track_from_indices(grid, [96, 225, 0])
         track_path = tmp_path / "track.csv"
-        hcf.write_track(track, track_path)
+        hcf.write_track(track, track_path, grid)
         out = tmp_path / "labels.hcf"
         assert main(["labels", str(track_path), str(out)]) == 0
         capsys.readouterr()
@@ -282,7 +282,7 @@ class TestDumps:
 
     def test_labels_from_header_only_track(self, tmp_path, capsys):
         track_path = tmp_path / "track.csv"
-        hcf.write_track(hcf.track_from_indices(hcf.F0Grid(), []), track_path)
+        hcf.write_track(hcf.track_from_indices(hcf.F0Grid(), []), track_path, hcf.F0Grid())
         out = tmp_path / "labels.hcf"
         assert main(["labels", str(track_path), str(out)]) == 0
         assert "0x226" in capsys.readouterr().out
@@ -298,8 +298,24 @@ class TestDumps:
         track = hcf.read_track(out, grid)
         voiced = track.voiced_mask(grid)
         assert voiced.mean() > 0.6
-        median_f0 = float(np.median(track.f0[voiced]))
+        median_f0 = float(np.median(track.f0_hz(grid)[voiced]))
         assert abs(median_f0 - 200.0) / 200.0 < 0.05
+
+    def test_track_read_on_another_grid_exits_3(self, tmp_path, capsys):
+        # a 200 Hz tone's track says index 176; on a grid from 100 Hz that is 269 Hz
+        path = tmp_path / "tone.wav"
+        hcf.write_wav(buffer(tone(200.0, 0.4, amp=0.4)), path, bit_depth="float32")
+        track = tmp_path / "track.csv"
+        assert main(["f0", str(path), str(track)]) == 0
+        out = tmp_path / "out.wav"
+        for argv in (
+            ["enhance", str(path), str(out), "--clean", str(path), "--f0", str(track)],
+            ["labels", str(track), str(tmp_path / "labels.hcf")],
+        ):
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert main(argv + ["--f-min", "100"]) == 3
+            assert "on this grid" in capsys.readouterr().err
 
 
 class TestEnhanceCommand:
@@ -379,7 +395,7 @@ class TestEnhanceCommand:
         n_frames = hcf.FrameConfig().n_frames(noisy.size)
         grid = hcf.F0Grid()
         track = hcf.track_from_indices(grid, rng.integers(0, grid.label_size, n_frames))
-        hcf.write_track(track, tmp_path / "track.csv")
+        hcf.write_track(track, tmp_path / "track.csv", grid)
         for name in ("gain", "strength"):
             hcf.write_matrix(rng.random((769, n_frames), dtype=np.float32), tmp_path / f"{name}.hcf")
         out_path = tmp_path / "out.wav"
@@ -405,7 +421,7 @@ class TestEnhanceCommand:
         n_frames = hcf.FrameConfig().n_frames(clean.size)
         hcf.write_track(
             hcf.track_from_indices(grid, np.full(n_frames, hcf.nearest_index(grid, 150.0))),
-            tmp_path / "track.csv",
+            tmp_path / "track.csv", grid,
         )
         diag = tmp_path / "diag"
         done = run_capped_cli(

@@ -191,7 +191,7 @@ class TestPathEquivalence:
     def test_out_of_range_index_rejected_on_both_routes(self, bank, rng, index):
         # an F0Track built by hand skips track_from_indices' range check
         chunks = rng.standard_normal((3072, 2))
-        track = hcf.F0Track(indices=[0, index], f0=[100.0, 100.0], voicing=[1.0, 1.0])
+        track = hcf.F0Track(indices=[0, index])
         with pytest.raises(ShapeError, match=r"\[0, 225\]"):
             hcf.filter_inference(bank, chunks, track)
         with pytest.raises(ShapeError, match=r"\[0, 225\]"):

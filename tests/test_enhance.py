@@ -317,7 +317,7 @@ class TestEnhance:
             result = hcf.enhance(noisy, track=track, gain=gain, strength=strength, **kwargs)
             assert result.latency_samples == 1536 + pad
 
-            hcf.write_track(track, tmp_path / "track.csv")
+            hcf.write_track(track, tmp_path / "track.csv", grid)
             hcf.write_matrix(gain, tmp_path / "gain.hcf")
             hcf.write_matrix(strength, tmp_path / "strength.hcf")
             out_path = tmp_path / "out.wav"
@@ -357,10 +357,7 @@ class TestEnhance:
         # a hand-built F0Track skips track_from_indices' range check
         x = rng.standard_normal(9600)
         n_frames = hcf.FrameConfig().n_frames(x.size)
-        track = hcf.F0Track(
-            indices=np.full(n_frames, index), f0=np.full(n_frames, 100.0),
-            voicing=np.ones(n_frames),
-        )
+        track = hcf.F0Track(indices=np.full(n_frames, index))
         with pytest.raises(ShapeError, match=r"\[0, 225\]"):
             hcf.enhance(buffer(x), track=track, gain=1.0, strength=1.0)
 

@@ -105,14 +105,14 @@ class TestViterbi:
         post = np.tile(hcf.gaussian_label(grid, 120), (8, 1))
         track = hcf.viterbi_track(post, grid, CFG)
         np.testing.assert_array_equal(track.indices, 120)
-        assert track.f0[0] == pytest.approx(grid.frequency(120))
+        assert track.f0_hz(grid)[0] == pytest.approx(grid.frequency(120))
 
     def test_all_unvoiced(self, grid):
         post = np.tile(hcf.one_hot(grid, 225), (6, 1))
         track = hcf.viterbi_track(post, grid, CFG)
         np.testing.assert_array_equal(track.indices, 225)
-        np.testing.assert_array_equal(track.f0, 0.0)
-        np.testing.assert_array_equal(track.voicing, 0.0)
+        np.testing.assert_array_equal(track.f0_hz(grid), 0.0)
+        np.testing.assert_array_equal(track.voiced_mask(grid), False)
 
     def test_single_frame_octave_glitch_smoothed(self, grid):
         stable = hcf.gaussian_label(grid, 150)
@@ -125,6 +125,16 @@ class TestViterbi:
     def test_dimension_checked(self, grid):
         with pytest.raises(ValueError):
             hcf.viterbi_track(np.ones((4, 100)), grid, CFG)
+
+    @pytest.mark.parametrize("empty", ["array", "no blocks", "empty block"])
+    def test_empty_input_raises_value_error(self, grid, empty):
+        posteriors = {
+            "array": np.zeros((0, grid.label_size)),
+            "no blocks": iter([]),
+            "empty block": iter([np.zeros((0, grid.label_size))]),
+        }[empty]
+        with pytest.raises(ValueError, match="empty input"):
+            hcf.viterbi_track(posteriors, grid, CFG)
 
     @pytest.mark.parametrize("n_frames", [1, 2, 4, 6])
     def test_matches_exhaustive_enumeration(self, n_frames, rng):

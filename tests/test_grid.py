@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,20 +166,67 @@ class TestTrackRoundTrip:
     def test_csv_round_trip(self, grid, tmp_path):
         track = hcf.track_from_indices(grid, [96, 225, 0, 224, 225])
         path = tmp_path / "track.csv"
-        hcf.write_track(track, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "frame,grid_index,f0_hz,voicing"
+        hcf.write_track(track, path, grid)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "frame,grid_index,f0_hz,voicing"
+        assert lines[1:3] == ["0,96,100.000000,1.000000", "1,225,0.000000,0.000000"]
         back = hcf.read_track(path, grid)
         np.testing.assert_array_equal(back.indices, track.indices)
-        np.testing.assert_allclose(back.f0, track.f0, atol=1e-6)
-        np.testing.assert_allclose(back.voicing, track.voicing, atol=1e-6)
+        np.testing.assert_allclose(back.f0_hz(grid), track.f0_hz(grid), atol=1e-6)
+        np.testing.assert_array_equal(back.voiced_mask(grid), track.voiced_mask(grid))
 
     def test_track_from_indices_fields(self, grid):
         track = hcf.track_from_indices(grid, [96, 225])
-        assert track.f0[0] == pytest.approx(100.0)
-        assert track.f0[1] == 0.0
-        assert track.voicing[0] == 1.0
+        assert track.f0_hz(grid)[0] == pytest.approx(100.0)
+        assert track.f0_hz(grid)[1] == 0.0
+        assert track.voiced_mask(grid)[0]
         np.testing.assert_array_equal(track.voiced_mask(grid), [True, False])
+
+    @pytest.mark.parametrize("index", [-1, 226])
+    def test_track_from_indices_rejects_an_index_off_the_grid(self, grid, index):
+        with pytest.raises(ShapeError, match=rf"frame 1: grid index {index} outside \[0, 225\]"):
+            hcf.track_from_indices(grid, [96, index])
+
+    @pytest.mark.parametrize("entry", ["track_from_indices", "enhance"])
+    def test_indices_that_are_not_1d_rejected(self, grid, entry):
+        n_frames = 4
+        indices = np.full((n_frames, 1), 100)
+        with pytest.raises(ShapeError, match="1-D"):
+            if entry == "track_from_indices":
+                hcf.track_from_indices(grid, indices)
+            else:
+                noisy = hcf.AudioBuffer(np.zeros(n_frames * hcf.FrameConfig().hop_size))
+                hcf.enhance(noisy, track=hcf.F0Track(indices), gain=1.0, strength=1.0)
+
+    def test_benchmark_track_writer_round_trips(self, grid, tmp_path, monkeypatch):
+        # perfbench writes its track CSVs with its own, independent writer
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", source)
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(inputs)
+        indices = np.arange(grid.label_size)
+        inputs.write_track(tmp_path / "bench.csv", indices)
+        back = hcf.read_track(tmp_path / "bench.csv", grid)
+        np.testing.assert_array_equal(back.indices, indices)
+        hcf.write_track(back, tmp_path / "hcf.csv", grid)
+        assert (tmp_path / "hcf.csv").read_bytes() == (tmp_path / "bench.csv").read_bytes()
+
+    @pytest.mark.parametrize("row, f_min", [
+        ("0,96,101.000000,1.000000", 62.5),  # f0_hz 1 Hz off index 96's 100 Hz
+        ("0,96,nan,1.000000", 62.5),
+        ("0,96,100.000000,0.500000", 62.5),
+        ("0,96,100.000000,0.000000", 62.5),  # a voiced index marked unvoiced
+        (None, 100.0),  # written on the default grid, where index 96 is 100 Hz
+    ])
+    def test_row_off_the_reading_grid_rejected(self, grid, tmp_path, row, f_min):
+        path = tmp_path / "track.csv"
+        hcf.write_track(hcf.track_from_indices(grid, [96, 225]), path, grid)
+        if row is not None:
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([lines[0], row, lines[2]]) + "\n")
+        with pytest.raises(DataError, match="track row 1: grid index 96"):
+            hcf.read_track(path, hcf.F0Grid(f_min=f_min))
 
     def test_bad_header_rejected(self, grid, tmp_path):
         path = tmp_path / "bad.csv"

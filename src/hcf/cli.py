@@ -278,6 +278,7 @@ def _cmd_verify(args) -> int:
             reference = select_candidate(all_candidates, track)
             fast = filter_inference(bank, block, track)
             max_dev = max(max_dev, float(np.abs(reference - fast).max()))
+        del all_candidates  # free this block's tensor before the next one is built
 
     print(f"max_dev={max_dev:.3e} frames={n_frames} tracks={args.tracks}")
     if max_dev > VERIFY_TOLERANCE:

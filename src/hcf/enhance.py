@@ -22,17 +22,17 @@ import numpy as np
 from .audio import PIPELINE_RATE, AudioBuffer
 from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
 from .errors import ShapeError
-from .estimator import EstimatorConfig, estimate_track
+from .estimator import EstimatorConfig, TrackEstimate
 from .framing import FrameConfig, OverlapAdd, chunk_signal, frame_signal, stft
 from .grid import F0Grid, F0Track
-from .helper import in_order
+from .helper import overlap
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
 NOISE_EPS = 1e-12
 STRENGTH_EPS = 1e-12
 
 #: Frames per block in the stages after the pitch track; 64 keeps a block's
-#: spectra in cache. A helper thread runs every other block.
+#: spectra in cache.
 BLOCK_FRAMES = 64
 
 Provider = Union[str, float, np.ndarray]
@@ -162,10 +162,12 @@ def enhance(
 
     After the track every stage runs on blocks of ``BLOCK_FRAMES`` frames, so
     memory beyond the input, output and maps is bounded; the results are those
-    of one pass over the whole buffer. One helper thread runs every other
-    block (and, in :func:`estimate_track`, the posterior blocks); no result
-    depends on which thread ran a block. A frame whose given strength is 0 in
-    every bin skips the comb, like an unvoiced frame.
+    of one pass over the whole buffer. One helper thread computes the pitch
+    posteriors while this thread decodes them, and a block runs on either
+    thread once its frames of the track are settled (see
+    :func:`hcf.helper.overlap`); no result depends on which thread ran a block.
+    A frame whose given strength is 0 in every bin skips the comb, like an
+    unvoiced frame.
     """
     if noisy.sample_rate != PIPELINE_RATE:
         raise ShapeError(f"buffer rate {noisy.sample_rate} != pipeline rate {PIPELINE_RATE}")
@@ -186,11 +188,13 @@ def enhance(
     frames = chunks[bank.pad:bank.pad + frame_cfg.frame_size]
     n_frames = chunks.shape[1]
 
-    posteriors = None
+    est = None
     if track is None:
-        track, posteriors = estimate_track(noisy, grid, est_cfg, frame_cfg)
+        est = TrackEstimate(noisy, grid, est_cfg, frame_cfg)
+        indices = est.indices
     else:
         _check_track(track, n_frames, grid.label_size)
+        indices = track.indices
 
     shape = (frame_cfg.n_bins, n_frames)
     gain_map = _resolve_map(gain, "gain", shape)
@@ -201,12 +205,11 @@ def enhance(
     gain_map = np.empty(shape, np.float32) if gain_map is None else gain_map
     strength_map = np.empty(shape, np.float32)
     clean_frames = frame_signal(clean, frame_cfg) if needs_oracle else None
-    voiced = track.voiced_mask(grid)
 
-    def run_block(lo):
-        """One block's output spectrum and comb MACs; writes only its own map columns."""
-        cols = slice(lo, lo + BLOCK_FRAMES)
-        v = voiced[cols]
+    def run_block(b):
+        """Block b's output spectrum and comb MACs; writes only its own map columns."""
+        cols = slice(b * BLOCK_FRAMES, (b + 1) * BLOCK_FRAMES)
+        v = indices[cols] != grid.unvoiced_index
         noisy_spec = stft(frames[:, cols])
         block_strength = np.empty(noisy_spec.shape)
         combed = v
@@ -214,7 +217,7 @@ def enhance(
             np.clip(given_strength[:, cols], 0.0, 1.0, out=block_strength)
             block_strength[:, ~v] = 0.0
             combed = v & block_strength.any(axis=0)
-        combed_track = F0Track(np.where(combed, track.indices[cols], grid.unvoiced_index))
+        combed_track = F0Track(np.where(combed, indices[cols], grid.unvoiced_index))
         macs = MacCounter()
         filtered = filter_inference(bank, chunks[:, cols], combed_track, macs)
         # a frame left out of the comb passes through, so its spectrum is the noisy one
@@ -235,17 +238,30 @@ def enhance(
         return out, macs.inference
 
     ola = OverlapAdd(frame_cfg, len(noisy))
-    with in_order(run_block, range(0, n_frames, BLOCK_FRAMES), every=2) as blocks:
-        for spec, macs in blocks:
-            ola.add(spec)
-            if counter is not None:
-                counter.inference += macs
+    n_blocks = -(-n_frames // BLOCK_FRAMES)
+
+    def settle(rows):
+        """Decode a posterior block; return how many post-track blocks are settled."""
+        settled = est.decode(rows)
+        return n_blocks if settled == n_frames else settled // BLOCK_FRAMES
+
+    def emit(result):
+        spec, macs = result
+        ola.add(spec)
+        if counter is not None:
+            counter.inference += macs
+
+    if est is None:
+        overlap(n_blocks=n_blocks, run=run_block, emit=emit)
+    else:
+        overlap(est.starts, est.posterior_block, settle, n_blocks, run_block, emit)
+        track = est.track()
 
     return EnhanceResult(
         audio=ola.finish(),
         track=track,
         strength=strength_map,
         gain=gain_map,
-        posteriors=posteriors,
+        posteriors=None if est is None else est.posteriors,
         latency_samples=frame_cfg.frame_size + bank.pad,
     )

@@ -28,7 +28,7 @@ from .audio import PIPELINE_RATE, AudioBuffer
 from .errors import ShapeError
 from .framing import FrameConfig, windows
 from .grid import F0Grid, F0Track, nearest_period_index, track_from_indices
-from .helper import in_order
+from .helper import overlap
 
 EMISSION_FLOOR = 1e-8
 PRIOR_FLOOR = 1e-12
@@ -38,8 +38,10 @@ PRIOR_FLOOR = 1e-12
 PICK_BUMP = 1.001
 
 #: Frames per block in ``estimate_track``; bounds the transient arrays, and
-#: the Viterbi pass decodes each block while the next one is computed.
-BLOCK_FRAMES = 256
+#: the Viterbi pass decodes each block while the next one is computed. In
+#: ``enhance`` a block's transients (about 5 MB at 128) sit beside a post-track
+#: block's, so a larger block raises the peak memory.
+BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -182,47 +184,144 @@ def transition_weights(grid_size: int, cfg: EstimatorConfig) -> np.ndarray:
     return trans
 
 
+class Decoder:
+    """The Viterbi forward pass, fed posterior blocks in frame order.
+
+    Emissions are log posteriors clamped at 1e-8 so zero entries stay finite.
+    A step where every move out of a voiced state scores below every move out
+    of the unvoiced state U takes U as every state's predecessor without the
+    dense add and argmax, with the same float operations, and settles the path
+    up to the frame before: every survivor passes through U there (Forney's
+    path merging). :meth:`feed` and :meth:`finish` return the newly settled
+    stretch of the path, so the pieces joined are the whole best path.
+    """
+
+    def __init__(self, grid: F0Grid, cfg: EstimatorConfig):
+        prior, n = cfg.voicing_prior, grid.label_size
+        self._initial = np.empty(n)
+        self._initial[:grid.size] = np.log(max(prior / grid.size, PRIOR_FLOOR))
+        self._initial[grid.size] = np.log(max(1.0 - prior, PRIOR_FLOOR))
+        self._into = transition_weights(grid.size, cfg).T.copy()  # row j: every move into j
+        self._from_unvoiced = self._into[:, grid.size].copy()
+        self.top = self._into[:, :grid.size].max()  # the best move out of a voiced state
+        self._unvoiced = grid.size
+        self._offsets = np.arange(n, dtype=np.intp) * n  # flat index of each row's start
+        self._cand = np.empty((n, n))
+        self._best, self._flat = np.empty((2, n), dtype=np.intp)
+        self._score = None
+        self.frames = 0  # frames decoded
+        self.settled = 0  # frames whose state is final and returned
+        self._backs = []  # (first frame, backpointer rows) from frame ``settled`` on
+
+    def feed(self, block) -> np.ndarray:
+        """Decode a ``(n, N+1)`` block; return the path over the frames it settled."""
+        post = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        n = len(self._into)
+        if post.shape[1] != n:
+            raise ValueError(f"posterior dimension {post.shape[1]} != grid label size {n}")
+        emissions = np.log(np.maximum(post, EMISSION_FLOOR))
+        u, top, score = self._unvoiced, self.top, self._score
+        into, from_unvoiced, offsets = self._into, self._from_unvoiced, self._offsets
+        cand, best, flat, stay = self._cand, self._best, self._flat, np.empty(n)
+        back = np.full(emissions.shape, u, dtype=np.min_scalar_type(u))
+        self._backs.append((self.frames, back))
+        cut, first = None, 0
+        if score is None and len(emissions):
+            score, first = self._initial + emissions[0], 1
+        for t in range(first, len(emissions)):
+            np.add(from_unvoiced, score[u], out=stay)
+            if top + score[:u].max() < stay.min():  # strict, so no state ties a voiced move
+                np.add(stay, emissions[t], out=score)
+                cut = t
+                continue
+            np.add(into, score, out=cand)
+            np.argmax(cand, axis=1, out=best)  # ties go to the lowest state
+            back[t] = best
+            np.add(best, offsets, out=flat)
+            np.take(cand, flat, out=stay)
+            np.add(stay, emissions[t], out=score)
+        self._score = score
+        stop = self.settled if cut is None else self.frames + cut
+        self.frames += len(emissions)
+        return self._settle(stop, u)
+
+    def finish(self) -> np.ndarray:
+        """Settle the rest of the path; raises ``ValueError`` if no frame was fed."""
+        if self._score is None:
+            raise ValueError("viterbi_track got no posterior frames to decode (empty input)")
+        return self._settle(self.frames, int(np.argmax(self._score)))
+
+    def _settle(self, stop: int, state: int) -> np.ndarray:
+        """The path over frames ``[settled, stop)``, given its state at ``stop - 1``."""
+        lo = self.settled
+        path = np.empty(stop - lo, dtype=np.int64)
+        if not path.size:
+            return path
+        back = np.concatenate([b[max(lo - first, 0):] for first, b in self._backs])
+        path[-1] = state
+        for t in range(stop - 1, lo, -1):
+            path[t - lo - 1] = back[t - lo, path[t - lo]]
+        self._backs = [(stop, back[stop - lo:])]
+        self.settled = stop
+        return path
+
+
 def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
     """Smooth per-frame posteriors into the best state path.
 
     ``posteriors`` is (n_frames, N+1), or an iterator over such blocks in
-    frame order, which the forward pass decodes as they arrive. Emissions are
-    log posteriors clamped at 1e-8 so zero entries stay finite. An input with
-    no frames at all raises ``ValueError``.
+    frame order, which the forward pass decodes as they arrive (see
+    :class:`Decoder`). An input with no frames at all raises ``ValueError``.
     """
     blocks = posteriors if isinstance(posteriors, Iterator) else [posteriors]
-    prior = cfg.voicing_prior
-    initial = np.empty(grid.label_size)
-    initial[:grid.size] = np.log(max(prior / grid.size, PRIOR_FLOOR))
-    initial[grid.size] = np.log(max(1.0 - prior, PRIOR_FLOOR))
+    decoder = Decoder(grid, cfg)
+    pieces = [decoder.feed(block) for block in blocks]
+    return track_from_indices(grid, np.concatenate(pieces + [decoder.finish()]))
 
-    into = transition_weights(grid.size, cfg).T.copy()  # row j: every move into j
-    states = np.arange(grid.label_size)
-    score, backs = None, []
-    for block in blocks:
-        post = np.atleast_2d(np.asarray(block, dtype=np.float64))
-        if post.shape[1] != grid.label_size:
-            raise ValueError(
-                f"posterior dimension {post.shape[1]} != grid label size {grid.label_size}"
-            )
-        emissions = np.log(np.maximum(post, EMISSION_FLOOR))
-        back = np.zeros(emissions.shape, dtype=np.min_scalar_type(grid.size))
-        first = 0
-        if score is None and len(emissions):
-            score, first = initial + emissions[0], 1
-        for t in range(first, len(emissions)):
-            cand = into + score
-            back[t] = np.argmax(cand, axis=1)  # ties go to the lowest state
-            score = cand[states, back[t]] + emissions[t]
-        backs.append(back)
-    if score is None:
-        raise ValueError("viterbi_track got no posterior frames to decode (empty input)")
-    back = np.concatenate(backs)
-    path = np.empty(len(back), dtype=np.int64)
-    path[-1] = np.argmax(score)
-    for t in range(len(back) - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return track_from_indices(grid, path)
+
+class TrackEstimate:
+    """:func:`estimate_track` as two chains of blocks, for a caller to overlap.
+
+    ``posterior_block(lo)`` computes the posterior rows of the block of frames
+    starting at ``lo``, for each of ``starts``; ``decode``, fed those rows in
+    order, writes the newly settled frames of the track into ``indices`` and
+    returns how many frames from the first are settled (all of them after the
+    last block).
+    """
+
+    def __init__(self, buffer: AudioBuffer, grid: F0Grid, cfg: EstimatorConfig,
+                 frame_cfg: FrameConfig):
+        if buffer.sample_rate != PIPELINE_RATE:
+            raise ShapeError(f"buffer rate {buffer.sample_rate} != pipeline rate {PIPELINE_RATE}")
+        self._x, self._hop = buffer.samples, frame_cfg.hop_size
+        self._window = cfg.analysis_window(grid)
+        self._offset = (frame_cfg.frame_size - self._window) // 2
+        n_frames = frame_cfg.n_frames(self._x.shape[0])
+        self._grid, self._cfg = grid, cfg
+        self._decoder = Decoder(grid, cfg)
+        self.starts = range(0, n_frames, BLOCK_FRAMES)
+        self.posteriors = np.empty((n_frames, grid.label_size))
+        self.indices = np.empty(n_frames, dtype=np.int64)
+
+    def posterior_block(self, lo: int) -> np.ndarray:
+        rows = self.posteriors[lo:lo + BLOCK_FRAMES]
+        # the block's windows, zero-padded past the signal's ends like the whole track's
+        start = lo * self._hop + self._offset
+        frames = windows(self._x[max(start, 0):], len(rows), self._hop, min(start, 0), self._window)
+        rows[:] = _posteriors(frames, self._grid, self._cfg)
+        return rows
+
+    def decode(self, rows: np.ndarray) -> int:
+        decoder, lo = self._decoder, self._decoder.settled
+        piece = decoder.feed(rows)
+        if decoder.frames == len(self.indices):
+            piece = np.concatenate([piece, decoder.finish()])
+            self._decoder = None  # its (N+1, N+1) work arrays are not needed past the last block
+        self.indices[lo:decoder.settled] = piece
+        return decoder.settled
+
+    def track(self) -> F0Track:
+        return track_from_indices(self._grid, self.indices)
 
 
 def estimate_track(
@@ -239,21 +338,6 @@ def estimate_track(
     this one decodes the blocks already done. Returns ``(track, posteriors)``
     with posteriors shaped (n_frames, N+1).
     """
-    if buffer.sample_rate != PIPELINE_RATE:
-        raise ShapeError(f"buffer rate {buffer.sample_rate} != pipeline rate {PIPELINE_RATE}")
-    x = buffer.samples
-    window = cfg.analysis_window(grid)
-    n_frames = frame_cfg.n_frames(x.shape[0])
-    offset = (frame_cfg.frame_size - window) // 2
-    frames = windows(x, n_frames, frame_cfg.hop_size, offset, window)
-
-    posteriors = np.empty((n_frames, grid.label_size))
-
-    def block(lo):
-        rows = posteriors[lo:lo + BLOCK_FRAMES]
-        rows[:] = _posteriors(frames[lo:lo + BLOCK_FRAMES], grid, cfg)
-        return rows
-
-    with in_order(block, range(0, n_frames, BLOCK_FRAMES)) as blocks:
-        track = viterbi_track(blocks, grid, cfg)
-    return track, posteriors
+    est = TrackEstimate(buffer, grid, cfg, frame_cfg)
+    overlap(est.starts, est.posterior_block, est.decode)
+    return est.track(), est.posteriors

@@ -145,20 +145,28 @@ class F0Track:
         return self.indices != grid.unvoiced_index
 
     def f0_hz(self, grid: F0Grid) -> np.ndarray:
-        """Each frame's candidate frequency on ``grid`` in hertz; 0 on unvoiced frames."""
+        """Each frame's candidate frequency on ``grid`` in hertz; 0 on unvoiced frames.
+
+        An index outside ``[0, grid.size]`` raises ShapeError.
+        """
+        _check_on_grid(self.indices, grid)
         voiced = self.voiced_mask(grid)
         f0 = np.zeros(self.indices.size)
         f0[voiced] = grid.frequency(self.indices[voiced])
         return f0
 
 
+def _check_on_grid(indices: np.ndarray, grid: F0Grid) -> None:
+    outside = np.flatnonzero((indices < 0) | (indices > grid.unvoiced_index))
+    if outside.size:
+        t = outside[0]
+        raise ShapeError(f"frame {t}: grid index {indices[t]} outside [0, {grid.size}]")
+
+
 def track_from_indices(grid: F0Grid, indices) -> F0Track:
     """Build a track from grid indices; one outside ``[0, grid.size]`` raises ShapeError."""
     track = F0Track(indices)
-    outside = np.flatnonzero((track.indices < 0) | (track.indices > grid.unvoiced_index))
-    if outside.size:
-        t = outside[0]
-        raise ShapeError(f"frame {t}: grid index {track.indices[t]} outside [0, {grid.size}]")
+    _check_on_grid(track.indices, grid)
     return track
 
 

@@ -1,65 +1,115 @@
-"""One helper thread that computes some of a sequence of blocks while the caller works.
+"""One helper thread that shares a call's blocks of work with the calling thread.
 
 numpy's FFTs and large array loops release the interpreter lock, so a block
 computed on a second thread overlaps the caller's own work. The thread is
-started and joined inside one ``with`` statement: calls share no state, and a
-process forked after a call inherits no worker.
+started and joined inside :func:`overlap`: calls share no state, and a process
+forked after a call inherits no worker.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from contextlib import contextmanager
+from collections import deque
+
+#: A thread starts only a block fewer than this many past the next one to
+#: emit, which bounds the finished blocks waiting for their turn.
+AHEAD = 4
 
 
-@contextmanager
-def in_order(fn, items, every: int = 1):
-    """Yield an iterator over ``fn(item)`` for each of ``items``, in order.
+def overlap(items=(), produce=None, consume=None, n_blocks: int = 0, run=None, emit=None) -> None:
+    """Run two chains of work on the calling thread and one helper thread.
 
-    A helper thread computes the items at positions ``every - 1, 2*every - 1,
-    ...`` (all of them for ``every=1``, every other one for 2), at most two
-    results ahead of the iterator, which computes the other items itself as
-    it reaches them. An exception that ``fn`` raises on the helper is raised
-    by the iterator at that item. ``fn`` must write nothing that another item
-    reads.
+    The helper calls ``produce(item)`` for each of ``items`` in order. The
+    caller passes each result, in order, to ``consume``, which returns how many
+    of the blocks ``0 .. n_blocks - 1`` are settled: ready to run. The last
+    result must settle them all; with no items, all are settled from the
+    start. Between results, and on the helper once it has produced every item,
+    ``run(b)`` is called for the lowest-numbered settled block that no thread
+    has taken, if it is fewer than ``AHEAD`` blocks past the next block to
+    emit. The caller alone passes each block's result to ``emit``, in block
+    order. An exception on either thread is raised by the caller once the
+    helper has stopped. ``produce`` and ``run`` must write nothing that
+    another block reads.
     """
     items = list(items)
-    theirs = items[every - 1::every]
-    handoff = queue.Queue(maxsize=1)
-    stop = threading.Event()
+    cond = threading.Condition()
+    produced, finished = deque(), {}
+    # guarded by ``cond``; only the caller advances ``settled`` and ``emitted``
+    state = {"settled": 0 if items else n_blocks, "taken": 0, "emitted": 0,
+             "error": None, "stop": False}
+
+    def take():
+        """Take the next block to run, or return None; call with ``cond`` held."""
+        b = state["taken"]
+        if b >= min(state["settled"], n_blocks, state["emitted"] + AHEAD):
+            return None
+        state["taken"] += 1
+        return b
 
     def helper():
-        for item in theirs:
-            try:
-                result = (fn(item), None)
-            except BaseException as exc:  # raised again on the caller's thread
-                result = (None, exc)
-            handoff.put(result)
-            if stop.is_set() or result[1] is not None:
-                return
+        try:
+            for item in items:
+                result = produce(item)
+                with cond:
+                    produced.append(result)
+                    cond.notify_all()
+                    if state["stop"]:
+                        return
+            while True:
+                with cond:
+                    while (b := take()) is None:
+                        if state["stop"] or state["taken"] >= n_blocks:
+                            return
+                        cond.wait()
+                result = run(b)
+                with cond:
+                    finished[b] = result
+                    cond.notify_all()
+        except BaseException as exc:  # raised again on the caller's thread
+            with cond:
+                state["error"] = exc
+                cond.notify_all()
 
-    def results():
-        for pos, item in enumerate(items):
-            if pos % every != every - 1:
-                yield fn(item)
-                continue
-            value, exc = handoff.get()
-            if exc is not None:
-                raise exc
-            yield value
+    def next_action():
+        """What the caller does next, and its argument; call with ``cond`` held."""
+        while True:
+            if state["error"] is not None:
+                raise state["error"]
+            if produced:  # consuming first: it is what settles blocks
+                return "consume", produced.popleft()
+            if state["emitted"] in finished:
+                return "emit", finished.pop(state["emitted"])
+            b = take()
+            if b is not None:
+                return "run", b
+            cond.wait()
 
-    thread = threading.Thread(target=helper, daemon=True) if theirs else None
+    thread = threading.Thread(target=helper, daemon=True) if items or n_blocks else None
     if thread is not None:
         thread.start()
+    consumed = 0
     try:
-        yield results()
+        while consumed < len(items) or state["emitted"] < n_blocks:
+            with cond:
+                action, arg = next_action()
+            if action == "consume":
+                consumed += 1
+                settled = consume(arg)
+                with cond:
+                    state["settled"] = settled
+                    cond.notify_all()
+            elif action == "emit":
+                emit(arg)
+                with cond:
+                    state["emitted"] += 1
+                    cond.notify_all()
+            else:
+                result = run(arg)
+                with cond:
+                    finished[arg] = result
     finally:
         if thread is not None:
-            stop.set()
-            # a helper blocked on the full handoff gets its slot, then sees ``stop``
-            try:
-                handoff.get_nowait()
-            except queue.Empty:
-                pass
+            with cond:
+                state["stop"] = True
+                cond.notify_all()
             thread.join()

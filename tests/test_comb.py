@@ -6,7 +6,7 @@ import pytest
 import hcf
 from hcf.cli import VERIFY_TOLERANCE
 from hcf.errors import ShapeError
-from hcf.estimator import EMISSION_FLOOR, transition_weights, yin_difference
+from hcf.estimator import EMISSION_FLOOR, Decoder, transition_weights, yin_difference
 
 from helpers import periodic_tone
 from reference_kernels import (
@@ -334,6 +334,32 @@ class TestKernelParity:
                 hcf.viterbi_track(post, grid, cfg).indices,
                 _viterbi_py(emissions, trans, initial),
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_viterbi_shortcut_matches_reference(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        grid = desk_grid()
+        cfg = hcf.EstimatorConfig(transition_width=1.5, voicing_prior=0.3, switch_cost=0.5)
+        post = rng.choice([0.0, 0.5, 1.0], size=(48, grid.label_size))
+        # unvoiced one-hot stretches, after which every survivor passes through U
+        for lo in (6, 20, 33):
+            post[lo:lo + rng.integers(1, 5)] = hcf.one_hot(grid, grid.unvoiced_index)
+        emissions = np.log(np.maximum(post, EMISSION_FLOOR)).T
+        initial = np.log(np.r_[np.full(grid.size, 0.3 / grid.size), 0.7])
+        asymmetric = rng.integers(-2, 3, (grid.label_size, grid.label_size)).astype(float)
+        asymmetric[0, 1] = 2.0  # the best voiced move scores above 0
+        for trans in (transition_weights(grid.size, cfg), asymmetric):
+            monkeypatch.setattr("hcf.estimator.transition_weights", lambda *_: trans)
+            expected = _viterbi_py(emissions, trans, initial)
+            decoder = Decoder(grid, cfg)
+            assert decoder.top == trans[:grid.size].max()
+            pieces = [decoder.feed(post[:17]), decoder.feed(post[17:])]
+            # only a shortcut step settles frames before the last one is decoded
+            assert 0 < decoder.settled < len(post)
+            assert sum(map(len, pieces)) == decoder.settled
+            path = np.concatenate(pieces + [decoder.finish()])
+            np.testing.assert_array_equal(path, expected)
+            np.testing.assert_array_equal(hcf.viterbi_track(post, grid, cfg).indices, expected)
 
     def test_yin_window_length_validated(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ import pytest
 import hcf
 from hcf.cli import main
 from hcf.enhance import BLOCK_FRAMES
+from hcf.estimator import BLOCK_FRAMES as POSTERIOR_BLOCK, _posteriors
 from hcf.errors import ShapeError
+from hcf.helper import AHEAD, overlap
 
 from helpers import buffer, harmonic_complex, interior, noise_at_snr, rel_rms, tone
 
@@ -407,6 +409,38 @@ class TestEnhance:
         assert counter.inference == 3 * 1536 * n_frames
 
 
+def serial_oracle_enhance(noisy, clean, bank, counter):
+    """Oracle ``enhance`` on one thread: posteriors block by block, one decode
+    of the whole posterior array, then the public stages on each block of
+    ``BLOCK_FRAMES`` frames in turn. Returns (audio, track, posteriors, strength, gain).
+    """
+    grid, cfg, est_cfg = bank.grid, hcf.FrameConfig(), hcf.EstimatorConfig()
+    window = est_cfg.analysis_window(grid)
+    n_frames = cfg.n_frames(len(noisy))
+    offset = (cfg.frame_size - window) // 2
+    windows = hcf.framing.windows(noisy.samples, n_frames, cfg.hop_size, offset, window)
+    posteriors = np.concatenate([
+        _posteriors(windows[lo:lo + POSTERIOR_BLOCK], grid, est_cfg)
+        for lo in range(0, n_frames, POSTERIOR_BLOCK)
+    ])
+    track = hcf.viterbi_track(posteriors, grid, est_cfg)
+    chunks = hcf.chunk_signal(noisy, cfg, bank.pad)
+    frames, clean_frames = chunks[bank.pad:bank.pad + cfg.frame_size], hcf.frame_signal(clean, cfg)
+    fb = hcf.build_mel_filterbank(cfg=cfg)
+    ola = hcf.OverlapAdd(cfg, len(noisy))
+    strength, gain = np.empty((2, cfg.n_bins, n_frames))
+    for lo in range(0, n_frames, BLOCK_FRAMES):
+        cols = slice(lo, lo + BLOCK_FRAMES)
+        block_track = hcf.track_from_indices(grid, track.indices[cols])
+        noisy_spec, clean_spec = hcf.stft(frames[:, cols]), hcf.stft(clean_frames[:, cols])
+        filtered_spec = hcf.stft(hcf.filter_inference(bank, chunks[:, cols], block_track, counter))
+        gain[:, cols] = hcf.oracle_gain(noisy_spec, clean_spec, fb)
+        strength[:, cols] = hcf.oracle_strength(noisy_spec, filtered_spec, clean_spec)
+        strength[:, cols][:, ~block_track.voiced_mask(grid)] = 0.0
+        ola.add(hcf.blend(noisy_spec, filtered_spec, strength[:, cols], gain[:, cols]))
+    return ola.finish().samples, track, posteriors, strength, gain
+
+
 class TestBlockedEnhance:
     """``enhance`` runs in blocks of frames after the track; its results must
     be those of one pass over the whole buffer."""
@@ -455,6 +489,23 @@ class TestBlockedEnhance:
         for actual, expected in ((result.strength, strength), (result.gain, gain)):
             assert actual.dtype == np.float32 and actual.shape == expected.shape
             assert np.all(np.abs(actual - expected) <= np.spacing(expected.astype(np.float32)))
+
+    @pytest.mark.parametrize("seconds", [0.5, 3.0])
+    def test_overlapped_oracle_is_bit_identical_to_serial_blocks(self, bank, seconds):
+        # post-track blocks start as the decode settles their frames, on either thread
+        noisy, clean = _oracle_case(seconds)
+        counter, serial_counter = hcf.MacCounter(), hcf.MacCounter()
+        result = hcf.enhance(noisy, clean=clean, bank=bank, counter=counter)
+        audio, track, posteriors, strength, gain = serial_oracle_enhance(
+            noisy, clean, bank, serial_counter
+        )
+        assert_bit_identical(result.audio.samples, audio)
+        assert_bit_identical(result.track.indices, track.indices)
+        assert_bit_identical(result.posteriors, posteriors)
+        assert_bit_identical(result.strength, strength.astype(np.float32))
+        assert_bit_identical(result.gain, gain.astype(np.float32))
+        assert counter.inference == serial_counter.inference > 0
+        assert 0 < track.voiced_mask(bank.grid).sum() < len(track)
 
     def test_zero_strength_skips_the_comb(self, bank, grid, rng):
         # a frame the blend weights by 0 is passed through like an unvoiced one
@@ -535,23 +586,85 @@ class TestThreadedEnhance:
     def test_block_exception_reaches_the_caller(self, monkeypatch, on_helper):
         noisy, clean = _oracle_case(3.0)
         assert hcf.FrameConfig().n_frames(len(noisy)) > 4 * BLOCK_FRAMES
+        # a given track settles every block at once, so both threads take blocks from the start
+        track = hcf.enhance(noisy, clean=clean).track
         module = importlib.import_module("hcf.enhance")
         real_blend, caller = module.blend, threading.current_thread()
-        calls = []
+        calls, failed = [], threading.Event()
 
         def failing_blend(*args, **kwargs):
+            on_target = (threading.current_thread() is caller) != on_helper
             mine = [t for t in calls if (t is caller) != on_helper]
             calls.append(threading.current_thread())
-            if (threading.current_thread() is caller) != on_helper and mine:
+            if on_target and mine:
+                failed.set()
                 raise RuntimeError("block failed")  # the second call on that thread
+            if not on_target:
+                # the other thread holds its block until the target thread has
+                # failed, so the target thread runs a second block whatever the timing
+                failed.wait(timeout=30)
             return real_blend(*args, **kwargs)
 
         monkeypatch.setattr(module, "blend", failing_blend)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
-            hcf.enhance(noisy, clean=clean)
+            hcf.enhance(noisy, clean=clean, track=track)
         assert threading.active_count() == before
         assert any((t is caller) != on_helper for t in calls)
+        assert failed.is_set()
+
+    @pytest.mark.parametrize("stage", ["posterior on the helper", "decode on the caller"])
+    def test_estimator_exception_reaches_the_caller(self, monkeypatch, stage):
+        noisy, clean = _oracle_case(3.0)
+        estimator = importlib.import_module("hcf.estimator")
+        if stage.startswith("posterior"):
+            target, name = estimator, "_posteriors"
+        else:
+            target, name = estimator.Decoder, "feed"
+        real, calls = getattr(target, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise RuntimeError("estimator failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="estimator failed"):
+            hcf.enhance(noisy, clean=clean)
+        assert threading.active_count() == before
+        on_caller = [t is threading.current_thread() for t in calls]
+        assert on_caller == [stage.startswith("decode")] * 2
+
+    def test_overlap_runs_settled_blocks_once_and_emits_in_order(self, rng):
+        n_blocks, log, emitted, lock = 12, [], [], threading.Lock()
+        settled = [0]
+        work = rng.standard_normal((n_blocks, 20000))
+
+        def consume(k):  # items 0..3 settle three blocks each
+            settled[0] = 3 * (k + 1)
+            return settled[0]
+
+        def run(b):
+            with lock:
+                log.append((b, settled[0], len(emitted)))
+            return float(np.sort(work[b]).sum())  # releases the interpreter lock
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
+        try:
+            before = threading.active_count()
+            for _ in range(20):
+                log.clear(), emitted.clear()
+                overlap(range(4), lambda k: k, consume, n_blocks, run, emitted.append)
+                assert threading.active_count() == before
+                assert emitted == [float(np.sort(row).sum()) for row in work]
+                assert sorted(b for b, _, _ in log) == list(range(n_blocks))
+                for b, ready, done in log:
+                    assert b < ready and b < done + AHEAD
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"

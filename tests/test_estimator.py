@@ -4,7 +4,7 @@ import pytest
 
 import hcf
 from hcf.errors import ShapeError
-from hcf.estimator import BLOCK_FRAMES, _posteriors, transition_weights
+from hcf.estimator import BLOCK_FRAMES, Decoder, _posteriors, transition_weights
 from hcf.framing import windows
 
 from reference_kernels import _track_posteriors_py
@@ -277,6 +277,19 @@ class TestPipelinedEstimate:
         assert posteriors.tobytes() == serial.tobytes()
         whole = hcf.viterbi_track(posteriors, grid, CFG)
         assert track.indices.tobytes() == whole.indices.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, BLOCK_FRAMES, 10_000])
+    def test_settled_prefixes_join_to_the_whole_decode(self, grid, block):
+        _, posteriors = hcf.estimate_track(buffer(_silence_gaps()), grid, CFG)
+        whole = hcf.viterbi_track(posteriors, grid, CFG).indices
+        decoder, pieces = Decoder(grid, CFG), []
+        for lo in range(0, len(posteriors), block):
+            pieces.append(decoder.feed(posteriors[lo:lo + block]))
+            settled = np.concatenate(pieces)
+            assert settled.size == decoder.settled <= decoder.frames == min(lo + block, len(whole))
+            assert settled.tobytes() == whole[:settled.size].tobytes()
+        assert 0 < decoder.settled < len(whole)  # the silences settle a prefix early
+        assert np.concatenate(pieces + [decoder.finish()]).tobytes() == whole.tobytes()
 
     def test_decodes_an_iterator_of_blocks_like_the_whole_array(self, grid, rng):
         post = rng.uniform(1e-6, 1.0, size=(300, grid.label_size))

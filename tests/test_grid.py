@@ -187,6 +187,20 @@ class TestTrackRoundTrip:
         with pytest.raises(ShapeError, match=rf"frame 1: grid index {index} outside \[0, 225\]"):
             hcf.track_from_indices(grid, [96, index])
 
+    @pytest.mark.parametrize("index", [-1, 226])
+    def test_f0_hz_rejects_an_index_off_the_grid(self, grid, index):
+        # -1 used to read as grid.periods[-1] (500 Hz); 226 ended in a bare IndexError
+        track = hcf.F0Track(np.array([96, 225, index]))
+        with pytest.raises(ShapeError, match=rf"frame 2: grid index {index} outside \[0, 225\]"):
+            track.f0_hz(grid)
+
+    @pytest.mark.parametrize("index", [-1, 226])
+    def test_write_track_rejects_an_index_off_the_grid(self, grid, tmp_path, index):
+        path = tmp_path / "track.csv"
+        with pytest.raises(ShapeError, match=rf"frame 0: grid index {index} outside \[0, 225\]"):
+            hcf.write_track(hcf.F0Track(np.array([index, 96])), path, grid)
+        assert not path.exists()
+
     @pytest.mark.parametrize("entry", ["track_from_indices", "enhance"])
     def test_indices_that_are_not_1d_rejected(self, grid, entry):
         n_frames = 4

@@ -19,7 +19,8 @@ import numpy as np
 
 from .audio import AudioBuffer, PIPELINE_RATE, read_wav, write_wav
 from .comb import (
-    CombFilterBank, build_bank, filter_all_candidates, filter_inference, select_candidate,
+    CombFilterBank, MacCounter, build_bank, filter_all_candidates, filter_inference,
+    select_candidate,
 )
 from .enhance import BLOCK_FRAMES, BlendConfig, enhance
 from .errors import DataError, VerificationError
@@ -269,18 +270,20 @@ def _cmd_verify(args) -> int:
     n_frames = chunks.shape[1]
     tracks = [rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)]
 
-    max_dev = 0.0
+    max_dev, macs = 0.0, MacCounter()
     for lo in range(0, n_frames, VERIFY_BLOCK_FRAMES):
         block = chunks[:, lo:lo + VERIFY_BLOCK_FRAMES]
-        all_candidates = filter_all_candidates(bank, block)
+        all_candidates = filter_all_candidates(bank, block, macs)
         for indices in tracks:
             track = track_from_indices(grid, indices[lo:lo + VERIFY_BLOCK_FRAMES])
             reference = select_candidate(all_candidates, track)
-            fast = filter_inference(bank, block, track)
+            fast = filter_inference(bank, block, track, macs)
             max_dev = max(max_dev, float(np.abs(reference - fast).max()))
         del all_candidates  # free this block's tensor before the next one is built
 
-    print(f"max_dev={max_dev:.3e} frames={n_frames} tracks={args.tracks}")
+    # the reference route's MACs over those of every track's inference route
+    print(f"max_dev={max_dev:.3e} frames={n_frames} tracks={args.tracks} "
+          f"mac_ratio={macs.ratio():.6g}")
     if max_dev > VERIFY_TOLERANCE:
         raise VerificationError(
             f"filtering routes disagree: max deviation {max_dev:.3e} > {VERIFY_TOLERANCE:.0e}"

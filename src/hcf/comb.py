@@ -27,8 +27,12 @@ import numpy as np
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
 from .grid import F0Grid, F0Track
+from .helper import overlap
 
 TAP_TOL = 1e-9
+
+#: Blocks of rows that ``filter_all_candidates`` shares between two threads.
+ROW_BLOCKS = 8
 
 
 @dataclass
@@ -120,6 +124,25 @@ def _check_track(track: F0Track, n_frames: int, n_rows: int) -> None:
         raise ShapeError(f"track indices must lie in [0, {n_rows - 1}]")
 
 
+def _fill_rows(out: np.ndarray, rows: np.ndarray, frames_first: np.ndarray, lo: int, hi: int):
+    """Write candidate rows ``lo .. hi - 1`` of ``out``, one pass per nonzero weight.
+
+    A row's first nonzero weight writes it; each later one is multiplied into
+    one product buffer and added, in weight order.
+    """
+    frame = out.shape[2]
+    product = np.empty(out.shape[1:])
+    for i in range(lo, hi):
+        row, js = out[i], np.flatnonzero(rows[i])
+        if js.size == 0:  # a hand-built bank's empty row
+            row[...] = 0.0
+            continue
+        np.multiply(rows[i, js[0]], frames_first[:, js[0]:js[0] + frame], out=row)
+        for j in js[1:]:
+            np.multiply(rows[i, j], frames_first[:, j:j + frame], out=product)
+            row += product
+
+
 def filter_all_candidates(
     bank: CombFilterBank, chunks: np.ndarray, counter: Optional[MacCounter] = None
 ) -> np.ndarray:
@@ -129,14 +152,23 @@ def filter_all_candidates(
     (N+1, frame, n_frames) whose entry [i, s, t] cross-correlates chunk t with
     row i of ``bank.weights`` at valid positions only, so this route checks
     the weight tensor itself. Row N is the untouched center slice.
+
+    The rows are filled in ``ROW_BLOCKS`` blocks, shared between the calling
+    thread and one helper thread (see :func:`hcf.helper.overlap`); each block
+    writes only its own rows of the one tensor.
     """
     frame = _check_chunks(bank, chunks)
     rows = bank.weights[:, 0, :, 0]
     frames_first = chunks.T
-    out = np.zeros((rows.shape[0], chunks.shape[1], frame))
-    # one accumulation per nonzero weight, over every frame at once
-    for i, j in zip(*np.nonzero(rows)):
-        out[i] += rows[i, j] * frames_first[:, j:j + frame]
+    n_rows = rows.shape[0]
+    out = np.empty((n_rows, chunks.shape[1], frame))
+    per_block = -(-n_rows // ROW_BLOCKS)
+    starts = range(0, n_rows, per_block)
+
+    def fill_block(b):
+        _fill_rows(out, rows, frames_first, starts[b], min(starts[b] + per_block, n_rows))
+
+    overlap(n_blocks=len(starts), run=fill_block, emit=lambda _: None)
     if counter is not None:
         counter.parallel += bank.nonzero_taps() * frame * chunks.shape[1]
     return out.transpose(0, 2, 1)

@@ -23,7 +23,7 @@ from .audio import PIPELINE_RATE, AudioBuffer
 from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
 from .errors import ShapeError
 from .estimator import EstimatorConfig, TrackEstimate
-from .framing import FrameConfig, OverlapAdd, chunk_signal, frame_signal, stft
+from .framing import FrameConfig, OverlapAdd, stft, windows
 from .grid import F0Grid, F0Track
 from .helper import overlap
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
@@ -184,9 +184,8 @@ def enhance(
         if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
             raise ShapeError("clean reference must match the noisy buffer exactly")
 
-    chunks = chunk_signal(noisy, frame_cfg, bank.pad)
-    frames = chunks[bank.pad:bank.pad + frame_cfg.frame_size]
-    n_frames = chunks.shape[1]
+    hop, size, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
+    n_frames = frame_cfg.n_frames(len(noisy))
 
     est = None
     if track is None:
@@ -204,14 +203,19 @@ def enhance(
     fb = build_mel_filterbank(cfg=frame_cfg) if gain_map is None else None
     gain_map = np.empty(shape, np.float32) if gain_map is None else gain_map
     strength_map = np.empty(shape, np.float32)
-    clean_frames = frame_signal(clean, frame_cfg) if needs_oracle else None
 
     def run_block(b):
-        """Block b's output spectrum and comb MACs; writes only its own map columns."""
-        cols = slice(b * BLOCK_FRAMES, (b + 1) * BLOCK_FRAMES)
+        """Block b's output spectrum and comb MACs; writes only its own map columns.
+
+        The block's chunks and frames are strided views of a padded copy of
+        its own span of the signal, never of the whole signal.
+        """
+        lo = b * BLOCK_FRAMES
+        cols = slice(lo, lo + BLOCK_FRAMES)
         v = indices[cols] != grid.unvoiced_index
-        noisy_spec = stft(frames[:, cols])
-        block_strength = np.empty(noisy_spec.shape)
+        chunks = windows(noisy.samples, len(v), hop, lo * hop - pad, size + 2 * pad).T
+        noisy_spec = stft(chunks[pad:pad + size])
+        block_strength = np.zeros(noisy_spec.shape)
         combed = v
         if given_strength is not None:
             np.clip(given_strength[:, cols], 0.0, 1.0, out=block_strength)
@@ -219,22 +223,27 @@ def enhance(
             combed = v & block_strength.any(axis=0)
         combed_track = F0Track(np.where(combed, indices[cols], grid.unvoiced_index))
         macs = MacCounter()
-        filtered = filter_inference(bank, chunks[:, cols], combed_track, macs)
-        # a frame left out of the comb passes through, so its spectrum is the noisy one
-        filtered_spec = noisy_spec.copy()
-        filtered_spec[:, combed] = stft(filtered[:, combed])
-        clean_spec = stft(clean_frames[:, cols]) if needs_oracle else None
+        filtered = filter_inference(bank, chunks, combed_track, macs)
+        # only combed frames reach the strength and the blend; every other
+        # frame has strength 0, so its blend is the noisy spectrum times the gain
+        combed_spec = noisy_spec[:, combed]
+        filtered_spec = stft(filtered[:, combed])
+        clean_spec = None
+        if needs_oracle:
+            clean_spec = stft(windows(clean.samples, len(v), hop, lo * hop, size).T)
         if given_strength is None:
-            np.clip(oracle_strength(noisy_spec, filtered_spec, clean_spec), 0.0, 1.0,
-                    out=block_strength)
-            block_strength[:, ~v] = 0.0
+            block_strength[:, combed] = oracle_strength(
+                combed_spec, filtered_spec, clean_spec[:, combed]
+            )
         strength_map[:, cols] = block_strength
         if fb is None:
             block_gain = gain_map[:, cols]
         else:
             block_gain = oracle_gain(noisy_spec, clean_spec, fb)
             gain_map[:, cols] = block_gain
-        out = blend(noisy_spec, filtered_spec, block_strength, block_gain, blend_cfg)
+        out = noisy_spec * block_gain
+        out[:, combed] = blend(combed_spec, filtered_spec, block_strength[:, combed],
+                               block_gain[:, combed], blend_cfg)
         return out, macs.inference
 
     ola = OverlapAdd(frame_cfg, len(noisy))

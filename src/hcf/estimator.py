@@ -306,8 +306,7 @@ class TrackEstimate:
     def posterior_block(self, lo: int) -> np.ndarray:
         rows = self.posteriors[lo:lo + BLOCK_FRAMES]
         # the block's windows, zero-padded past the signal's ends like the whole track's
-        start = lo * self._hop + self._offset
-        frames = windows(self._x[max(start, 0):], len(rows), self._hop, min(start, 0), self._window)
+        frames = windows(self._x, len(rows), self._hop, lo * self._hop + self._offset, self._window)
         rows[:] = _posteriors(frames, self._grid, self._cfg)
         return rows
 

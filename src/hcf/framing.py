@@ -71,14 +71,16 @@ def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> 
     """Read-only ``(n_frames, length)`` view of overlapping windows of ``x``.
 
     Row ``t`` is ``x[t*hop + start:][:length]``, with zeros wherever it
-    reaches outside the signal (``start`` may be negative). The signal is
-    zero-padded once; the rows are strided views into that one buffer.
+    reaches outside the signal (``start`` may be negative). Only the span the
+    rows cover is copied, zero-padded, into one buffer; the rows are strided
+    views into it.
     """
-    lead = max(-start, 0)
-    padded = np.zeros((n_frames - 1) * hop + start + lead + length)
-    kept = min(x.shape[0], padded.shape[0] - lead)
-    padded[lead:lead + kept] = x[:kept]
-    return sliding_window_view(padded, length)[start + lead::hop]
+    span = (n_frames - 1) * hop + length
+    lo = max(start, 0)
+    piece = x[lo:max(start + span, 0)]
+    padded = np.zeros(span)
+    padded[lo - start:lo - start + piece.shape[0]] = piece
+    return sliding_window_view(padded, length)[::hop]
 
 
 def frame_signal(buffer, cfg: FrameConfig) -> np.ndarray:

@@ -225,6 +225,19 @@ class TestVerify:
         dev = float(out.split("max_dev=")[1].split()[0])
         assert dev < 1e-10
 
+    def test_mac_ratio_matches_independent_count(self, capsys):
+        assert main(["verify", "--duration", "0.3", "--tracks", "3", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out.split()[0].startswith("max_dev=")  # the first token, as scripts parse it
+        ratio = float(re.search(r"mac_ratio=(\S+)", out).group(1))
+        # the same seeded draws as verify: the noise first, then one track after another
+        rng = np.random.default_rng(7)
+        n_frames = -(-rng.standard_normal(int(0.3 * 48000)).size // 384)
+        voiced = sum(int((rng.integers(0, 226, size=n_frames) != 225).sum()) for _ in range(3))
+        parallel = (225 * 3 + 1) * 1536 * n_frames  # every nonzero weight, every frame
+        inference = 3 * 1536 * voiced  # three taps per voiced frame, per track
+        assert ratio == pytest.approx(parallel / inference, rel=1e-5)
+
     def test_tolerance_breach_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr("hcf.cli.VERIFY_TOLERANCE", -1.0)
         code = main(["verify", "--duration", "0.2", "--tracks", "1"])

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import hcf
-from hcf.cli import VERIFY_TOLERANCE
+from hcf.cli import VERIFY_TOLERANCE, main
 from hcf.errors import ShapeError
 from hcf.estimator import EMISSION_FLOOR, Decoder, transition_weights, yin_difference
 
@@ -243,6 +246,104 @@ class TestMacCounting:
 
     def test_empty_inference_ratio(self):
         assert hcf.MacCounter(parallel=10, inference=0).ratio() == np.inf
+
+
+def _strided_chunks(bank, rng, frame=16, n_frames=3):
+    """Overlapping strided chunk columns of one buffer, as the pipeline passes
+    them, with signal (not padding) under every tap of every row."""
+    cfg = hcf.FrameConfig(frame_size=frame, hop_size=4)
+    x = rng.standard_normal(2 * bank.pad + frame + 4 * n_frames)
+    first = -(-bank.pad // 4)  # the first chunk that starts inside the signal
+    return hcf.chunk_signal(x, cfg, bank.pad)[:, first:first + n_frames]
+
+
+class TestThreadedCandidates:
+    """``filter_all_candidates`` fills fixed blocks of rows on the calling
+    thread and one helper thread, all into the one tensor."""
+
+    @pytest.mark.parametrize("make_bank", [
+        lambda: hcf.build_bank(hcf.F0Grid()),  # 226 rows
+        lambda: hcf.build_bank(desk_grid()),  # 6 rows, fewer than the row blocks
+        lambda: hcf.build_bank(hcf.F0Grid(), order=2),
+        lambda: hcf.build_bank(hcf.F0Grid(), taps=[0.5, 0.0, 0.5]),  # rows start off center
+    ], ids=["default", "desk", "order2", "zero-center-tap"])
+    def test_matches_reference_with_frequent_thread_switches(self, rng, make_bank, monkeypatch):
+        bank = make_bank()
+        chunks = _strided_chunks(bank, rng)
+        assert np.shares_memory(chunks[:, 0], chunks[:, 1])
+        comb = importlib.import_module("hcf.comb")
+        real, filled = comb._fill_rows, []
+
+        def recording(out, rows, frames_first, lo, hi):
+            filled.append((lo, hi))
+            real(out, rows, frames_first, lo, hi)
+
+        monkeypatch.setattr(comb, "_fill_rows", recording)
+        counter, before = hcf.MacCounter(), threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared write would show
+        try:
+            got = hcf.filter_all_candidates(bank, chunks, counter)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        n_rows = bank.grid.size + 1
+        # each row is filled by exactly one block
+        assert sorted(r for lo, hi in filled for r in range(lo, hi)) == list(range(n_rows))
+        periods = np.concatenate([bank.rounded_periods, [0]])
+        np.testing.assert_array_equal(
+            got.transpose(0, 2, 1), _comb_all_py(chunks.T, periods, bank.taps, bank.pad, 16)
+        )
+        taps_per_row = int(np.count_nonzero(bank.taps))
+        assert counter.parallel == (bank.grid.size * taps_per_row + 1) * 16 * 3
+
+    def test_empty_weight_row_filters_to_zero(self, rng):
+        # the tensor is not zeroed up front, so a row with no weight is written as zeros
+        bank = hcf.build_bank(desk_grid())
+        weights = bank.weights.copy()
+        weights[2] = 0.0
+        chunks = _strided_chunks(bank, rng)
+        got = hcf.filter_all_candidates(dataclasses.replace(bank, weights=weights), chunks)
+        np.testing.assert_array_equal(got[2], 0.0)
+        kept = [0, 1, 3, 4, 5]
+        np.testing.assert_array_equal(got[kept], hcf.filter_all_candidates(bank, chunks)[kept])
+
+    def test_helper_block_exception_reaches_the_caller(self, rng, monkeypatch):
+        bank = hcf.build_bank(hcf.F0Grid())
+        comb = importlib.import_module("hcf.comb")
+        real, caller, failed = comb._fill_rows, threading.current_thread(), threading.Event()
+
+        def failing(*args):
+            if threading.current_thread() is caller:
+                failed.wait(timeout=30)  # hold the caller's block until the helper has failed
+                return real(*args)
+            failed.set()
+            raise RuntimeError("row block failed")
+
+        monkeypatch.setattr(comb, "_fill_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="row block failed"):
+            hcf.filter_all_candidates(bank, _strided_chunks(bank, rng))
+        assert threading.active_count() == before
+        assert failed.is_set()
+
+    @pytest.mark.parametrize("on_helper", [True, False])
+    def test_verify_exit_code_holds_for_either_thread(self, monkeypatch, capsys, on_helper):
+        comb = importlib.import_module("hcf.comb")
+        real, caller, failed = comb._fill_rows, threading.current_thread(), threading.Event()
+
+        def failing(*args):
+            if (threading.current_thread() is caller) == on_helper:
+                failed.wait(timeout=30)  # hold this block until the other thread has failed
+                return real(*args)
+            failed.set()
+            raise MemoryError("row block")
+
+        monkeypatch.setattr(comb, "_fill_rows", failing)
+        before = threading.active_count()
+        assert main(["verify", "--duration", "0.2", "--tracks", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert threading.active_count() == before
 
 
 class TestFrequencyResponse:

@@ -472,6 +472,23 @@ class TestBlockedEnhance:
         assert_bit_identical(result.gain, whole_gain)
         assert counter.inference == whole_counter.inference > 0
 
+    def test_each_block_frames_only_its_own_span(self, bank, monkeypatch):
+        # no zero-padded copy of the whole noisy or clean signal is made
+        noisy, clean = _oracle_case(3.0)
+        module = importlib.import_module("hcf.enhance")
+        real, spans = module.windows, []
+
+        def recording(x, n_frames, hop, start, length):
+            spans.append(n_frames)
+            return real(x, n_frames, hop, start, length)
+
+        monkeypatch.setattr(module, "windows", recording)
+        hcf.enhance(noisy, clean=clean, bank=bank)
+        n_frames = hcf.FrameConfig().n_frames(len(noisy))
+        assert n_frames > 2 * BLOCK_FRAMES
+        assert max(spans) <= BLOCK_FRAMES
+        assert sum(spans) == 2 * n_frames  # noisy chunks and clean frames, each frame once
+
     def test_oracle_matches_whole_buffer(self, bank, rng):
         # the mel projections are BLAS products, which round differently
         # once a block is narrower than the whole buffer

@@ -26,10 +26,9 @@ _FMT_EXTENSIBLE = 0xFFFE
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono audio: float64 samples nominally in [-1, 1] plus a sample rate."""
+    """Mono audio at ``PIPELINE_RATE``: float64 samples nominally in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = PIPELINE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -44,7 +43,7 @@ class AudioBuffer:
 
     @property
     def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / PIPELINE_RATE
 
 
 @dataclass
@@ -52,7 +51,6 @@ class WriteReport:
     """What :func:`write_wav` did to out-of-range samples."""
 
     clipped: int = 0
-    path: str = ""
 
 
 def read_wav(path) -> AudioBuffer:
@@ -124,7 +122,7 @@ def read_wav(path) -> AudioBuffer:
         samples = samples.reshape(-1, channels).mean(axis=1)
     if samples.size and not np.all(np.isfinite(samples)):
         raise AudioFormatError("data chunk contains non-finite float samples")
-    return AudioBuffer(samples, rate)
+    return AudioBuffer(samples)
 
 
 def _parse_fmt(data: bytes, body: int, size: int):
@@ -166,7 +164,7 @@ def _decode_samples(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
 
 
 def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> WriteReport:
-    """Write ``buffer`` as a little-endian WAV file.
+    """Write ``buffer`` as a little-endian WAV file at ``PIPELINE_RATE``.
 
     ``bit_depth`` is one of 16, 24, or "float32". Samples outside [-1, 1]
     are clamped; the returned report carries the clip count.
@@ -204,16 +202,9 @@ def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> WriteReport:
             struct.pack("<I", 36 + len(payload)),
             b"WAVE",
             b"fmt ",
-            struct.pack(
-                "<IHHIIHH",
-                16,
-                fmt_code,
-                1,
-                buffer.sample_rate,
-                buffer.sample_rate * block_align,
-                block_align,
-                bits,
-            ),
+            # fmt chunk: size, format, one channel, rate, byte rate, block align, bits
+            struct.pack("<IHHIIHH", 16, fmt_code, 1, PIPELINE_RATE,
+                        PIPELINE_RATE * block_align, block_align, bits),
             b"data",
             struct.pack("<I", len(payload)),
         ]
@@ -221,4 +212,4 @@ def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> WriteReport:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-    return WriteReport(clipped=clipped, path=str(path))
+    return WriteReport(clipped=clipped)

@@ -25,7 +25,7 @@ from .comb import (
 from .enhance import BLOCK_FRAMES, BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, chunk_signal, frame_signal, stft
+from .framing import FrameConfig, chunk_signal, stft, windows
 from .grid import F0Grid, gaussian_label, read_track, track_from_indices, write_track
 from .matrixio import read_matrix, write_matrix
 from .metrics import LossConfig, sdr, se_loss, snr
@@ -194,14 +194,15 @@ def _loss_lines(clean, estimate, gains_only, frame_cfg: FrameConfig, cfg: LossCo
     """The loss and SDR lines that ``hcf metrics`` prints and ``report.txt`` holds.
 
     The loss terms are means over frames, taken block by block and weighted
-    by each block's frame count, so no whole-buffer spectrum is formed.
+    by each block's frame count, so no whole-buffer frame or spectrum is formed.
     """
-    frames = [frame_signal(b, frame_cfg) for b in (clean, estimate, gains_only)]
-    n_frames = frames[0].shape[1]
+    hop, n_frames = frame_cfg.hop_size, frame_cfg.n_frames(len(clean))
     sums = np.zeros(4)
     for lo in range(0, n_frames, BLOCK_FRAMES):
-        spectra = [stft(f[:, lo:lo + BLOCK_FRAMES]) for f in frames]
-        sums += np.multiply(se_loss(*spectra, cfg), spectra[0].shape[1])
+        n = min(BLOCK_FRAMES, n_frames - lo)
+        spectra = [stft(windows(b.samples, n, hop, lo * hop, frame_cfg.frame_size).T)
+                   for b in (clean, estimate, gains_only)]
+        sums += np.multiply(se_loss(*spectra, cfg), n)
     total, mag0, mag, cplx = sums / n_frames
     return [
         f"se_loss={total:.6g}",

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .audio import PIPELINE_RATE, AudioBuffer
+from .audio import AudioBuffer
 from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
 from .errors import ShapeError
 from .estimator import EstimatorConfig, TrackEstimate
@@ -51,13 +51,14 @@ class BlendConfig:
 
 @dataclass
 class EnhanceResult:
+    """The output and the track and maps that made it; no pitch posteriors are kept."""
+
     audio: AudioBuffer
     track: F0Track
     #: The clipped strength the blend used, stored as float32.
     strength: np.ndarray
     #: The given gain map as passed, or the oracle's stored as float32.
     gain: np.ndarray
-    posteriors: Optional[np.ndarray]
     #: Samples of context the pipeline needs past a frame's first sample:
     #: one frame plus the comb filter's forward reach (M * T_max).
     latency_samples: int
@@ -68,7 +69,7 @@ def oracle_gain(noisy_spec, clean_spec, fb: MelFilterbank) -> np.ndarray:
 
     Band noise energy is estimated as ``max(E_noisy - E_clean, 0)``; the
     per-band mask ``sqrt(E_clean / (E_clean + E_noise))`` is interpolated
-    back to bins by the filterbank's transposed weights.
+    back to bins by the filterbank's transposed weights, whose rows sum to 1.
     """
     if noisy_spec.shape != clean_spec.shape:
         raise ShapeError(f"spectra differ: {noisy_spec.shape} vs {clean_spec.shape}")
@@ -76,20 +77,14 @@ def oracle_gain(noisy_spec, clean_spec, fb: MelFilterbank) -> np.ndarray:
     e_noisy = mel_energies(noisy_spec, fb)
     e_noise = np.maximum(e_noisy - e_clean, 0.0) + NOISE_EPS
     g_band = np.sqrt(e_clean / (e_clean + e_noise))
-    coverage = fb.weights.sum(axis=0)
-    gain = (fb.weights.T @ g_band) / coverage[:, None]
-    return np.clip(gain, 0.0, 1.0)
+    return np.clip(fb.weights.T @ g_band, 0.0, 1.0)
 
 
-def oracle_strength(
-    noisy_spec, filtered_spec, clean_spec, fb: Optional[MelFilterbank] = None
-) -> np.ndarray:
+def oracle_strength(noisy_spec, filtered_spec, clean_spec) -> np.ndarray:
     """Least-squares blend weight toward the filtered spectrum, in [0, 1].
 
     Per bin, minimizes ``|r*Y_cf + (1-r)*Y - S|^2``; bins the filter leaves
-    untouched (denominator under 1e-12) get 0. Passing a filterbank pools
-    numerator and denominator over mel bands first and interpolates the
-    per-band solution back to bins, mimicking sub-band granularity.
+    untouched (denominator under 1e-12) get 0.
     """
     if not (noisy_spec.shape == filtered_spec.shape == clean_spec.shape):
         raise ShapeError(
@@ -98,15 +93,9 @@ def oracle_strength(
     delta = filtered_spec - noisy_spec
     num = np.real((clean_spec - noisy_spec) * np.conj(delta))
     den = np.abs(delta) ** 2
-    if fb is not None:
-        num = fb.weights @ num
-        den = fb.weights @ den
     strength = np.zeros(num.shape)
     usable = den >= STRENGTH_EPS
     strength[usable] = num[usable] / den[usable]
-    if fb is not None:
-        coverage = fb.weights.sum(axis=0)
-        strength = (fb.weights.T @ strength) / coverage[:, None]
     return np.clip(strength, 0.0, 1.0)
 
 
@@ -153,7 +142,7 @@ def enhance(
 
     ``track=None`` estimates the pitch track internally; otherwise the given
     track must have one entry per frame. Oracle providers need ``clean`` of
-    the same length and rate. Output length equals input length.
+    the same length. Output length equals input length.
 
     The comb bank owns the grid and the chunk context ``bank.pad``: with
     only ``grid`` given the bank is built from it, otherwise the pipeline
@@ -169,8 +158,6 @@ def enhance(
     A frame whose given strength is 0 in every bin skips the comb, like an
     unvoiced frame.
     """
-    if noisy.sample_rate != PIPELINE_RATE:
-        raise ShapeError(f"buffer rate {noisy.sample_rate} != pipeline rate {PIPELINE_RATE}")
     if bank is None:
         bank = build_bank(grid if grid is not None else F0Grid())
     if grid is not None and grid != bank.grid:
@@ -181,7 +168,7 @@ def enhance(
     if needs_oracle:
         if clean is None:
             raise ValueError("oracle providers need a clean reference buffer")
-        if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
+        if len(clean) != len(noisy):
             raise ShapeError("clean reference must match the noisy buffer exactly")
 
     hop, size, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
@@ -271,6 +258,5 @@ def enhance(
         track=track,
         strength=strength_map,
         gain=gain_map,
-        posteriors=None if est is None else est.posteriors,
         latency_samples=frame_cfg.frame_size + bank.pad,
     )

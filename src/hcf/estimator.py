@@ -18,14 +18,12 @@ multiple-of-T dip scores just as well. The unvoiced slot scores
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .audio import PIPELINE_RATE, AudioBuffer
-from .errors import ShapeError
+from .audio import AudioBuffer
 from .framing import FrameConfig, windows
 from .grid import F0Grid, F0Track, nearest_period_index, track_from_indices
 from .helper import overlap
@@ -267,22 +265,19 @@ class Decoder:
 
 
 def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
-    """Smooth per-frame posteriors into the best state path.
+    """Smooth (n_frames, N+1) per-frame posteriors into the best state path.
 
-    ``posteriors`` is (n_frames, N+1), or an iterator over such blocks in
-    frame order, which the forward pass decodes as they arrive (see
-    :class:`Decoder`). An input with no frames at all raises ``ValueError``.
+    An input with no frames raises ``ValueError``. To decode posteriors block
+    by block as they arrive, feed a :class:`Decoder`.
     """
-    blocks = posteriors if isinstance(posteriors, Iterator) else [posteriors]
     decoder = Decoder(grid, cfg)
-    pieces = [decoder.feed(block) for block in blocks]
-    return track_from_indices(grid, np.concatenate(pieces + [decoder.finish()]))
+    return track_from_indices(grid, np.concatenate([decoder.feed(posteriors), decoder.finish()]))
 
 
 class TrackEstimate:
     """:func:`estimate_track` as two chains of blocks, for a caller to overlap.
 
-    ``posterior_block(lo)`` computes the posterior rows of the block of frames
+    ``posterior_block(lo)`` returns new posterior rows for the block of frames
     starting at ``lo``, for each of ``starts``; ``decode``, fed those rows in
     order, writes the newly settled frames of the track into ``indices`` and
     returns how many frames from the first are settled (all of them after the
@@ -291,8 +286,6 @@ class TrackEstimate:
 
     def __init__(self, buffer: AudioBuffer, grid: F0Grid, cfg: EstimatorConfig,
                  frame_cfg: FrameConfig):
-        if buffer.sample_rate != PIPELINE_RATE:
-            raise ShapeError(f"buffer rate {buffer.sample_rate} != pipeline rate {PIPELINE_RATE}")
         self._x, self._hop = buffer.samples, frame_cfg.hop_size
         self._window = cfg.analysis_window(grid)
         self._offset = (frame_cfg.frame_size - self._window) // 2
@@ -300,15 +293,13 @@ class TrackEstimate:
         self._grid, self._cfg = grid, cfg
         self._decoder = Decoder(grid, cfg)
         self.starts = range(0, n_frames, BLOCK_FRAMES)
-        self.posteriors = np.empty((n_frames, grid.label_size))
         self.indices = np.empty(n_frames, dtype=np.int64)
 
     def posterior_block(self, lo: int) -> np.ndarray:
-        rows = self.posteriors[lo:lo + BLOCK_FRAMES]
+        n = min(BLOCK_FRAMES, len(self.indices) - lo)
         # the block's windows, zero-padded past the signal's ends like the whole track's
-        frames = windows(self._x, len(rows), self._hop, lo * self._hop + self._offset, self._window)
-        rows[:] = _posteriors(frames, self._grid, self._cfg)
-        return rows
+        frames = windows(self._x, n, self._hop, lo * self._hop + self._offset, self._window)
+        return _posteriors(frames, self._grid, self._cfg)
 
     def decode(self, rows: np.ndarray) -> int:
         decoder, lo = self._decoder, self._decoder.settled
@@ -335,8 +326,13 @@ def estimate_track(
     ``frame_cfg.hop_size``), so entry t lines up with frame t everywhere
     else in the pipeline. A helper thread computes the posterior blocks while
     this one decodes the blocks already done. Returns ``(track, posteriors)``
-    with posteriors shaped (n_frames, N+1).
+    with posteriors shaped (n_frames, N+1), joined from the decoded blocks.
     """
-    est = TrackEstimate(buffer, grid, cfg, frame_cfg)
-    overlap(est.starts, est.posterior_block, est.decode)
-    return est.track(), est.posteriors
+    est, blocks = TrackEstimate(buffer, grid, cfg, frame_cfg), []
+
+    def decode(rows):
+        blocks.append(rows)
+        return est.decode(rows)
+
+    overlap(est.starts, est.posterior_block, decode)
+    return est.track(), np.concatenate(blocks)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import PIPELINE_RATE, AudioBuffer
+from .audio import AudioBuffer
 from .errors import ShapeError
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class OverlapAdd:
     def finish(self) -> AudioBuffer:
         """Close the last frames' tail; return the ``length``-sample output."""
         self._emit(self._open)
-        return AudioBuffer(self._out, PIPELINE_RATE)
+        return AudioBuffer(self._out)
 
 
 def istft_overlap_add(spec: np.ndarray, cfg: FrameConfig, length: int | None = None) -> AudioBuffer:

@@ -69,8 +69,8 @@ def noise_at_snr(reference, snr_db, rng):
     return noise * np.sqrt(p_ref / (p_noise * 10.0 ** (snr_db / 10.0)))
 
 
-def buffer(x, fs=FS):
-    return hcf.AudioBuffer(np.asarray(x, dtype=np.float64), fs)
+def buffer(x):
+    return hcf.AudioBuffer(np.asarray(x, dtype=np.float64))
 
 
 def interior(n_samples, cfg=None):

@@ -26,18 +26,18 @@ def wav_bytes(payload, fmt_code=1, channels=1, rate=48000, bits=16, data_size=No
 
 class TestAudioBuffer:
     def test_basic_fields(self):
-        buf = hcf.AudioBuffer(np.zeros(480), 48000)
+        buf = hcf.AudioBuffer(np.zeros(480))
         assert len(buf) == 480
         assert buf.duration == pytest.approx(0.01)
         assert buf.samples.dtype == np.float64
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            hcf.AudioBuffer(np.array([0.0, np.nan]), 48000)
+            hcf.AudioBuffer(np.array([0.0, np.nan]))
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            hcf.AudioBuffer(np.zeros((2, 3)), 48000)
+            hcf.AudioBuffer(np.zeros((2, 3)))
 
 
 class TestReadWav:
@@ -47,7 +47,6 @@ class TestReadWav:
         path = tmp_path / "a.wav"
         path.write_bytes(wav_bytes(payload))
         buf = hcf.read_wav(path)
-        assert buf.sample_rate == 48000
         np.testing.assert_allclose(buf.samples, np.array(ints) / 32768.0)
 
     def test_pcm24_scaling(self, tmp_path):
@@ -187,7 +186,7 @@ class TestWriteWav:
     )
     def test_round_trip(self, tmp_path, rng, depth, tol):
         x = np.clip(0.4 * rng.standard_normal(4800), -1.0, 1.0)
-        buf = hcf.AudioBuffer(x, 48000)
+        buf = hcf.AudioBuffer(x)
         path = tmp_path / "out.wav"
         report = hcf.write_wav(buf, path, bit_depth=depth)
         assert report.clipped == 0
@@ -196,13 +195,13 @@ class TestWriteWav:
         assert np.abs(back.samples - x).max() <= tol
 
     def test_integer_depth_accepted(self, tmp_path):
-        buf = hcf.AudioBuffer(np.zeros(16), 48000)
+        buf = hcf.AudioBuffer(np.zeros(16))
         hcf.write_wav(buf, tmp_path / "a.wav", bit_depth=16)
         hcf.write_wav(buf, tmp_path / "b.wav", bit_depth=24)
 
     def test_clipping_counted(self, tmp_path):
         x = np.array([0.0, 1.5, -2.0, 0.5])
-        report = hcf.write_wav(hcf.AudioBuffer(x, 48000), tmp_path / "a.wav", "16")
+        report = hcf.write_wav(hcf.AudioBuffer(x), tmp_path / "a.wav", "16")
         assert report.clipped == 2
         back = hcf.read_wav(tmp_path / "a.wav")
         assert back.samples.max() <= 1.0
@@ -210,11 +209,11 @@ class TestWriteWav:
 
     def test_full_scale_positive_representable(self, tmp_path):
         x = np.array([1.0, -1.0])
-        hcf.write_wav(hcf.AudioBuffer(x, 48000), tmp_path / "a.wav", "16")
+        hcf.write_wav(hcf.AudioBuffer(x), tmp_path / "a.wav", "16")
         back = hcf.read_wav(tmp_path / "a.wav")
         assert back.samples[0] == pytest.approx(32767 / 32768)
         assert back.samples[1] == -1.0
 
     def test_rejects_unknown_depth(self, tmp_path):
         with pytest.raises(ValueError):
-            hcf.write_wav(hcf.AudioBuffer(np.zeros(4), 48000), tmp_path / "a.wav", "8")
+            hcf.write_wav(hcf.AudioBuffer(np.zeros(4)), tmp_path / "a.wav", "8")

@@ -480,6 +480,38 @@ class TestEnhanceCommand:
         assert float(values["se_loss"]) >= 0.0
         assert np.isfinite(float(values["sdr_db"]))
 
+    def test_loss_lines_frame_each_block_on_its_own(self, frame_cfg, rng, monkeypatch):
+        # no whole-signal frames: every block frames only its own span
+        cli = hcf.cli
+        clean = buffer(harmonic_complex(200.0, 4, 2.0, amp=0.12))
+        estimate = buffer(clean.samples + noise_at_snr(clean.samples, 10.0, rng))
+        gains_only = buffer(0.8 * estimate.samples)
+        cfg = hcf.LossConfig()
+        frames = [hcf.frame_signal(b, frame_cfg) for b in (clean, estimate, gains_only)]
+        n_frames = frames[0].shape[1]
+        sums = np.zeros(4)
+        for lo in range(0, n_frames, cli.BLOCK_FRAMES):
+            spectra = [hcf.stft(f[:, lo:lo + cli.BLOCK_FRAMES]) for f in frames]
+            sums += np.multiply(hcf.se_loss(*spectra, cfg), spectra[0].shape[1])
+
+        def refuse(*args):
+            raise AssertionError("frame_signal called")
+
+        real, spans = cli.windows, []
+
+        def recording(x, n, hop, start, length):
+            spans.append(n)
+            return real(x, n, hop, start, length)
+
+        monkeypatch.setattr(hcf.framing, "frame_signal", refuse)
+        monkeypatch.setattr(cli, "windows", recording)
+        lines = cli._loss_lines(clean, estimate, gains_only, frame_cfg, cfg)
+        assert n_frames > 2 * cli.BLOCK_FRAMES
+        assert max(spans) <= cli.BLOCK_FRAMES
+        assert sum(spans) == 3 * n_frames
+        expected = [f"{value:.6g}" for value in sums / n_frames]
+        assert [line.split("=")[1] for line in lines[:4]] == expected
+
     def test_metrics_zero_for_identical_inputs(self, tmp_path, wav_pair, capsys):
         clean_path, _, _, _ = wav_pair
         assert main(["metrics", str(clean_path), str(clean_path)]) == 0

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 import hcf
-from hcf.errors import ShapeError
 from hcf.estimator import BLOCK_FRAMES, Decoder, _posteriors, transition_weights
 from hcf.framing import windows
 
@@ -128,13 +127,15 @@ class TestViterbi:
 
     @pytest.mark.parametrize("empty", ["array", "no blocks", "empty block"])
     def test_empty_input_raises_value_error(self, grid, empty):
-        posteriors = {
-            "array": np.zeros((0, grid.label_size)),
-            "no blocks": iter([]),
-            "empty block": iter([np.zeros((0, grid.label_size))]),
-        }[empty]
+        # a (0, N+1) array to viterbi_track; a Decoder finished with no frame fed
+        nothing, decoder = np.zeros((0, grid.label_size)), Decoder(grid, CFG)
+        if empty == "empty block":
+            assert decoder.feed(nothing).size == 0
         with pytest.raises(ValueError, match="empty input"):
-            hcf.viterbi_track(posteriors, grid, CFG)
+            if empty == "array":
+                hcf.viterbi_track(nothing, grid, CFG)
+            else:
+                decoder.finish()
 
     @pytest.mark.parametrize("n_frames", [1, 2, 4, 6])
     def test_matches_exhaustive_enumeration(self, n_frames, rng):
@@ -197,11 +198,6 @@ class TestEstimateTrack:
         assert flips.size == 1
         boundary_frame = int(0.5 * fs) // 384
         assert abs(int(flips[0]) + 1 - boundary_frame) <= 3
-
-    def test_rejects_a_buffer_not_at_the_pipeline_rate(self, grid):
-        # at 16 kHz a 200 Hz tone would read as about 302 Hz on the 48 kHz grid
-        with pytest.raises(ShapeError, match="16000"):
-            hcf.estimate_track(hcf.AudioBuffer(tone(200.0, 0.5, fs=16000), 16000), grid, CFG)
 
     def test_track_aligns_with_frame_count(self, grid, frame_cfg):
         x = tone(130.0, 0.25)
@@ -291,8 +287,9 @@ class TestPipelinedEstimate:
         assert 0 < decoder.settled < len(whole)  # the silences settle a prefix early
         assert np.concatenate(pieces + [decoder.finish()]).tobytes() == whole.tobytes()
 
-    def test_decodes_an_iterator_of_blocks_like_the_whole_array(self, grid, rng):
+    def test_decodes_uneven_blocks_like_the_whole_array(self, grid, rng):
         post = rng.uniform(1e-6, 1.0, size=(300, grid.label_size))
         whole = hcf.viterbi_track(post, grid, CFG)
-        blocks = iter([post[:1], post[1:1], post[1:120], post[120:]])
-        np.testing.assert_array_equal(hcf.viterbi_track(blocks, grid, CFG).indices, whole.indices)
+        decoder = Decoder(grid, CFG)
+        pieces = [decoder.feed(block) for block in (post[:1], post[1:1], post[1:120], post[120:])]
+        np.testing.assert_array_equal(np.concatenate(pieces + [decoder.finish()]), whole.indices)

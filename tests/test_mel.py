@@ -31,6 +31,14 @@ class TestFilterbank:
         fb = hcf.build_mel_filterbank(80, frame_cfg)
         np.testing.assert_allclose(fb.weights.sum(axis=0), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("frame_size", [256, 512, 1024, 1536, 2048, 3072])
+    @pytest.mark.parametrize("bands", [2, 16, 40, 80, 128])
+    def test_coverage_is_exactly_one(self, frame_size, bands):
+        # interpolating band values back to bins needs no division by the coverage
+        cfg = hcf.FrameConfig(frame_size=frame_size, hop_size=frame_size // 4)
+        fb = hcf.build_mel_filterbank(bands, cfg)
+        assert np.all(fb.weights.sum(axis=0) == 1.0)
+
     def test_every_band_nonzero(self, frame_cfg):
         fb = hcf.build_mel_filterbank(80, frame_cfg)
         assert np.all(fb.weights.sum(axis=1) > 0)

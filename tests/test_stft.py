@@ -71,7 +71,6 @@ class TestReconstruction:
         out = hcf.istft_overlap_add(spec, frame_cfg, length=x.size)
         assert isinstance(out, hcf.AudioBuffer)
         assert len(out) == x.size
-        assert out.sample_rate == hcf.PIPELINE_RATE
 
     def test_length_trim_and_extend(self, frame_cfg, rng):
         x = rng.standard_normal(5000)

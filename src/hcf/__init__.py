@@ -3,8 +3,9 @@
 A pitch-adaptive comb filter attenuates noise between speech harmonics; a
 per-bin strength map blends the filtered spectrum with the original, a mel
 sub-band gain denoises both, and overlap-add resynthesis returns audio.
-Gain and strength come from pluggable providers (oracle, files, arrays),
-so the pipeline runs and is testable without any trained model.
+Gain and strength come from one source, a clean reference for the oracles
+or both maps given (scalars, arrays, files), so the pipeline runs and is
+testable without any trained model.
 """
 
 from .audio import AudioBuffer, PIPELINE_RATE, WriteReport, read_wav, write_wav

@@ -41,10 +41,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / PIPELINE_RATE
-
 
 @dataclass
 class WriteReport:

@@ -25,7 +25,7 @@ from .comb import (
 from .enhance import BLOCK_FRAMES, BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, chunk_signal, stft, windows
+from .framing import FrameConfig, stft, windows
 from .grid import F0Grid, gaussian_label, read_track, track_from_indices, write_track
 from .matrixio import read_matrix, write_matrix
 from .metrics import LossConfig, sdr, se_loss, snr
@@ -46,7 +46,6 @@ _TUNING = {
     "--grid-size": (int, F0Grid.size, "number of voiced candidates"),
     "--order": (int, 1, "comb filter half-width in taps"),
     "--threshold": (float, EstimatorConfig.yin_threshold, "dip threshold for voicing"),
-    "--window": (int, EstimatorConfig.window, "analysis window in samples (default 2*T_max)"),
     "--transition-width": (float, EstimatorConfig.transition_width, "smoothing width in grid bins"),
     "--voicing-prior": (float, EstimatorConfig.voicing_prior, "prior probability of voicing"),
     "--switch-cost": (float, EstimatorConfig.switch_cost, "voicing switch cost, negative-log units"),
@@ -55,7 +54,7 @@ _TUNING = {
 }
 _FRAME = ("--frame-size", "--hop")
 _GRID = ("--f-min", "--f-max", "--grid-size")
-_ESTIMATOR = ("--threshold", "--window", "--transition-width", "--voicing-prior", "--switch-cost")
+_ESTIMATOR = ("--threshold", "--transition-width", "--voicing-prior", "--switch-cost")
 
 
 def _add_tuning(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -82,7 +81,6 @@ def _read_reference(path) -> AudioBuffer:
 def _estimator_cfg(args) -> EstimatorConfig:
     return EstimatorConfig(
         yin_threshold=args.threshold,
-        window=args.window,
         transition_width=args.transition_width,
         voicing_prior=args.voicing_prior,
         switch_cost=args.switch_cost,
@@ -155,19 +153,15 @@ def _cmd_enhance(args) -> int:
     frame_cfg = _frame_cfg(args)
     track = read_track(args.f0, grid) if args.f0 else None
 
-    gain = read_matrix(args.gain) if args.gain else "oracle"
-    strength = read_matrix(args.strength) if args.strength else "oracle"
-
     result = enhance(
         noisy,
         clean=clean,
         track=track,
-        gain=gain,
-        strength=strength,
+        gain=read_matrix(args.gain) if args.gain else None,
+        strength=read_matrix(args.strength) if args.strength else None,
         frame_cfg=frame_cfg,
         blend_cfg=BlendConfig(exponent=0.5 if args.rescale else 1.0),
         est_cfg=_estimator_cfg(args),
-        grid=grid,
         bank=bank,
     )
     report = write_wav(result.audio, args.out, bit_depth=args.bits)
@@ -267,13 +261,15 @@ def _cmd_verify(args) -> int:
     else:
         samples = 0.5 * rng.standard_normal(int(args.duration * PIPELINE_RATE))
 
-    chunks = chunk_signal(samples, _frame_cfg(args), bank.pad)
-    n_frames = chunks.shape[1]
+    frame_cfg, pad = _frame_cfg(args), bank.pad
+    hop, n_frames = frame_cfg.hop_size, frame_cfg.n_frames(len(samples))
     tracks = [rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)]
 
     max_dev, macs = 0.0, MacCounter()
     for lo in range(0, n_frames, VERIFY_BLOCK_FRAMES):
-        block = chunks[:, lo:lo + VERIFY_BLOCK_FRAMES]
+        n = min(VERIFY_BLOCK_FRAMES, n_frames - lo)
+        # this block's chunks only: a view of a padded copy of its own span
+        block = windows(samples, n, hop, lo * hop - pad, frame_cfg.frame_size + 2 * pad).T
         all_candidates = filter_all_candidates(bank, block, macs)
         for indices in tracks:
             track = track_from_indices(grid, indices[lo:lo + VERIFY_BLOCK_FRAMES])

@@ -62,10 +62,6 @@ class CombFilterBank:
         """Context needed on each side of a frame: M * T_max samples."""
         return self.order * int(self.rounded_periods.max())
 
-    @property
-    def kernel_length(self) -> int:
-        return 2 * self.pad + 1
-
     def nonzero_taps(self) -> int:
         return int(np.count_nonzero(self.weights))
 

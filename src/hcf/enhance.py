@@ -6,10 +6,11 @@ per-bin filtering strength, ``G`` the interpolated sub-band gain, and
 ``gamma`` an optional rescaling exponent (0.5 pushes weights toward the
 filtered path; 1 leaves them untouched).
 
-Strength and gain come from providers: the string ``"oracle"`` computes
-them from a clean reference (least-squares strength, ratio-mask gain), a
-scalar broadcasts, and an array is used as-is. This is the integration
-point for a trained model's outputs.
+Strength and gain come from one of two sources, as a trained model would
+predict both: a clean reference, from which the oracles compute them
+(least-squares strength, ratio-mask gain), or both maps given, each a
+scalar that broadcasts or an array used as-is. The given maps are the
+integration point for a trained model's outputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ STRENGTH_EPS = 1e-12
 #: spectra in cache.
 BLOCK_FRAMES = 64
 
-Provider = Union[str, float, np.ndarray]
+Provider = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,11 @@ def blend(noisy_spec, filtered_spec, strength, gain, cfg: BlendConfig = BlendCon
     return (weight * filtered_spec + (1.0 - weight) * noisy_spec) * gain
 
 
-def _resolve_map(value: Provider, name: str, shape) -> Optional[np.ndarray]:
-    """The provider's map, uncopied (a scalar broadcasts), or None for the per-block oracle."""
-    if isinstance(value, str):
-        if value != "oracle":
-            raise ValueError(f"unknown {name} provider {value!r}")
-        return None
+def _resolve_map(value: Provider, name: str, shape) -> np.ndarray:
+    """The given map, uncopied; a scalar broadcasts."""
     arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} map must be a number or a numeric array, got {arr.dtype}")
     arr = arr if arr.dtype.kind == "f" else arr.astype(np.float64)
     arr = np.broadcast_to(arr, shape) if arr.ndim == 0 else arr
     if arr.shape != shape:
@@ -129,8 +128,8 @@ def enhance(
     noisy: AudioBuffer,
     clean: Optional[AudioBuffer] = None,
     track: Optional[F0Track] = None,
-    gain: Provider = "oracle",
-    strength: Provider = "oracle",
+    gain: Optional[Provider] = None,
+    strength: Optional[Provider] = None,
     frame_cfg: FrameConfig = FrameConfig(),
     blend_cfg: BlendConfig = BlendConfig(),
     est_cfg: EstimatorConfig = EstimatorConfig(),
@@ -141,8 +140,10 @@ def enhance(
     """Run the whole pipeline on one buffer.
 
     ``track=None`` estimates the pitch track internally; otherwise the given
-    track must have one entry per frame. Oracle providers need ``clean`` of
-    the same length. Output length equals input length.
+    track must have one entry per frame. The maps come from one source:
+    ``clean``, of the same length, for the oracle gain and strength, or both
+    ``gain`` and ``strength``; any other mix raises ``ValueError``. Output
+    length equals input length.
 
     The comb bank owns the grid and the chunk context ``bank.pad``: with
     only ``grid`` given the bank is built from it, otherwise the pipeline
@@ -164,12 +165,12 @@ def enhance(
         raise ShapeError(f"grid {grid} differs from the comb bank's grid {bank.grid}")
     grid = bank.grid
 
-    needs_oracle = isinstance(gain, str) or isinstance(strength, str)
-    if needs_oracle:
-        if clean is None:
-            raise ValueError("oracle providers need a clean reference buffer")
-        if len(clean) != len(noisy):
-            raise ShapeError("clean reference must match the noisy buffer exactly")
+    oracle = clean is not None and gain is None and strength is None
+    if not oracle and (clean is not None or gain is None or strength is None):
+        raise ValueError("give one map source: clean (oracle gain and strength) "
+                         "or both gain and strength")
+    if oracle and len(clean) != len(noisy):
+        raise ShapeError("clean reference must match the noisy buffer exactly")
 
     hop, size, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
     n_frames = frame_cfg.n_frames(len(noisy))
@@ -183,12 +184,14 @@ def enhance(
         indices = track.indices
 
     shape = (frame_cfg.n_bins, n_frames)
-    gain_map = _resolve_map(gain, "gain", shape)
-    if gain_map is not None and np.any(gain_map < 0):
-        raise ValueError("gain map must be nonnegative")
-    given_strength = _resolve_map(strength, "strength", shape)
-    fb = build_mel_filterbank(cfg=frame_cfg) if gain_map is None else None
-    gain_map = np.empty(shape, np.float32) if gain_map is None else gain_map
+    if oracle:
+        fb = build_mel_filterbank(cfg=frame_cfg)
+        gain_map = np.empty(shape, np.float32)
+    else:
+        gain_map = _resolve_map(gain, "gain", shape)
+        if np.any(gain_map < 0):
+            raise ValueError("gain map must be nonnegative")
+        given_strength = _resolve_map(strength, "strength", shape)
     strength_map = np.empty(shape, np.float32)
 
     def run_block(b):
@@ -204,7 +207,7 @@ def enhance(
         noisy_spec = stft(chunks[pad:pad + size])
         block_strength = np.zeros(noisy_spec.shape)
         combed = v
-        if given_strength is not None:
+        if not oracle:
             np.clip(given_strength[:, cols], 0.0, 1.0, out=block_strength)
             block_strength[:, ~v] = 0.0
             combed = v & block_strength.any(axis=0)
@@ -215,19 +218,15 @@ def enhance(
         # frame has strength 0, so its blend is the noisy spectrum times the gain
         combed_spec = noisy_spec[:, combed]
         filtered_spec = stft(filtered[:, combed])
-        clean_spec = None
-        if needs_oracle:
+        if oracle:
             clean_spec = stft(windows(clean.samples, len(v), hop, lo * hop, size).T)
-        if given_strength is None:
             block_strength[:, combed] = oracle_strength(
                 combed_spec, filtered_spec, clean_spec[:, combed]
             )
-        strength_map[:, cols] = block_strength
-        if fb is None:
-            block_gain = gain_map[:, cols]
+            gain_map[:, cols] = block_gain = oracle_gain(noisy_spec, clean_spec, fb)
         else:
-            block_gain = oracle_gain(noisy_spec, clean_spec, fb)
-            gain_map[:, cols] = block_gain
+            block_gain = gain_map[:, cols]
+        strength_map[:, cols] = block_strength
         out = noisy_spec * block_gain
         out[:, combed] = blend(combed_spec, filtered_spec, block_strength[:, combed],
                                block_gain[:, combed], blend_cfg)

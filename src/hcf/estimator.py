@@ -19,7 +19,6 @@ multiple-of-T dip scores just as well. The unvoiced slot scores
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,6 @@ BLOCK_FRAMES = 128
 @dataclass(frozen=True)
 class EstimatorConfig:
     yin_threshold: float = 0.15
-    window: Optional[int] = None
     transition_width: float = 8.0
     voicing_prior: float = 0.5
     switch_cost: float = 2.0
@@ -60,16 +58,11 @@ class EstimatorConfig:
         if not self.switch_cost >= 0.0:
             raise ValueError("switch_cost must be nonnegative")
 
-    def analysis_window(self, grid: F0Grid) -> int:
-        """Window length in samples; defaults to twice the longest period."""
-        t_max = int(grid.rounded_periods().max())
-        if self.window is None:
-            return 2 * t_max
-        if self.window < 2 * t_max:
-            raise ValueError(
-                f"window {self.window} shorter than 2*T_max = {2 * t_max}"
-            )
-        return int(self.window)
+
+def analysis_window(grid: F0Grid) -> int:
+    """Analysis window in samples: twice the longest period, so that YIN
+    integrates over at least the longest lag it compares."""
+    return 2 * int(grid.rounded_periods().max())
 
 
 def yin_difference(x: np.ndarray, w_len: int, tau_max: int) -> np.ndarray:
@@ -287,7 +280,7 @@ class TrackEstimate:
     def __init__(self, buffer: AudioBuffer, grid: F0Grid, cfg: EstimatorConfig,
                  frame_cfg: FrameConfig):
         self._x, self._hop = buffer.samples, frame_cfg.hop_size
-        self._window = cfg.analysis_window(grid)
+        self._window = analysis_window(grid)
         self._offset = (frame_cfg.frame_size - self._window) // 2
         n_frames = frame_cfg.n_frames(self._x.shape[0])
         self._grid, self._cfg = grid, cfg

@@ -35,10 +35,6 @@ class MelFilterbank:
     centers_hz: np.ndarray
 
     @property
-    def n_bands(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def n_bins(self) -> int:
         return self.weights.shape[1]
 

@@ -92,10 +92,12 @@ def total_loss(se: float, pitch: float, cfg: LossConfig = LossConfig()) -> float
 
 
 def sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
-    """Scale-invariant signal-to-distortion ratio in dB, capped at +100.
+    """Scale-invariant signal-to-distortion ratio in dB, capped at +-100.
 
     The estimate is projected onto the reference with a least-squares
-    scalar, so sdr is unchanged by positive rescaling of the estimate.
+    scalar, so sdr is unchanged by positive rescaling of the estimate. An
+    estimate with no component along the reference, silent or orthogonal,
+    scores the floor -100; one with no distortion scores the ceiling +100.
     """
     s = reference.samples
     y = estimate.samples
@@ -108,9 +110,11 @@ def sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
     target = beta * s
     distortion = np.dot(target - y, target - y)
     signal = np.dot(target, target)
-    if distortion <= 0.0 or signal / distortion > 10.0 ** (SDR_CAP_DB / 10.0):
+    if signal <= 0.0:
+        return -SDR_CAP_DB
+    if distortion <= 0.0:
         return SDR_CAP_DB
-    return float(10.0 * np.log10(signal / distortion))
+    return float(np.clip(10.0 * np.log10(signal / distortion), -SDR_CAP_DB, SDR_CAP_DB))
 
 
 def snr(reference: AudioBuffer, estimate: AudioBuffer) -> float:

@@ -16,7 +16,7 @@ time pitch posterior, the oracle for the batched one in ``hcf.estimator``.
 
 import numpy as np
 
-from hcf.estimator import PICK_BUMP
+from hcf.estimator import PICK_BUMP, analysis_window
 from hcf.grid import nearest_period_index
 
 
@@ -165,7 +165,7 @@ def _yin_posterior_py(x, grid, cfg):
 
 def _track_posteriors_py(x, grid, cfg, frame_cfg):
     """Per-frame posteriors, each window copied out of the zero-extended signal."""
-    window = cfg.analysis_window(grid)
+    window = analysis_window(grid)
     offset = (frame_cfg.frame_size - window) // 2
     n_frames = frame_cfg.n_frames(x.shape[0])
     posteriors = np.empty((n_frames, grid.label_size))

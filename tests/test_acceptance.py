@@ -128,7 +128,6 @@ def test_05_grid_constants(grid, bank):
     assert grid.size == 225
     assert grid.unvoiced_index == 225
     assert grid.label_size == 226
-    assert bank.kernel_length == 1537
     assert bank.weights.shape == (226, 1, 1537, 1)
 
 

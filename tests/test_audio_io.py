@@ -28,7 +28,7 @@ class TestAudioBuffer:
     def test_basic_fields(self):
         buf = hcf.AudioBuffer(np.zeros(480))
         assert len(buf) == 480
-        assert buf.duration == pytest.approx(0.01)
+        assert len(buf) / hcf.PIPELINE_RATE == pytest.approx(0.01)
         assert buf.samples.dtype == np.float64
 
     def test_rejects_non_finite(self):

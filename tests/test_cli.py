@@ -64,7 +64,7 @@ class TestUsage:
 #: Options each subcommand declares; any other flag is a usage error.
 _FRAME = {"--frame-size", "--hop"}
 _GRID = {"--f-min", "--f-max", "--grid-size"}
-_ESTIMATOR = {"--threshold", "--window", "--transition-width", "--voicing-prior", "--switch-cost"}
+_ESTIMATOR = {"--threshold", "--transition-width", "--voicing-prior", "--switch-cost"}
 DECLARED = {
     "enhance": {"--clean", "--gain", "--strength", "--f0", "--rescale", "--diag", "--bits",
                 *_FRAME, *_GRID, "--order", *_ESTIMATOR},

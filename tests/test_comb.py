@@ -33,7 +33,6 @@ class TestBuildBank:
 
     def test_weight_tensor_shape(self, bank):
         assert bank.weights.shape == (226, 1, 1537, 1)
-        assert bank.kernel_length == 1537
 
     def test_shortest_period_row_positions(self, bank):
         # candidate 224 has period 96; taps sit at center +/- 96

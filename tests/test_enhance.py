@@ -10,7 +10,7 @@ import pytest
 import hcf
 from hcf.cli import main
 from hcf.enhance import BLOCK_FRAMES
-from hcf.estimator import BLOCK_FRAMES as POSTERIOR_BLOCK, _posteriors
+from hcf.estimator import BLOCK_FRAMES as POSTERIOR_BLOCK, _posteriors, analysis_window
 from hcf.errors import ShapeError
 from hcf.helper import AHEAD, overlap
 
@@ -254,26 +254,36 @@ class TestEnhance:
         if voiced.any():
             assert np.all(result.strength[:, voiced] == 0.25)
 
-    def test_mel_filterbank_built_only_for_oracle_gain(self, grid, monkeypatch, rng):
+    def test_given_maps_never_build_the_mel_filterbank(self, monkeypatch, rng):
         def unexpected(*args, **kwargs):
-            raise AssertionError("mel filterbank built without an oracle gain")
+            raise AssertionError("mel filterbank built for given maps")
 
         # hcf.enhance is the re-exported function; patch the module it comes from
         module = importlib.import_module("hcf.enhance")
         monkeypatch.setattr(module, "build_mel_filterbank", unexpected)
         x = rng.standard_normal(4800)
         n_frames = hcf.FrameConfig().n_frames(x.size)
-        hcf.enhance(
-            buffer(x), clean=buffer(x), track=all_unvoiced_track(n_frames, grid),
-            gain=1.0, strength="oracle",
-        )
+        hcf.enhance(buffer(x), track=all_voiced_track(n_frames), gain=0.5, strength=1.0)
 
-    def test_oracle_requires_clean(self, rng):
-        x = rng.standard_normal(9600)
-        with pytest.raises(ValueError, match="clean"):
-            hcf.enhance(buffer(x), gain="oracle", strength=0.0)
-        with pytest.raises(ValueError, match="clean"):
-            hcf.enhance(buffer(x), gain=1.0, strength="oracle")
+    @pytest.mark.parametrize(
+        "sources",
+        [{}, {"gain": 1.0}, {"strength": 0.0}, {"clean": True, "gain": 1.0},
+         {"clean": True, "strength": 0.0}, {"clean": True, "gain": 1.0, "strength": 0.0}],
+        ids=["none", "gain_only", "strength_only", "clean_and_gain", "clean_and_strength",
+             "clean_and_both"],
+    )
+    def test_exactly_one_map_source(self, rng, sources):
+        x = buffer(rng.standard_normal(9600))
+        if sources.pop("clean", False):
+            sources["clean"] = x
+        with pytest.raises(ValueError, match="clean.*gain and strength"):
+            hcf.enhance(x, **sources)
+
+    @pytest.mark.parametrize("name", ["gain", "strength"])
+    def test_string_map_rejected(self, rng, name):
+        maps = {"gain": 1.0, "strength": 0.0, name: "oracle"}
+        with pytest.raises(ValueError, match=f"{name} map"):
+            hcf.enhance(buffer(rng.standard_normal(9600)), **maps)
 
     def test_clean_length_mismatch(self, rng):
         x = rng.standard_normal(9600)
@@ -403,7 +413,7 @@ def serial_oracle_enhance(noisy, clean, bank, counter):
     ``BLOCK_FRAMES`` frames in turn. Returns (audio, track, posteriors, strength, gain).
     """
     grid, cfg, est_cfg = bank.grid, hcf.FrameConfig(), hcf.EstimatorConfig()
-    window = est_cfg.analysis_window(grid)
+    window = analysis_window(grid)
     n_frames = cfg.n_frames(len(noisy))
     offset = (cfg.frame_size - window) // 2
     windows = hcf.framing.windows(noisy.samples, n_frames, cfg.hop_size, offset, window)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import hcf
-from hcf.estimator import BLOCK_FRAMES, Decoder, _posteriors, transition_weights
+from hcf.estimator import BLOCK_FRAMES, Decoder, _posteriors, analysis_window, transition_weights
 from hcf.framing import windows
 
 from reference_kernels import _track_posteriors_py
@@ -23,14 +23,10 @@ CFG = hcf.EstimatorConfig()
 class TestConfig:
     def test_defaults(self, grid):
         assert CFG.yin_threshold == 0.15
-        assert CFG.analysis_window(grid) == 1536
+        assert analysis_window(grid) == 1536
         assert CFG.transition_width == 8.0
         assert CFG.voicing_prior == 0.5
         assert CFG.switch_cost == 2.0
-
-    def test_window_floor_enforced(self, grid):
-        with pytest.raises(ValueError):
-            hcf.EstimatorConfig(window=1000).analysis_window(grid)
 
     def test_threshold_range(self):
         with pytest.raises(ValueError):
@@ -220,20 +216,20 @@ class TestBatchedPosterior:
     """Batched posteriors against the one-window-at-a-time reference."""
 
     @pytest.mark.parametrize(
-        "x, cfg, frame_cfg",
+        "x, frame_cfg",
         [
-            (_voiced_in_noise(0.4, 1), CFG, hcf.FrameConfig()),
-            (_voiced_in_noise(0.4, 2), hcf.EstimatorConfig(window=2000), hcf.FrameConfig()),
-            (_voiced_in_noise(0.3, 3), hcf.EstimatorConfig(window=1600), hcf.FrameConfig(hop_size=192)),
-            (tone(200.0, 1000 / 48000), CFG, hcf.FrameConfig()),
-            (np.array([0.3]), CFG, hcf.FrameConfig()),
-            (_silence_gaps(), CFG, hcf.FrameConfig()),
+            (_voiced_in_noise(0.4, 1), hcf.FrameConfig()),
+            (_voiced_in_noise(0.4, 2), hcf.FrameConfig(frame_size=2048, hop_size=512)),
+            (_voiced_in_noise(0.3, 3), hcf.FrameConfig(frame_size=1024, hop_size=256)),
+            (tone(200.0, 1000 / 48000), hcf.FrameConfig()),
+            (np.array([0.3]), hcf.FrameConfig()),
+            (_silence_gaps(), hcf.FrameConfig()),
         ],
-        ids=["default", "window2000", "window1600_hop192", "shorter_than_window", "one_sample", "silence_gaps"],
+        ids=["default", "frame2048_hop512", "frame1024_hop256", "shorter_than_window", "one_sample", "silence_gaps"],
     )
-    def test_matches_reference(self, grid, x, cfg, frame_cfg):
-        _, posteriors = hcf.estimate_track(buffer(x), grid, cfg, frame_cfg)
-        expected = _track_posteriors_py(x, grid, cfg, frame_cfg)
+    def test_matches_reference(self, grid, x, frame_cfg):
+        _, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+        expected = _track_posteriors_py(x, grid, CFG, frame_cfg)
         assert posteriors.shape == expected.shape == (frame_cfg.n_frames(x.size), grid.label_size)
         np.testing.assert_allclose(posteriors, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(np.argmax(posteriors, axis=1), np.argmax(expected, axis=1))
@@ -241,7 +237,7 @@ class TestBatchedPosterior:
     def test_digital_silence_is_unvoiced_one_hot(self, grid):
         x = _silence_gaps()
         _, posteriors = hcf.estimate_track(buffer(x), grid, CFG)
-        window = CFG.analysis_window(grid)
+        window = analysis_window(grid)
         starts = np.arange(posteriors.shape[0]) * 384 + (1536 - window) // 2
         gap = int(0.15 * 48000)
         tone_len = int(0.2 * 48000)
@@ -264,7 +260,7 @@ class TestPipelinedEstimate:
         assert frame_cfg.n_frames(x.size) == n_frames
         track, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
 
-        window = CFG.analysis_window(grid)
+        window = analysis_window(grid)
         frames = windows(x, n_frames, 384, (1536 - window) // 2, window)
         serial = np.concatenate([
             _posteriors(frames[lo:lo + BLOCK_FRAMES], grid, CFG)

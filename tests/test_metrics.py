@@ -149,6 +149,22 @@ class TestSdr:
         b = hcf.sdr(buffer(s), buffer(7.5 * y))
         assert a == pytest.approx(b, abs=1e-9)
 
+    def test_silent_estimate_hits_floor(self, rng):
+        # its projection is 0: silent, not perfect
+        s = buffer(rng.standard_normal(4096))
+        assert hcf.sdr(s, buffer(np.zeros(4096))) == -100.0
+
+    def test_orthogonal_estimate_hits_floor(self, rng):
+        s = np.zeros(4096)
+        s[:2048] = rng.standard_normal(2048)
+        y = np.zeros(4096)
+        y[2048:] = rng.standard_normal(2048)  # disjoint support: exactly orthogonal
+        assert hcf.sdr(buffer(s), buffer(y)) == -100.0
+        # a sine against a cosine of whole periods: orthogonal up to rounding
+        t = np.arange(4800)
+        sine, cosine = np.sin(2 * np.pi * t / 480), np.cos(2 * np.pi * t / 480)
+        assert hcf.sdr(buffer(sine), buffer(cosine)) == -100.0
+
     def test_zero_reference_rejected(self, rng):
         y = buffer(rng.standard_normal(64))
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ or both maps given (scalars, arrays, files), so the pipeline runs and is
 testable without any trained model.
 """
 
-from .audio import AudioBuffer, PIPELINE_RATE, WriteReport, read_wav, write_wav
+from .audio import AudioBuffer, PIPELINE_RATE, read_wav, write_wav
 from .comb import (
     CombFilterBank,
     MacCounter,
@@ -79,7 +79,6 @@ __all__ = [
     "PIPELINE_RATE",
     "ShapeError",
     "VerificationError",
-    "WriteReport",
     "asym_mse",
     "bce_loss",
     "blend",

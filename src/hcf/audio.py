@@ -42,25 +42,19 @@ class AudioBuffer:
         return self.samples.size
 
 
-@dataclass
-class WriteReport:
-    """What :func:`write_wav` did to out-of-range samples."""
-
-    clipped: int = 0
-
-
 def read_wav(path) -> AudioBuffer:
     """Read a 48 kHz RIFF/WAVE file into a mono :class:`AudioBuffer`.
 
-    Integer PCM is scaled by 1 / 2^(bits-1); float32 data is clamped to
-    [-1, 1]. Multichannel files are averaged to mono.
+    Integer PCM is scaled by 1 / 2^(bits-1); finite float32 data is clamped
+    to [-1, 1]. Multichannel files are averaged to mono.
 
     Raises
     ------
     AudioFormatError
         If the header is malformed or the data chunk is empty or ends in a
         partial sample frame (message names the byte offset), the encoding
-        is unsupported, or the sample rate is not 48000 Hz.
+        is unsupported, a float sample is NaN or infinite, or the sample
+        rate is not 48000 Hz.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -116,8 +110,6 @@ def read_wav(path) -> AudioBuffer:
     samples = _decode_samples(raw, audio_format, bits)
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    if samples.size and not np.all(np.isfinite(samples)):
-        raise AudioFormatError("data chunk contains non-finite float samples")
     return AudioBuffer(samples)
 
 
@@ -146,6 +138,8 @@ def _decode_samples(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
         if bits != 32:
             raise AudioFormatError(f"float WAV must be 32-bit, got {bits}")
         out = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(out)):
+            raise AudioFormatError("data chunk contains non-finite float samples")
         return np.clip(out, -1.0, 1.0)
     if bits == 16:
         return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
@@ -159,11 +153,11 @@ def _decode_samples(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
     raise AudioFormatError(f"unsupported PCM bit depth {bits}")
 
 
-def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> WriteReport:
+def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> int:
     """Write ``buffer`` as a little-endian WAV file at ``PIPELINE_RATE``.
 
     ``bit_depth`` is one of 16, 24, or "float32". Samples outside [-1, 1]
-    are clamped; the returned report carries the clip count.
+    are clamped; returns how many were.
     """
     samples = buffer.samples
     if samples.size and not np.all(np.isfinite(samples)):
@@ -208,4 +202,4 @@ def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> WriteReport:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-    return WriteReport(clipped=clipped)
+    return clipped

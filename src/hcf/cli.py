@@ -164,10 +164,10 @@ def _cmd_enhance(args) -> int:
         est_cfg=_estimator_cfg(args),
         bank=bank,
     )
-    report = write_wav(result.audio, args.out, bit_depth=args.bits)
+    clipped = write_wav(result.audio, args.out, bit_depth=args.bits)
     print(f"enhanced {args.noisy} -> {args.out} ({len(result.track)} frames)")
-    if report.clipped:
-        print(f"clipped {report.clipped} samples on write", file=sys.stderr)
+    if clipped:
+        print(f"clipped {clipped} samples on write", file=sys.stderr)
     if clean is not None:
         snr_in = snr(clean, noisy)
         snr_out = snr(clean, result.audio)

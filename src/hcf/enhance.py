@@ -25,7 +25,7 @@ from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_i
 from .errors import ShapeError
 from .estimator import EstimatorConfig, TrackEstimate
 from .framing import FrameConfig, OverlapAdd, stft, windows
-from .grid import F0Grid, F0Track
+from .grid import F0Grid, F0Track, track_from_indices
 from .helper import overlap
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
@@ -178,7 +178,7 @@ def enhance(
     est = None
     if track is None:
         est = TrackEstimate(noisy, grid, est_cfg, frame_cfg)
-        indices = est.indices
+        indices = est.decoder.indices
     else:
         _check_track(track, n_frames, grid.label_size)
         indices = track.indices
@@ -237,7 +237,7 @@ def enhance(
 
     def settle(rows):
         """Decode a posterior block; return how many post-track blocks are settled."""
-        settled = est.decode(rows)
+        settled = est.decoder.feed(rows)
         return n_blocks if settled == n_frames else settled // BLOCK_FRAMES
 
     def emit(result):
@@ -250,7 +250,7 @@ def enhance(
         overlap(n_blocks=n_blocks, run=run_block, emit=emit)
     else:
         overlap(est.starts, est.posterior_block, settle, n_blocks, run_block, emit)
-        track = est.track()
+        track = track_from_indices(grid, indices)
 
     return EnhanceResult(
         audio=ola.finish(),

@@ -176,18 +176,21 @@ def transition_weights(grid_size: int, cfg: EstimatorConfig) -> np.ndarray:
 
 
 class Decoder:
-    """The Viterbi forward pass, fed posterior blocks in frame order.
+    """The Viterbi forward pass over ``n_frames`` frames, fed posterior blocks in order.
 
     Emissions are log posteriors clamped at 1e-8 so zero entries stay finite.
     A step where every move out of a voiced state scores below every move out
     of the unvoiced state U takes U as every state's predecessor without the
     dense add and argmax, with the same float operations, and settles the path
     up to the frame before: every survivor passes through U there (Forney's
-    path merging). :meth:`feed` and :meth:`finish` return the newly settled
-    stretch of the path, so the pieces joined are the whole best path.
+    path merging). Each settled stretch is backtracked into ``indices``; the
+    block holding the last frame settles the rest from the best final state.
+    A decoder for no frames, or fed past its ``n_frames``, raises ``ValueError``.
     """
 
-    def __init__(self, grid: F0Grid, cfg: EstimatorConfig):
+    def __init__(self, grid: F0Grid, cfg: EstimatorConfig, n_frames: int):
+        if n_frames < 1:
+            raise ValueError("no posterior frames to decode (empty input)")
         prior, n = cfg.voicing_prior, grid.label_size
         self._initial = np.empty(n)
         self._initial[:grid.size] = np.log(max(prior / grid.size, PRIOR_FLOOR))
@@ -200,22 +203,25 @@ class Decoder:
         self._cand = np.empty((n, n))
         self._best, self._flat = np.empty((2, n), dtype=np.intp)
         self._score = None
+        self.indices = np.empty(n_frames, dtype=np.int64)  # the track, final up to ``settled``
         self.frames = 0  # frames decoded
-        self.settled = 0  # frames whose state is final and returned
-        self._backs = []  # (first frame, backpointer rows) from frame ``settled`` on
+        self.settled = 0  # frames whose state is final
+        self._backs = []  # backpointer rows of frames ``settled`` on
 
-    def feed(self, block) -> np.ndarray:
-        """Decode a ``(n, N+1)`` block; return the path over the frames it settled."""
-        post = np.atleast_2d(np.asarray(block, dtype=np.float64))
-        n = len(self._into)
-        if post.shape[1] != n:
-            raise ValueError(f"posterior dimension {post.shape[1]} != grid label size {n}")
+    def feed(self, block) -> int:
+        """Decode a ``(n, N+1)`` block; return how many frames from the first are settled."""
+        post = np.asarray(block, dtype=np.float64)
+        n = self._unvoiced + 1
+        if post.ndim != 2 or post.shape[1] != n:
+            raise ValueError(f"posterior shape {post.shape} != (frames, grid label size {n})")
+        if self._cand is None or self.frames + len(post) > len(self.indices):
+            raise ValueError(f"decoder for {len(self.indices)} frames fed past the last one")
         emissions = np.log(np.maximum(post, EMISSION_FLOOR))
         u, top, score = self._unvoiced, self.top, self._score
         into, from_unvoiced, offsets = self._into, self._from_unvoiced, self._offsets
         cand, best, flat, stay = self._cand, self._best, self._flat, np.empty(n)
         back = np.full(emissions.shape, u, dtype=np.min_scalar_type(u))
-        self._backs.append((self.frames, back))
+        self._backs.extend(back)
         cut, first = None, 0
         if score is None and len(emissions):
             score, first = self._initial + emissions[0], 1
@@ -232,29 +238,22 @@ class Decoder:
             np.take(cand, flat, out=stay)
             np.add(stay, emissions[t], out=score)
         self._score = score
-        stop = self.settled if cut is None else self.frames + cut
+        if self.frames + len(emissions) == len(self.indices):
+            self._settle(len(self.indices), int(np.argmax(score)))
+            self._into = self._cand = None  # the (N+1, N+1) work arrays
+        elif cut is not None:
+            self._settle(self.frames + cut, u)
         self.frames += len(emissions)
-        return self._settle(stop, u)
+        return self.settled
 
-    def finish(self) -> np.ndarray:
-        """Settle the rest of the path; raises ``ValueError`` if no frame was fed."""
-        if self._score is None:
-            raise ValueError("viterbi_track got no posterior frames to decode (empty input)")
-        return self._settle(self.frames, int(np.argmax(self._score)))
-
-    def _settle(self, stop: int, state: int) -> np.ndarray:
-        """The path over frames ``[settled, stop)``, given its state at ``stop - 1``."""
-        lo = self.settled
-        path = np.empty(stop - lo, dtype=np.int64)
-        if not path.size:
-            return path
-        back = np.concatenate([b[max(lo - first, 0):] for first, b in self._backs])
-        path[-1] = state
+    def _settle(self, stop: int, state: int) -> None:
+        """Backtrack frames ``[settled, stop)`` into ``indices``, given the state at ``stop - 1``."""
+        lo, path, backs = self.settled, self.indices, self._backs
+        path[stop - 1] = state
         for t in range(stop - 1, lo, -1):
-            path[t - lo - 1] = back[t - lo, path[t - lo]]
-        self._backs = [(stop, back[stop - lo:])]
+            path[t - 1] = backs[t - lo][path[t]]
+        del backs[:stop - lo]
         self.settled = stop
-        return path
 
 
 def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
@@ -263,18 +262,18 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
     An input with no frames raises ``ValueError``. To decode posteriors block
     by block as they arrive, feed a :class:`Decoder`.
     """
-    decoder = Decoder(grid, cfg)
-    return track_from_indices(grid, np.concatenate([decoder.feed(posteriors), decoder.finish()]))
+    posteriors = np.atleast_2d(posteriors)
+    decoder = Decoder(grid, cfg, len(posteriors))
+    decoder.feed(posteriors)
+    return track_from_indices(grid, decoder.indices)
 
 
 class TrackEstimate:
     """:func:`estimate_track` as two chains of blocks, for a caller to overlap.
 
     ``posterior_block(lo)`` returns new posterior rows for the block of frames
-    starting at ``lo``, for each of ``starts``; ``decode``, fed those rows in
-    order, writes the newly settled frames of the track into ``indices`` and
-    returns how many frames from the first are settled (all of them after the
-    last block).
+    starting at ``lo``, for each of ``starts``; fed those rows in order,
+    ``decoder`` settles the track into ``decoder.indices``.
     """
 
     def __init__(self, buffer: AudioBuffer, grid: F0Grid, cfg: EstimatorConfig,
@@ -284,27 +283,14 @@ class TrackEstimate:
         self._offset = (frame_cfg.frame_size - self._window) // 2
         n_frames = frame_cfg.n_frames(self._x.shape[0])
         self._grid, self._cfg = grid, cfg
-        self._decoder = Decoder(grid, cfg)
+        self.decoder = Decoder(grid, cfg, n_frames)
         self.starts = range(0, n_frames, BLOCK_FRAMES)
-        self.indices = np.empty(n_frames, dtype=np.int64)
 
     def posterior_block(self, lo: int) -> np.ndarray:
-        n = min(BLOCK_FRAMES, len(self.indices) - lo)
+        n = min(BLOCK_FRAMES, self.starts.stop - lo)
         # the block's windows, zero-padded past the signal's ends like the whole track's
         frames = windows(self._x, n, self._hop, lo * self._hop + self._offset, self._window)
         return _posteriors(frames, self._grid, self._cfg)
-
-    def decode(self, rows: np.ndarray) -> int:
-        decoder, lo = self._decoder, self._decoder.settled
-        piece = decoder.feed(rows)
-        if decoder.frames == len(self.indices):
-            piece = np.concatenate([piece, decoder.finish()])
-            self._decoder = None  # its (N+1, N+1) work arrays are not needed past the last block
-        self.indices[lo:decoder.settled] = piece
-        return decoder.settled
-
-    def track(self) -> F0Track:
-        return track_from_indices(self._grid, self.indices)
 
 
 def estimate_track(
@@ -325,7 +311,7 @@ def estimate_track(
 
     def decode(rows):
         blocks.append(rows)
-        return est.decode(rows)
+        return est.decoder.feed(rows)
 
     overlap(est.starts, est.posterior_block, decode)
-    return est.track(), np.concatenate(blocks)
+    return track_from_indices(grid, est.decoder.indices), np.concatenate(blocks)

@@ -36,8 +36,8 @@ class F0Grid:
     periods: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 < self.f_min < self.f_max):
-            raise ValueError("require 0 < f_min < f_max")
+        if not (0 < self.f_min < self.f_max <= PIPELINE_RATE / 2):
+            raise ValueError(f"require 0 < f_min < f_max <= {PIPELINE_RATE // 2} Hz (Nyquist)")
         if self.size < 2:
             raise ValueError("need at least 2 candidates")
         t_max = PIPELINE_RATE / self.f_min

@@ -72,6 +72,15 @@ class TestReadWav:
         buf = hcf.read_wav(path)
         np.testing.assert_allclose(buf.samples, [0.5, -0.25, 1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_float32_non_finite_rejected(self, tmp_path, bad):
+        # checked before the clamp, which would turn an infinity into +-1
+        payload = struct.pack("<3f", 0.5, bad, -0.25)
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes(payload, fmt_code=3, bits=32))
+        with pytest.raises(AudioFormatError, match="non-finite"):
+            hcf.read_wav(path)
+
     def test_stereo_averaged(self, tmp_path):
         payload = struct.pack("<4h", 1000, 3000, -2000, -4000)
         path = tmp_path / "a.wav"
@@ -188,8 +197,7 @@ class TestWriteWav:
         x = np.clip(0.4 * rng.standard_normal(4800), -1.0, 1.0)
         buf = hcf.AudioBuffer(x)
         path = tmp_path / "out.wav"
-        report = hcf.write_wav(buf, path, bit_depth=depth)
-        assert report.clipped == 0
+        assert hcf.write_wav(buf, path, bit_depth=depth) == 0
         back = hcf.read_wav(path)
         assert len(back) == len(buf)
         assert np.abs(back.samples - x).max() <= tol
@@ -201,8 +209,7 @@ class TestWriteWav:
 
     def test_clipping_counted(self, tmp_path):
         x = np.array([0.0, 1.5, -2.0, 0.5])
-        report = hcf.write_wav(hcf.AudioBuffer(x), tmp_path / "a.wav", "16")
-        assert report.clipped == 2
+        assert hcf.write_wav(hcf.AudioBuffer(x), tmp_path / "a.wav", "16") == 2
         back = hcf.read_wav(tmp_path / "a.wav")
         assert back.samples.max() <= 1.0
         assert back.samples.min() >= -1.0

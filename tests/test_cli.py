@@ -120,6 +120,11 @@ class TestDeclaredFlags:
         assert main(["verify", "--duration", "0.1", "--tracks", "1", "--hop", "1536"]) == 2
         assert "frames overlap" in capsys.readouterr().err
 
+    def test_f_max_above_nyquist_is_a_usage_error(self, capsys):
+        # a period under 2 samples would round two comb taps onto one position
+        assert main(["verify", "--duration", "1", "--tracks", "1", "--f-max", "100000"]) == 2
+        assert "Nyquist" in capsys.readouterr().err
+
     def test_f0_rejects_zero_transition_width(self, tmp_path, capsys):
         path = tmp_path / "tone.wav"
         hcf.write_wav(buffer(tone(150.0, 0.2, amp=0.4)), path, bit_depth="float32")
@@ -144,6 +149,15 @@ class TestDataErrors:
         path.write_bytes(bytes(data) + b"\x00")
         assert main(["f0", str(path), str(tmp_path / "track.csv")]) == 3
         assert "sample frames" in capsys.readouterr().err
+
+    def test_infinite_float_sample_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "inf.wav"
+        hcf.write_wav(buffer(tone(150.0, 0.2, amp=0.4)), path, bit_depth="float32")
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f", data, 44 + 4 * 100, np.inf)  # sample 100, past the 44-byte header
+        path.write_bytes(bytes(data))
+        assert main(["f0", str(path), str(tmp_path / "track.csv")]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["f0", "metrics", "enhance", "metrics-silent-clean", "enhance-silent-clean"]

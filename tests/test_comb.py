@@ -451,14 +451,16 @@ class TestKernelParity:
         for trans in (transition_weights(grid.size, cfg), asymmetric):
             monkeypatch.setattr("hcf.estimator.transition_weights", lambda *_: trans)
             expected = _viterbi_py(emissions, trans, initial)
-            decoder = Decoder(grid, cfg)
+            decoder = Decoder(grid, cfg, len(post))
             assert decoder.top == trans[:grid.size].max()
-            pieces = [decoder.feed(post[:17]), decoder.feed(post[17:])]
+            settled = [decoder.feed(post[:17]), decoder.feed(post[17:-1])]
             # only a shortcut step settles frames before the last one is decoded
             assert 0 < decoder.settled < len(post)
-            assert sum(map(len, pieces)) == decoder.settled
-            path = np.concatenate(pieces + [decoder.finish()])
-            np.testing.assert_array_equal(path, expected)
+            assert settled[-1] == decoder.settled
+            np.testing.assert_array_equal(decoder.indices[:decoder.settled],
+                                          expected[:decoder.settled])
+            assert decoder.feed(post[-1:]) == len(post)
+            np.testing.assert_array_equal(decoder.indices, expected)
             np.testing.assert_array_equal(hcf.viterbi_track(post, grid, cfg).indices, expected)
 
     def test_yin_window_length_validated(self):

@@ -121,17 +121,41 @@ class TestViterbi:
         with pytest.raises(ValueError):
             hcf.viterbi_track(np.ones((4, 100)), grid, CFG)
 
-    @pytest.mark.parametrize("empty", ["array", "no blocks", "empty block"])
+    @pytest.mark.parametrize("empty", ["array", "decoder"])
     def test_empty_input_raises_value_error(self, grid, empty):
-        # a (0, N+1) array to viterbi_track; a Decoder finished with no frame fed
-        nothing, decoder = np.zeros((0, grid.label_size)), Decoder(grid, CFG)
-        if empty == "empty block":
-            assert decoder.feed(nothing).size == 0
+        # a (0, N+1) array to viterbi_track; a Decoder built for no frames
         with pytest.raises(ValueError, match="empty input"):
             if empty == "array":
-                hcf.viterbi_track(nothing, grid, CFG)
+                hcf.viterbi_track(np.zeros((0, grid.label_size)), grid, CFG)
             else:
-                decoder.finish()
+                Decoder(grid, CFG, 0)
+
+    def test_overfeeding_raises(self, grid, rng):
+        post = rng.uniform(1e-6, 1.0, size=(10, grid.label_size))
+        decoder = Decoder(grid, CFG, 6)
+        settled = decoder.feed(post[:4])
+        with pytest.raises(ValueError, match="past the last"):
+            decoder.feed(post[4:])  # 4 + 6 frames into a decoder for 6
+        assert (decoder.frames, decoder.settled) == (4, settled)  # the refused block left no trace
+        assert decoder.feed(post[4:6]) == 6
+        for block in (post[6:7], post[6:6]):  # nothing, not even 0 rows, after the last frame
+            with pytest.raises(ValueError, match="past the last"):
+                decoder.feed(block)
+        np.testing.assert_array_equal(decoder.indices, hcf.viterbi_track(post[:6], grid, CFG).indices)
+
+    def test_work_arrays_released_after_the_last_frame(self, grid, rng):
+        post = rng.uniform(1e-6, 1.0, size=(5, grid.label_size))
+        decoder, n = Decoder(grid, CFG, len(post)), grid.label_size
+
+        def square_arrays():
+            return [k for k, v in vars(decoder).items()
+                    if isinstance(v, np.ndarray) and v.shape == (n, n)]
+
+        assert square_arrays()
+        decoder.feed(post[:3])
+        assert square_arrays()
+        assert decoder.feed(post[3:]) == len(post)
+        assert square_arrays() == []
 
     @pytest.mark.parametrize("n_frames", [1, 2, 4, 6])
     def test_matches_exhaustive_enumeration(self, n_frames, rng):
@@ -274,18 +298,19 @@ class TestPipelinedEstimate:
     def test_settled_prefixes_join_to_the_whole_decode(self, grid, block):
         _, posteriors = hcf.estimate_track(buffer(_silence_gaps()), grid, CFG)
         whole = hcf.viterbi_track(posteriors, grid, CFG).indices
-        decoder, pieces = Decoder(grid, CFG), []
-        for lo in range(0, len(posteriors), block):
-            pieces.append(decoder.feed(posteriors[lo:lo + block]))
-            settled = np.concatenate(pieces)
-            assert settled.size == decoder.settled <= decoder.frames == min(lo + block, len(whole))
-            assert settled.tobytes() == whole[:settled.size].tobytes()
-        assert 0 < decoder.settled < len(whole)  # the silences settle a prefix early
-        assert np.concatenate(pieces + [decoder.finish()]).tobytes() == whole.tobytes()
+        decoder, head = Decoder(grid, CFG, len(whole)), len(whole) - 1
+        for lo in range(0, head, block):  # every frame but the last
+            settled = decoder.feed(posteriors[lo:min(lo + block, head)])
+            assert settled == decoder.settled <= decoder.frames == min(lo + block, head)
+            assert decoder.indices[:settled].tobytes() == whole[:settled].tobytes()
+        assert 0 < decoder.settled < head  # the silences settle a prefix early
+        assert decoder.feed(posteriors[head:]) == len(whole)  # the last frame settles the rest
+        assert decoder.indices.tobytes() == whole.tobytes()
 
     def test_decodes_uneven_blocks_like_the_whole_array(self, grid, rng):
         post = rng.uniform(1e-6, 1.0, size=(300, grid.label_size))
         whole = hcf.viterbi_track(post, grid, CFG)
-        decoder = Decoder(grid, CFG)
-        pieces = [decoder.feed(block) for block in (post[:1], post[1:1], post[1:120], post[120:])]
-        np.testing.assert_array_equal(np.concatenate(pieces + [decoder.finish()]), whole.indices)
+        decoder = Decoder(grid, CFG, len(post))
+        settled = [decoder.feed(block) for block in (post[:1], post[1:1], post[1:120], post[120:])]
+        assert settled[-1] == decoder.settled == len(post)
+        np.testing.assert_array_equal(decoder.indices[:decoder.settled], whole.indices)

@@ -37,6 +37,16 @@ class TestGridConstants:
         with pytest.raises(ValueError):
             hcf.F0Grid(size=1)
 
+    def test_f_max_at_nyquist_keeps_every_tap(self):
+        bank = hcf.build_bank(hcf.F0Grid(f_max=hcf.PIPELINE_RATE / 2))
+        assert bank.rounded_periods.min() == 2
+        voiced = bank.weights[:-1, 0, :, 0]
+        np.testing.assert_array_equal(np.count_nonzero(voiced, axis=1), 3)
+
+    def test_f_max_above_nyquist_rejected(self):
+        with pytest.raises(ValueError, match="Nyquist"):
+            hcf.F0Grid(f_max=24000.5)
+
     def test_equal_grids_compare_equal(self, grid):
         assert hcf.F0Grid() == grid
         assert hcf.F0Grid(f_min=62.5, f_max=500.0, size=225) == grid

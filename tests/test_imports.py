@@ -1,12 +1,15 @@
 """Every name a module of ``src/hcf`` imports is used in that module.
 
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is checked apart: it imports names to re-export them, so
+they must be exactly the names of ``hcf.__all__``.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import hcf
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hcf"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -35,3 +38,11 @@ def test_checker_finds_an_unused_import():
 def test_module_uses_every_import(module):
     assert MODULES  # the package was found
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert len(hcf.__all__) == len(set(hcf.__all__))
+    assert sorted(imported) == sorted(hcf.__all__)

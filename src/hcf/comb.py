@@ -140,7 +140,10 @@ def _fill_rows(out: np.ndarray, rows: np.ndarray, frames_first: np.ndarray, lo: 
 
 
 def filter_all_candidates(
-    bank: CombFilterBank, chunks: np.ndarray, counter: Optional[MacCounter] = None
+    bank: CombFilterBank,
+    chunks: np.ndarray,
+    counter: Optional[MacCounter] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Run every candidate filter over every frame.
 
@@ -152,12 +155,20 @@ def filter_all_candidates(
     The rows are filled in ``ROW_BLOCKS`` blocks, shared between the calling
     thread and one helper thread (see :func:`hcf.helper.overlap`); each block
     writes only its own rows of the one tensor.
+
+    ``out``, if given, is that tensor in its frames-first fill layout: a
+    C-contiguous float64 (N+1, n_frames, frame) array, wholly overwritten;
+    the result is then a view of it. Anything else raises ``ShapeError``.
     """
     frame = _check_chunks(bank, chunks)
     rows = bank.weights[:, 0, :, 0]
     frames_first = chunks.T
     n_rows = rows.shape[0]
-    out = np.empty((n_rows, chunks.shape[1], frame))
+    shape = (n_rows, chunks.shape[1], frame)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be C-contiguous float64 {shape}, got {out.dtype} {out.shape}")
     per_block = -(-n_rows // ROW_BLOCKS)
     starts = range(0, n_rows, per_block)
 

@@ -252,6 +252,26 @@ class TestVerify:
         inference = 3 * 1536 * voiced  # three taps per voiced frame, per track
         assert ratio == pytest.approx(parallel / inference, rel=1e-5)
 
+    def test_golden_line(self, capsys):
+        # elementwise float operations only, so the line does not depend on BLAS
+        assert main(["verify", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "max_dev=2.220e-16 frames=250 tracks=10 mac_ratio=22.642\n"
+        )
+
+    def test_every_block_refills_one_buffer(self, capsys, monkeypatch):
+        real, outs = hcf.cli.filter_all_candidates, []
+
+        def recording(bank, chunks, counter=None, out=None):
+            outs.append(out)
+            return real(bank, chunks, counter, out)
+
+        monkeypatch.setattr(hcf.cli, "filter_all_candidates", recording)
+        assert main(["verify", "--duration", "0.3", "--tracks", "2"]) == 0
+        assert "frames=38" in capsys.readouterr().out
+        assert [out.shape for out in outs] == [(226, 32, 1536), (226, 6, 1536)]
+        assert all(np.shares_memory(out, outs[0]) for out in outs[1:])
+
     def test_tolerance_breach_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr("hcf.cli.VERIFY_TOLERANCE", -1.0)
         code = main(["verify", "--duration", "0.2", "--tracks", "1"])

@@ -297,15 +297,17 @@ class TestThreadedCandidates:
         assert counter.parallel == (bank.grid.size * taps_per_row + 1) * 16 * 3
 
     def test_empty_weight_row_filters_to_zero(self, rng):
-        # the tensor is not zeroed up front, so a row with no weight is written as zeros
+        # the tensor is not zeroed up front, so a row with no weight is written as zeros,
+        # also into a dirty reused buffer
         bank = hcf.build_bank(desk_grid())
-        weights = bank.weights.copy()
-        weights[2] = 0.0
+        faulty = dataclasses.replace(bank, weights=bank.weights.copy())
+        faulty.weights[2] = 0.0
         chunks = _strided_chunks(bank, rng)
-        got = hcf.filter_all_candidates(dataclasses.replace(bank, weights=weights), chunks)
-        np.testing.assert_array_equal(got[2], 0.0)
         kept = [0, 1, 3, 4, 5]
-        np.testing.assert_array_equal(got[kept], hcf.filter_all_candidates(bank, chunks)[kept])
+        for out in (None, np.full((6, 3, 16), np.nan)):
+            got = hcf.filter_all_candidates(faulty, chunks, out=out)
+            np.testing.assert_array_equal(got[2], 0.0)
+            np.testing.assert_array_equal(got[kept], hcf.filter_all_candidates(bank, chunks)[kept])
 
     def test_helper_block_exception_reaches_the_caller(self, rng, monkeypatch):
         bank = hcf.build_bank(hcf.F0Grid())
@@ -343,6 +345,37 @@ class TestThreadedCandidates:
         assert main(["verify", "--duration", "0.2", "--tracks", "1"]) == 3
         assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert threading.active_count() == before
+
+
+class TestCandidateOut:
+    """``out=`` takes the tensor in its frames-first fill layout, so one buffer
+    can be refilled block after block."""
+
+    @pytest.mark.parametrize("make_out", [
+        lambda returned: np.empty((6, 4, 16)),
+        lambda returned: np.empty((6, 3, 16), dtype=np.float32),
+        lambda returned: np.empty((6, 3, 32))[:, :, ::2],
+        lambda returned: returned,  # (N+1, frame, n_frames), as the route returns it
+    ], ids=["wrong-shape", "float32", "non-contiguous", "returned-orientation"])
+    def test_rejects_anything_but_the_fill_layout(self, rng, make_out):
+        bank = hcf.build_bank(desk_grid())
+        chunks = _strided_chunks(bank, rng)
+        out = make_out(hcf.filter_all_candidates(bank, chunks))
+        with pytest.raises(ShapeError, match="out must be"):
+            hcf.filter_all_candidates(bank, chunks, out=out)
+
+    def test_refilled_buffer_matches_a_fresh_fill_bit_for_bit(self, rng):
+        bank = hcf.build_bank(hcf.F0Grid())
+        n_rows, frame = bank.grid.size + 1, 16
+        buffer = np.empty(n_rows * 5 * frame)
+        # a full block, then a shorter trailing one in a prefix view of the same buffer
+        for n_frames in (5, 2):
+            chunks = _strided_chunks(bank, rng, frame=frame, n_frames=n_frames)
+            buffer[:] = np.nan  # any entry the fill skipped would stay NaN
+            out = buffer[:n_rows * n_frames * frame].reshape(n_rows, n_frames, frame)
+            got = hcf.filter_all_candidates(bank, chunks, out=out)
+            assert np.shares_memory(got, out)
+            assert got.tobytes() == hcf.filter_all_candidates(bank, chunks).tobytes()
 
 
 class TestFrequencyResponse:

@@ -32,7 +32,7 @@ from .metrics import LossConfig, sdr, se_loss, snr
 
 VERIFY_TOLERANCE = 1e-8
 
-#: Frames per block in ``verify``; bounds its one (N+1, frames, frame) candidate tensor.
+#: Frames per block in ``verify``; bounds its one buffer of (N+1) filtered block spans.
 VERIFY_BLOCK_FRAMES = 32
 
 
@@ -266,15 +266,16 @@ def _cmd_verify(args) -> int:
     tracks = [rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)]
 
     max_dev, macs = 0.0, MacCounter()
-    # one candidate tensor that every block refills (the last one a prefix of it):
-    # a fresh one per block would be faulted in and zeroed again each time
+    # one buffer of filtered block spans that every block refills (the last one a
+    # prefix of it): a fresh one per block would be faulted in and zeroed again each time
     n_rows, frame = len(bank.weights), frame_cfg.frame_size
-    buffer = np.empty(n_rows * min(VERIFY_BLOCK_FRAMES, n_frames) * frame)
+    buffer = np.empty(n_rows * ((min(VERIFY_BLOCK_FRAMES, n_frames) - 1) * hop + frame))
     for lo in range(0, n_frames, VERIFY_BLOCK_FRAMES):
         n = min(VERIFY_BLOCK_FRAMES, n_frames - lo)
         # this block's chunks only: a view of a padded copy of its own span
         block = windows(samples, n, hop, lo * hop - pad, frame + 2 * pad).T
-        out = buffer[:n_rows * n * frame].reshape(n_rows, n, frame)
+        span = (n - 1) * hop + frame
+        out = buffer[:n_rows * span].reshape(n_rows, span)
         all_candidates = filter_all_candidates(bank, block, macs, out)
         for indices in tracks:
             track = track_from_indices(grid, indices[lo:lo + VERIFY_BLOCK_FRAMES])

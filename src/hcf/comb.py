@@ -9,12 +9,15 @@ The rows live in a sparse weight tensor of shape ``(N+1, 1, K, 1)`` with
 Two routes produce filtered frames:
 
 * ``filter_all_candidates`` runs every row over every frame (the reference
-  route, one output per candidate) followed by ``select_candidate``;
+  route, one output per candidate) followed by ``select_candidate``. Each
+  candidate is a time-invariant FIR, so it filters the signal the chunks
+  were cut from once per row and returns the frames as a strided view;
 * ``filter_inference`` computes only each frame's selected candidate from
   shifted chunk slices.
 
 They agree to float64 round-off; ``MacCounter`` tallies the multiply-add
-cost of each route so the gap is measurable, not anecdotal.
+cost of each route, by its per-frame definition, so the gap is measurable,
+not anecdotal.
 """
 
 from __future__ import annotations
@@ -23,21 +26,22 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
 from .grid import F0Grid, F0Track
-from .helper import overlap
 
 TAP_TOL = 1e-9
-
-#: Blocks of rows that ``filter_all_candidates`` shares between two threads.
-ROW_BLOCKS = 8
 
 
 @dataclass
 class MacCounter:
-    """Tally of multiply-add operations actually performed per route."""
+    """Multiply-adds per route, each counted by its per-frame definition.
+
+    ``parallel`` is ``nonzero_taps * frame * n_frames``, although the span
+    fill computes each sample that frames share only once.
+    """
 
     parallel: int = 0
     inference: int = 0
@@ -120,22 +124,39 @@ def _check_track(track: F0Track, n_frames: int, n_rows: int) -> None:
         raise ShapeError(f"track indices must lie in [0, {n_rows - 1}]")
 
 
-def _fill_rows(out: np.ndarray, rows: np.ndarray, frames_first: np.ndarray, lo: int, hi: int):
-    """Write candidate rows ``lo .. hi - 1`` of ``out``, one pass per nonzero weight.
+def _signal(chunks: np.ndarray):
+    """The signal and hop whose windows ``signal[t*hop:][:C]`` are the columns.
 
-    A row's first nonzero weight writes it; each later one is multiplied into
-    one product buffer and added, in weight order.
+    The pipeline's chunks, overlapping strided columns of one buffer, are
+    read in place; any other layout is copied column after column, with the
+    hop equal to the chunk length ``C``.
     """
-    frame = out.shape[2]
-    product = np.empty(out.shape[1:])
-    for i in range(lo, hi):
-        row, js = out[i], np.flatnonzero(rows[i])
+    size, n_frames = chunks.shape
+    item = chunks.itemsize
+    hop, rest = divmod(chunks.strides[1], item)
+    # with no frames the span would be C - hop samples of an empty array
+    if n_frames and chunks.strides[0] == item and rest == 0 and 0 < hop <= size:
+        return as_strided(chunks, ((n_frames - 1) * hop + size,), (item,), writeable=False), hop
+    return np.ascontiguousarray(chunks.T).ravel(), size
+
+
+def _fill_rows(out: np.ndarray, rows: np.ndarray, signal: np.ndarray):
+    """Filter ``signal`` with every row of ``rows`` into ``out``, one pass per nonzero weight.
+
+    Row ``i`` of ``out`` is ``sum_j rows[i, j] * signal[j:j + L]``. Its first
+    nonzero weight writes it; each later one is multiplied into one product
+    buffer and added, in weight order.
+    """
+    span = out.shape[1]
+    product = np.empty(span)
+    for row, weights in zip(out, rows):
+        js = np.flatnonzero(weights)
         if js.size == 0:  # a hand-built bank's empty row
             row[...] = 0.0
             continue
-        np.multiply(rows[i, js[0]], frames_first[:, js[0]:js[0] + frame], out=row)
+        np.multiply(weights[js[0]], signal[js[0]:js[0] + span], out=row)
         for j in js[1:]:
-            np.multiply(rows[i, j], frames_first[:, j:j + frame], out=product)
+            np.multiply(weights[j], signal[j:j + span], out=product)
             row += product
 
 
@@ -152,33 +173,32 @@ def filter_all_candidates(
     row i of ``bank.weights`` at valid positions only, so this route checks
     the weight tensor itself. Row N is the untouched center slice.
 
-    The rows are filled in ``ROW_BLOCKS`` blocks, shared between the calling
-    thread and one helper thread (see :func:`hcf.helper.overlap`); each block
-    writes only its own rows of the one tensor.
+    Each row is a time-invariant FIR, so the rows filter the signal whose
+    windows are the chunks once, over its ``L = (n_frames - 1)*hop + frame``
+    output samples, and frame t is the read-only strided view
+    ``[:, t*hop : t*hop + frame]`` of those filtered signals. Every sample is
+    the same float operations, in the same order, as filtering frame t alone.
 
-    ``out``, if given, is that tensor in its frames-first fill layout: a
-    C-contiguous float64 (N+1, n_frames, frame) array, wholly overwritten;
-    the result is then a view of it. Anything else raises ``ShapeError``.
+    ``out``, if given, receives the filtered signals: a C-contiguous float64
+    (N+1, L) array, wholly overwritten, of which the result is a view.
+    Anything else raises ``ShapeError``.
     """
     frame = _check_chunks(bank, chunks)
+    n_frames = chunks.shape[1]
     rows = bank.weights[:, 0, :, 0]
-    frames_first = chunks.T
-    n_rows = rows.shape[0]
-    shape = (n_rows, chunks.shape[1], frame)
+    signal, hop = _signal(chunks)
+    shape = (rows.shape[0], (n_frames - 1) * hop + frame if n_frames else 0)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ShapeError(f"out must be C-contiguous float64 {shape}, got {out.dtype} {out.shape}")
-    per_block = -(-n_rows // ROW_BLOCKS)
-    starts = range(0, n_rows, per_block)
-
-    def fill_block(b):
-        _fill_rows(out, rows, frames_first, starts[b], min(starts[b] + per_block, n_rows))
-
-    overlap(n_blocks=len(starts), run=fill_block, emit=lambda _: None)
+    _fill_rows(out, rows, signal)
     if counter is not None:
-        counter.parallel += bank.nonzero_taps() * frame * chunks.shape[1]
-    return out.transpose(0, 2, 1)
+        counter.parallel += bank.nonzero_taps() * frame * n_frames
+    return as_strided(
+        out, (shape[0], frame, n_frames), (out.strides[0], out.itemsize, hop * out.itemsize),
+        writeable=False,
+    )
 
 
 def select_candidate(all_candidates: np.ndarray, track: F0Track) -> np.ndarray:

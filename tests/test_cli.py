@@ -269,7 +269,8 @@ class TestVerify:
         monkeypatch.setattr(hcf.cli, "filter_all_candidates", recording)
         assert main(["verify", "--duration", "0.3", "--tracks", "2"]) == 0
         assert "frames=38" in capsys.readouterr().out
-        assert [out.shape for out in outs] == [(226, 32, 1536), (226, 6, 1536)]
+        # 32 + 6 frames: each block's filtered span, (n - 1) * 384 + 1536 samples per row
+        assert [out.shape for out in outs] == [(226, 13440), (226, 3456)]
         assert all(np.shares_memory(out, outs[0]) for out in outs[1:])
 
     def test_tolerance_breach_exits_four(self, capsys, monkeypatch):

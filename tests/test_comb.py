@@ -1,6 +1,5 @@
 import dataclasses
 import importlib
-import sys
 import threading
 
 import numpy as np
@@ -10,6 +9,7 @@ import hcf
 from hcf.cli import VERIFY_TOLERANCE, main
 from hcf.errors import ShapeError
 from hcf.estimator import EMISSION_FLOOR, Decoder, transition_weights, yin_difference
+from hcf.framing import windows
 
 from helpers import periodic_tone
 from reference_kernels import (
@@ -256,39 +256,26 @@ def _strided_chunks(bank, rng, frame=16, n_frames=3):
     return hcf.chunk_signal(x, cfg, bank.pad)[:, first:first + n_frames]
 
 
-class TestThreadedCandidates:
-    """``filter_all_candidates`` fills fixed blocks of rows on the calling
-    thread and one helper thread, all into the one tensor."""
+def _span(n_frames, hop=4, frame=16):
+    """Samples in the filtered signals behind ``n_frames`` frames."""
+    return (n_frames - 1) * hop + frame
+
+
+class TestCandidateFill:
+    """``filter_all_candidates`` fills every row on the calling thread."""
 
     @pytest.mark.parametrize("make_bank", [
         lambda: hcf.build_bank(hcf.F0Grid()),  # 226 rows
-        lambda: hcf.build_bank(desk_grid()),  # 6 rows, fewer than the row blocks
+        lambda: hcf.build_bank(desk_grid()),  # 6 rows
         lambda: hcf.build_bank(hcf.F0Grid(), order=2),
         lambda: hcf.build_bank(hcf.F0Grid(), taps=[0.5, 0.0, 0.5]),  # rows start off center
     ], ids=["default", "desk", "order2", "zero-center-tap"])
-    def test_matches_reference_with_frequent_thread_switches(self, rng, make_bank, monkeypatch):
+    def test_matches_reference(self, rng, make_bank):
         bank = make_bank()
         chunks = _strided_chunks(bank, rng)
         assert np.shares_memory(chunks[:, 0], chunks[:, 1])
-        comb = importlib.import_module("hcf.comb")
-        real, filled = comb._fill_rows, []
-
-        def recording(out, rows, frames_first, lo, hi):
-            filled.append((lo, hi))
-            real(out, rows, frames_first, lo, hi)
-
-        monkeypatch.setattr(comb, "_fill_rows", recording)
-        counter, before = hcf.MacCounter(), threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, so a shared write would show
-        try:
-            got = hcf.filter_all_candidates(bank, chunks, counter)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        n_rows = bank.grid.size + 1
-        # each row is filled by exactly one block
-        assert sorted(r for lo, hi in filled for r in range(lo, hi)) == list(range(n_rows))
+        counter = hcf.MacCounter()
+        got = hcf.filter_all_candidates(bank, chunks, counter)
         periods = np.concatenate([bank.rounded_periods, [0]])
         np.testing.assert_array_equal(
             got.transpose(0, 2, 1), _comb_all_py(chunks.T, periods, bank.taps, bank.pad, 16)
@@ -297,66 +284,133 @@ class TestThreadedCandidates:
         assert counter.parallel == (bank.grid.size * taps_per_row + 1) * 16 * 3
 
     def test_empty_weight_row_filters_to_zero(self, rng):
-        # the tensor is not zeroed up front, so a row with no weight is written as zeros,
+        # the signals are not zeroed up front, so a row with no weight is written as zeros,
         # also into a dirty reused buffer
         bank = hcf.build_bank(desk_grid())
         faulty = dataclasses.replace(bank, weights=bank.weights.copy())
         faulty.weights[2] = 0.0
         chunks = _strided_chunks(bank, rng)
         kept = [0, 1, 3, 4, 5]
-        for out in (None, np.full((6, 3, 16), np.nan)):
+        for out in (None, np.full((6, _span(3)), np.nan)):
             got = hcf.filter_all_candidates(faulty, chunks, out=out)
             np.testing.assert_array_equal(got[2], 0.0)
             np.testing.assert_array_equal(got[kept], hcf.filter_all_candidates(bank, chunks)[kept])
 
-    def test_helper_block_exception_reaches_the_caller(self, rng, monkeypatch):
+    def test_fill_starts_no_thread(self, rng, monkeypatch):
+        comb = importlib.import_module("hcf.comb")
+        real, threads = comb._fill_rows, []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        def no_start(thread):
+            raise AssertionError("the candidate fill started a thread")
+
+        monkeypatch.setattr(comb, "_fill_rows", recording)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
         bank = hcf.build_bank(hcf.F0Grid())
+        hcf.filter_all_candidates(bank, _strided_chunks(bank, rng))
+        assert threads == [threading.current_thread()]
+
+    def test_verify_out_of_memory_in_the_fill_exits_three(self, monkeypatch, capsys):
         comb = importlib.import_module("hcf.comb")
-        real, caller, failed = comb._fill_rows, threading.current_thread(), threading.Event()
 
         def failing(*args):
-            if threading.current_thread() is caller:
-                failed.wait(timeout=30)  # hold the caller's block until the helper has failed
-                return real(*args)
-            failed.set()
-            raise RuntimeError("row block failed")
+            raise MemoryError("candidate fill")
 
         monkeypatch.setattr(comb, "_fill_rows", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="row block failed"):
-            hcf.filter_all_candidates(bank, _strided_chunks(bank, rng))
-        assert threading.active_count() == before
-        assert failed.is_set()
-
-    @pytest.mark.parametrize("on_helper", [True, False])
-    def test_verify_exit_code_holds_for_either_thread(self, monkeypatch, capsys, on_helper):
-        comb = importlib.import_module("hcf.comb")
-        real, caller, failed = comb._fill_rows, threading.current_thread(), threading.Event()
-
-        def failing(*args):
-            if (threading.current_thread() is caller) == on_helper:
-                failed.wait(timeout=30)  # hold this block until the other thread has failed
-                return real(*args)
-            failed.set()
-            raise MemoryError("row block")
-
-        monkeypatch.setattr(comb, "_fill_rows", failing)
-        before = threading.active_count()
         assert main(["verify", "--duration", "0.2", "--tracks", "1"]) == 3
         assert capsys.readouterr().err.startswith("error: out of memory: ")
-        assert threading.active_count() == before
+
+
+def _record_field(x):
+    """``x`` as a field of records padded by 4 bytes: its hop is no whole sample."""
+    records = np.zeros(x.shape[1], dtype=[("x", "f8", (len(x),)), ("pad", "u1", (4,))])
+    records["x"] = x.T
+    return records["x"].T
+
+
+class TestSignalLayouts:
+    """The fill filters the signal whose windows are the chunk columns: read in
+    place for overlapping strided columns of one float64 buffer, copied column
+    after column (hop = chunk length) for any other layout."""
+
+    # contiguous columns but a negative, zero, too long or fractional hop must be copied too
+    LAYOUTS = {
+        "c-contiguous": lambda x: x,
+        "fortran": np.asfortranarray,
+        "float32": lambda x: np.asfortranarray(x, dtype=np.float32),
+        "reversed": lambda x: np.asfortranarray(x)[:, ::-1],
+        "broadcast": lambda x: np.broadcast_to(x[:, :1].copy(), x.shape),
+        "spaced": lambda x: np.asfortranarray(np.hstack([x, x[::-1]]))[:, ::2],
+        "adjacent": lambda x: windows(x.T.ravel(), x.shape[1], len(x), 0, len(x)).T,
+        "single-column": lambda x: x[:, 1:2],
+        "record-field": _record_field,
+    }
+
+    @pytest.mark.parametrize("layout", [*LAYOUTS, "pipeline"])
+    def test_every_layout_matches_reference_byte_for_byte(self, rng, layout):
+        bank = hcf.build_bank(desk_grid())
+        if layout == "pipeline":
+            chunks = _strided_chunks(bank, rng)
+        else:
+            chunks = self.LAYOUTS[layout](rng.standard_normal((16 + 2 * bank.pad, 4)))
+        periods = np.concatenate([bank.rounded_periods, [0]])
+        want = _comb_all_py(
+            np.asarray(chunks, dtype=np.float64).T, periods, bank.taps, bank.pad, 16
+        )
+        got = hcf.filter_all_candidates(bank, chunks)
+        assert got.shape == (6, 16, chunks.shape[1])
+        assert np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout, hop, in_place", [
+        ("pipeline", 4, True),
+        ("fortran", None, True),
+        ("float32", None, True),
+        ("adjacent", None, True),
+        ("c-contiguous", None, False),
+        ("reversed", None, False),
+        ("broadcast", None, False),
+        ("spaced", None, False),
+        ("single-column", None, False),
+        ("record-field", None, False),
+    ])
+    def test_overlapping_columns_are_read_in_place(self, rng, layout, hop, in_place):
+        comb = importlib.import_module("hcf.comb")
+        bank = hcf.build_bank(desk_grid())
+        if layout == "pipeline":
+            chunks = _strided_chunks(bank, rng)
+        else:
+            chunks = self.LAYOUTS[layout](rng.standard_normal((16 + 2 * bank.pad, 4)))
+        signal, got_hop = comb._signal(chunks)
+        assert got_hop == (hop or len(chunks))
+        assert np.shares_memory(signal, chunks) == in_place
+        assert signal.shape == ((chunks.shape[1] - 1) * got_hop + len(chunks),)
+
+    def test_no_frames_reads_nothing(self, rng):
+        comb = importlib.import_module("hcf.comb")
+        bank = hcf.build_bank(desk_grid())
+        # a frameless view of the pipeline's layout: its span would be C - hop samples
+        chunks = _strided_chunks(bank, rng)[:, :0]
+        signal, _ = comb._signal(chunks)
+        assert signal.shape == (0,)
+        got = hcf.filter_all_candidates(bank, chunks)
+        assert got.shape == (6, 16, 0)
 
 
 class TestCandidateOut:
-    """``out=`` takes the tensor in its frames-first fill layout, so one buffer
-    can be refilled block after block."""
+    """``out=`` takes the filtered signals, (N+1, L) with L = (n_frames - 1)*hop
+    + frame, so one buffer can be refilled block after block; the result is a
+    read-only strided view of it."""
 
     @pytest.mark.parametrize("make_out", [
-        lambda returned: np.empty((6, 4, 16)),
-        lambda returned: np.empty((6, 3, 16), dtype=np.float32),
-        lambda returned: np.empty((6, 3, 32))[:, :, ::2],
+        lambda returned: np.empty((6, _span(3) + 1)),
+        lambda returned: np.empty((6, _span(3)), dtype=np.float32),
+        lambda returned: np.empty((6, 2 * _span(3)))[:, ::2],
         lambda returned: returned,  # (N+1, frame, n_frames), as the route returns it
-    ], ids=["wrong-shape", "float32", "non-contiguous", "returned-orientation"])
+        lambda returned: np.empty((6, 3, 16)),  # one row of samples per frame
+    ], ids=["wrong-shape", "float32", "non-contiguous", "returned-orientation", "frames-first"])
     def test_rejects_anything_but_the_fill_layout(self, rng, make_out):
         bank = hcf.build_bank(desk_grid())
         chunks = _strided_chunks(bank, rng)
@@ -366,16 +420,30 @@ class TestCandidateOut:
 
     def test_refilled_buffer_matches_a_fresh_fill_bit_for_bit(self, rng):
         bank = hcf.build_bank(hcf.F0Grid())
-        n_rows, frame = bank.grid.size + 1, 16
-        buffer = np.empty(n_rows * 5 * frame)
+        n_rows = bank.grid.size + 1
+        buffer = np.empty(n_rows * _span(5))
         # a full block, then a shorter trailing one in a prefix view of the same buffer
         for n_frames in (5, 2):
-            chunks = _strided_chunks(bank, rng, frame=frame, n_frames=n_frames)
+            chunks = _strided_chunks(bank, rng, n_frames=n_frames)
             buffer[:] = np.nan  # any entry the fill skipped would stay NaN
-            out = buffer[:n_rows * n_frames * frame].reshape(n_rows, n_frames, frame)
+            out = buffer[:n_rows * _span(n_frames)].reshape(n_rows, _span(n_frames))
             got = hcf.filter_all_candidates(bank, chunks, out=out)
             assert np.shares_memory(got, out)
             assert got.tobytes() == hcf.filter_all_candidates(bank, chunks).tobytes()
+
+    def test_result_is_a_read_only_view_whose_picks_match_the_reference(self, rng):
+        bank = hcf.build_bank(desk_grid())
+        chunks = _strided_chunks(bank, rng, n_frames=4)
+        out = np.empty((6, _span(4)))
+        got = hcf.filter_all_candidates(bank, chunks, out=out)
+        assert np.shares_memory(got, out)
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1.0
+        track = hcf.track_from_indices(bank.grid, [0, 5, 2, 4])
+        periods = np.concatenate([bank.rounded_periods, [0]])
+        want = _comb_all_py(chunks.T, periods, bank.taps, bank.pad, 16)
+        picks = want[track.indices, np.arange(4)].T
+        assert np.ascontiguousarray(hcf.select_candidate(got, track)).tobytes() == picks.tobytes()
 
 
 class TestFrequencyResponse:

@@ -152,12 +152,15 @@ def _cmd_enhance(args) -> int:
     bank = build_bank(grid, order=args.order)
     frame_cfg = _frame_cfg(args)
     track = read_track(args.f0, grid) if args.f0 else None
+    gain = read_matrix(args.gain) if args.gain else None
+    if gain is not None and np.any(gain < 0):
+        raise DataError(f"gain map {args.gain} has negative entries")
 
     result = enhance(
         noisy,
         clean=clean,
         track=track,
-        gain=read_matrix(args.gain) if args.gain else None,
+        gain=gain,
         strength=read_matrix(args.strength) if args.strength else None,
         frame_cfg=frame_cfg,
         blend_cfg=BlendConfig(exponent=0.5 if args.rescale else 1.0),

@@ -23,7 +23,7 @@ import numpy as np
 from .audio import AudioBuffer
 from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
 from .errors import ShapeError
-from .estimator import EstimatorConfig, TrackEstimate
+from .estimator import BLOCK_FRAMES as POSTERIOR_FRAMES, Decoder, EstimatorConfig, posterior_block
 from .framing import FrameConfig, OverlapAdd, stft, windows
 from .grid import F0Grid, F0Track, track_from_indices
 from .helper import overlap
@@ -150,12 +150,15 @@ def enhance(
     runs on ``bank.grid`` (the default grid when neither is given), and a
     ``grid`` that differs from ``bank.grid`` is rejected.
 
-    After the track every stage runs on blocks of ``BLOCK_FRAMES`` frames, so
-    memory beyond the input, output and maps is bounded; the results are those
-    of one pass over the whole buffer. One helper thread computes the pitch
-    posteriors while this thread decodes them, and a block runs on either
-    thread once its frames of the track are settled (see
-    :func:`hcf.helper.overlap`); no result depends on which thread ran a block.
+    Blocks of work run on this thread and one helper thread (see
+    :func:`hcf.helper.overlap`). With no track given, a first phase computes
+    the pitch posteriors block by block on either thread while this thread
+    alone decodes them, in frame order; no posteriors are kept, and its
+    helper is joined before the next phase starts. Then every stage after
+    the track runs on blocks of ``BLOCK_FRAMES`` frames, on either thread,
+    while this thread alone overlap-adds them in order, so memory beyond the
+    input, output and maps is bounded. The results are those of one pass
+    over the whole buffer, whichever thread ran a block.
     A frame whose given strength is 0 in every bin skips the comb, like an
     unvoiced frame.
     """
@@ -175,13 +178,8 @@ def enhance(
     hop, size, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
     n_frames = frame_cfg.n_frames(len(noisy))
 
-    est = None
-    if track is None:
-        est = TrackEstimate(noisy, grid, est_cfg, frame_cfg)
-        indices = est.decoder.indices
-    else:
+    if track is not None:
         _check_track(track, n_frames, grid.label_size)
-        indices = track.indices
 
     shape = (frame_cfg.n_bins, n_frames)
     if oracle:
@@ -193,6 +191,13 @@ def enhance(
             raise ValueError("gain map must be nonnegative")
         given_strength = _resolve_map(strength, "strength", shape)
     strength_map = np.empty(shape, np.float32)
+
+    if track is None:
+        decoder = Decoder(grid, est_cfg, n_frames)
+        overlap(-(-n_frames // POSTERIOR_FRAMES),
+                lambda b: posterior_block(noisy, b, grid, est_cfg, frame_cfg), decoder.feed)
+        track = track_from_indices(grid, decoder.indices)
+    indices = track.indices
 
     def run_block(b):
         """Block b's output spectrum and comb MACs; writes only its own map columns.
@@ -233,12 +238,6 @@ def enhance(
         return out, macs.inference
 
     ola = OverlapAdd(frame_cfg, len(noisy))
-    n_blocks = -(-n_frames // BLOCK_FRAMES)
-
-    def settle(rows):
-        """Decode a posterior block; return how many post-track blocks are settled."""
-        settled = est.decoder.feed(rows)
-        return n_blocks if settled == n_frames else settled // BLOCK_FRAMES
 
     def emit(result):
         spec, macs = result
@@ -246,11 +245,7 @@ def enhance(
         if counter is not None:
             counter.inference += macs
 
-    if est is None:
-        overlap(n_blocks=n_blocks, run=run_block, emit=emit)
-    else:
-        overlap(est.starts, est.posterior_block, settle, n_blocks, run_block, emit)
-        track = track_from_indices(grid, indices)
+    overlap(-(-n_frames // BLOCK_FRAMES), run_block, emit)
 
     return EnhanceResult(
         audio=ola.finish(),

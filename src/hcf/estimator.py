@@ -34,10 +34,10 @@ PRIOR_FLOOR = 1e-12
 #: it only has to beat equal-salience octave dips.
 PICK_BUMP = 1.001
 
-#: Frames per block in ``estimate_track``; bounds the transient arrays, and
-#: the Viterbi pass decodes each block while the next one is computed. In
-#: ``enhance`` a block's transients (about 5 MB at 128) sit beside a post-track
-#: block's, so a larger block raises the peak memory.
+#: Frames per posterior block; bounds the transient arrays, and the Viterbi
+#: pass decodes each block while the next ones are computed. Two blocks may be
+#: in flight at once, one per thread, each with about 5 MB of transients at
+#: 128, so a larger block raises the peak memory.
 BLOCK_FRAMES = 128
 
 
@@ -268,29 +268,15 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
     return track_from_indices(grid, decoder.indices)
 
 
-class TrackEstimate:
-    """:func:`estimate_track` as two chains of blocks, for a caller to overlap.
-
-    ``posterior_block(lo)`` returns new posterior rows for the block of frames
-    starting at ``lo``, for each of ``starts``; fed those rows in order,
-    ``decoder`` settles the track into ``decoder.indices``.
-    """
-
-    def __init__(self, buffer: AudioBuffer, grid: F0Grid, cfg: EstimatorConfig,
-                 frame_cfg: FrameConfig):
-        self._x, self._hop = buffer.samples, frame_cfg.hop_size
-        self._window = analysis_window(grid)
-        self._offset = (frame_cfg.frame_size - self._window) // 2
-        n_frames = frame_cfg.n_frames(self._x.shape[0])
-        self._grid, self._cfg = grid, cfg
-        self.decoder = Decoder(grid, cfg, n_frames)
-        self.starts = range(0, n_frames, BLOCK_FRAMES)
-
-    def posterior_block(self, lo: int) -> np.ndarray:
-        n = min(BLOCK_FRAMES, self.starts.stop - lo)
-        # the block's windows, zero-padded past the signal's ends like the whole track's
-        frames = windows(self._x, n, self._hop, lo * self._hop + self._offset, self._window)
-        return _posteriors(frames, self._grid, self._cfg)
+def posterior_block(buffer: AudioBuffer, b: int, grid: F0Grid, cfg: EstimatorConfig,
+                    frame_cfg: FrameConfig) -> np.ndarray:
+    """New posterior rows for block ``b``: frames ``b * BLOCK_FRAMES`` on, at most
+    ``BLOCK_FRAMES`` of them, each window zero-padded past the signal's ends."""
+    x, hop, window = buffer.samples, frame_cfg.hop_size, analysis_window(grid)
+    lo = b * BLOCK_FRAMES
+    n = min(BLOCK_FRAMES, frame_cfg.n_frames(len(x)) - lo)
+    frames = windows(x, n, hop, lo * hop + (frame_cfg.frame_size - window) // 2, window)
+    return _posteriors(frames, grid, cfg)
 
 
 def estimate_track(
@@ -303,15 +289,18 @@ def estimate_track(
 
     Analysis windows are centered on the pipeline frames (hop
     ``frame_cfg.hop_size``), so entry t lines up with frame t everywhere
-    else in the pipeline. A helper thread computes the posterior blocks while
-    this one decodes the blocks already done. Returns ``(track, posteriors)``
-    with posteriors shaped (n_frames, N+1), joined from the decoded blocks.
+    else in the pipeline. The posterior blocks run on this thread and one
+    helper thread (see :func:`hcf.helper.overlap`); this thread alone decodes
+    them, in frame order. Returns ``(track, posteriors)`` with posteriors
+    shaped (n_frames, N+1), joined from the decoded blocks.
     """
-    est, blocks = TrackEstimate(buffer, grid, cfg, frame_cfg), []
+    n_frames = frame_cfg.n_frames(len(buffer))
+    decoder, blocks = Decoder(grid, cfg, n_frames), []
 
     def decode(rows):
         blocks.append(rows)
-        return est.decoder.feed(rows)
+        decoder.feed(rows)
 
-    overlap(est.starts, est.posterior_block, decode)
-    return track_from_indices(grid, est.decoder.indices), np.concatenate(blocks)
+    overlap(-(-n_frames // BLOCK_FRAMES),
+            lambda b: posterior_block(buffer, b, grid, cfg, frame_cfg), decode)
+    return track_from_indices(grid, decoder.indices), np.concatenate(blocks)

@@ -182,12 +182,15 @@ def write_track(track: F0Track, path, grid: F0Grid) -> None:
 
 def read_track(path, grid: F0Grid) -> F0Track:
     """Read a track CSV; every row's ``f0_hz`` and ``voicing`` must match its index on ``grid``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACK_HEADER:
-            raise DataError(f"bad track header {header!r}, expected {TRACK_HEADER}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != TRACK_HEADER:
+                raise DataError(f"bad track header {header!r}, expected {TRACK_HEADER}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"track {path} is not UTF-8 text: {exc}") from exc
     indices = np.zeros(len(rows), dtype=np.int64)
     f0, voicing = np.zeros((2, len(rows)))
     for n, row in enumerate(rows):

@@ -9,52 +9,36 @@ forked after a call inherits no worker.
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 #: A thread starts only a block fewer than this many past the next one to
 #: emit, which bounds the finished blocks waiting for their turn.
 AHEAD = 4
 
 
-def overlap(items=(), produce=None, consume=None, n_blocks: int = 0, run=None, emit=None) -> None:
-    """Run two chains of work on the calling thread and one helper thread.
+def overlap(n_blocks: int, run, emit) -> None:
+    """Run blocks ``0 .. n_blocks - 1`` on the calling thread and one helper thread.
 
-    The helper calls ``produce(item)`` for each of ``items`` in order. The
-    caller passes each result, in order, to ``consume``, which returns how many
-    of the blocks ``0 .. n_blocks - 1`` are settled: ready to run. The last
-    result must settle them all; with no items, all are settled from the
-    start. Between results, and on the helper once it has produced every item,
-    ``run(b)`` is called for the lowest-numbered settled block that no thread
+    Each thread calls ``run(b)`` for the lowest-numbered block that no thread
     has taken, if it is fewer than ``AHEAD`` blocks past the next block to
     emit. The caller alone passes each block's result to ``emit``, in block
     order. An exception on either thread is raised by the caller once the
-    helper has stopped. ``produce`` and ``run`` must write nothing that
-    another block reads.
+    helper has stopped. ``run`` must write nothing that another block reads.
     """
-    items = list(items)
     cond = threading.Condition()
-    produced, finished = deque(), {}
-    # guarded by ``cond``; only the caller advances ``settled`` and ``emitted``
-    state = {"settled": 0 if items else n_blocks, "taken": 0, "emitted": 0,
-             "error": None, "stop": False}
+    finished = {}
+    # guarded by ``cond``; only the caller advances ``emitted``
+    state = {"taken": 0, "emitted": 0, "error": None, "stop": False}
 
     def take():
         """Take the next block to run, or return None; call with ``cond`` held."""
         b = state["taken"]
-        if b >= min(state["settled"], n_blocks, state["emitted"] + AHEAD):
+        if b >= min(n_blocks, state["emitted"] + AHEAD):
             return None
         state["taken"] += 1
         return b
 
     def helper():
         try:
-            for item in items:
-                result = produce(item)
-                with cond:
-                    produced.append(result)
-                    cond.notify_all()
-                    if state["stop"]:
-                        return
             while True:
                 with cond:
                     while (b := take()) is None:
@@ -75,8 +59,6 @@ def overlap(items=(), produce=None, consume=None, n_blocks: int = 0, run=None, e
         while True:
             if state["error"] is not None:
                 raise state["error"]
-            if produced:  # consuming first: it is what settles blocks
-                return "consume", produced.popleft()
             if state["emitted"] in finished:
                 return "emit", finished.pop(state["emitted"])
             b = take()
@@ -84,21 +66,14 @@ def overlap(items=(), produce=None, consume=None, n_blocks: int = 0, run=None, e
                 return "run", b
             cond.wait()
 
-    thread = threading.Thread(target=helper, daemon=True) if items or n_blocks else None
+    thread = threading.Thread(target=helper, daemon=True) if n_blocks else None
     if thread is not None:
         thread.start()
-    consumed = 0
     try:
-        while consumed < len(items) or state["emitted"] < n_blocks:
+        while state["emitted"] < n_blocks:
             with cond:
                 action, arg = next_action()
-            if action == "consume":
-                consumed += 1
-                settled = consume(arg)
-                with cond:
-                    state["settled"] = settled
-                    cond.notify_all()
-            elif action == "emit":
+            if action == "emit":
                 emit(arg)
                 with cond:
                     state["emitted"] += 1

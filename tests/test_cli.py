@@ -222,6 +222,35 @@ class TestDataErrors:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["labels", "enhance"])
+    def test_track_that_is_not_utf8_exits_three(self, tmp_path, wav_pair, command, capsys):
+        clean_path, noisy_path, _, noisy = wav_pair
+        grid, path, out = hcf.F0Grid(), tmp_path / "bad.csv", tmp_path / "out"
+        n_frames = hcf.FrameConfig().n_frames(noisy.size)
+        hcf.write_track(hcf.track_from_indices(grid, np.full(n_frames, 96)), path, grid)
+        path.write_bytes(path.read_bytes().replace(b"f0", b"\xff0", 1))  # in the header
+        argv = {
+            "labels": ["labels", str(path), str(out)],
+            "enhance": ["enhance", str(noisy_path), str(out), "--clean", str(clean_path),
+                        "--f0", str(path)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "bad.csv is not UTF-8" in err
+        assert not out.exists()
+
+    def test_negative_gain_map_exits_three(self, tmp_path, wav_pair, capsys):
+        _, noisy_path, _, noisy = wav_pair
+        gain, strength, out = tmp_path / "gain.hcf", tmp_path / "strength.hcf", tmp_path / "out.wav"
+        shape = (769, hcf.FrameConfig().n_frames(noisy.size))
+        hcf.write_matrix(np.full(shape, -0.5), gain)
+        hcf.write_matrix(np.zeros(shape), strength)
+        code = main(["enhance", str(noisy_path), str(out), "--gain", str(gain),
+                     "--strength", str(strength)])
+        assert code == 3
+        assert "gain.hcf has negative entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metrics_length_mismatch(self, tmp_path, wav_pair, capsys):
         clean_path, _, clean, _ = wav_pair
         short = tmp_path / "short.wav"

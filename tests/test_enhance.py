@@ -507,7 +507,7 @@ class TestBlockedEnhance:
 
     @pytest.mark.parametrize("seconds", [0.5, 3.0])
     def test_overlapped_oracle_is_bit_identical_to_serial_blocks(self, bank, seconds):
-        # post-track blocks start as the decode settles their frames, on either thread
+        # the posterior blocks, then the post-track blocks, each on either thread
         noisy, clean = _oracle_case(seconds)
         counter, serial_counter = hcf.MacCounter(), hcf.MacCounter()
         result = hcf.enhance(noisy, clean=clean, bank=bank, counter=counter)
@@ -516,7 +516,7 @@ class TestBlockedEnhance:
         )
         assert_bit_identical(result.audio.samples, audio)
         assert_bit_identical(result.track.indices, track.indices)
-        # the same overlap of posterior blocks and decode, without the post-track blocks
+        # the same posterior blocks and decode, without the post-track blocks
         est_track, est_posteriors = hcf.estimate_track(noisy, bank.grid, hcf.EstimatorConfig())
         assert_bit_identical(est_track.indices, track.indices)
         assert_bit_identical(est_posteriors, posteriors)
@@ -576,8 +576,34 @@ def _fork_child(conn, noisy, clean):
     conn.close()
 
 
+def _fail_second_call(real, on_helper, calls, failed, message):
+    """``real``, raising ``RuntimeError(message)`` on its second call on the target
+    thread: the helper if ``on_helper``, else the calling thread.
+
+    Every call is appended to ``calls``. A call on the other thread holds its
+    block until the target thread has failed and set ``failed``, so the target
+    thread runs a second block whatever the timing.
+    """
+    caller = threading.current_thread()
+
+    def failing(*args, **kwargs):
+        on_target = (threading.current_thread() is caller) != on_helper
+        mine = [t for t in calls if (t is caller) != on_helper]
+        calls.append(threading.current_thread())
+        if on_target and mine:
+            failed.set()
+            raise RuntimeError(message)
+        if not on_target:
+            failed.wait(timeout=30)
+        return real(*args, **kwargs)
+
+    return failing
+
+
 class TestThreadedEnhance:
-    """``enhance`` and ``estimate_track`` each run one helper thread per call."""
+    """``enhance`` and ``estimate_track`` run at most one helper thread at a time,
+    started and joined inside the call: an estimating ``enhance`` runs one for its
+    posterior blocks, then one for its post-track blocks."""
 
     def test_concurrent_calls_match_sequential(self):
         cases = [_oracle_case(1.2, seed) for seed in (1, 2, 3)]
@@ -604,83 +630,66 @@ class TestThreadedEnhance:
     def test_block_exception_reaches_the_caller(self, monkeypatch, on_helper):
         noisy, clean = _oracle_case(3.0)
         assert hcf.FrameConfig().n_frames(len(noisy)) > 4 * BLOCK_FRAMES
-        # a given track settles every block at once, so both threads take blocks from the start
+        # with a given track only the post-track blocks run
         track = hcf.enhance(noisy, clean=clean).track
         module = importlib.import_module("hcf.enhance")
-        real_blend, caller = module.blend, threading.current_thread()
         calls, failed = [], threading.Event()
-
-        def failing_blend(*args, **kwargs):
-            on_target = (threading.current_thread() is caller) != on_helper
-            mine = [t for t in calls if (t is caller) != on_helper]
-            calls.append(threading.current_thread())
-            if on_target and mine:
-                failed.set()
-                raise RuntimeError("block failed")  # the second call on that thread
-            if not on_target:
-                # the other thread holds its block until the target thread has
-                # failed, so the target thread runs a second block whatever the timing
-                failed.wait(timeout=30)
-            return real_blend(*args, **kwargs)
-
-        monkeypatch.setattr(module, "blend", failing_blend)
+        failing = _fail_second_call(module.blend, on_helper, calls, failed, "block failed")
+        monkeypatch.setattr(module, "blend", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
             hcf.enhance(noisy, clean=clean, track=track)
         assert threading.active_count() == before
-        assert any((t is caller) != on_helper for t in calls)
+        assert any((t is threading.current_thread()) != on_helper for t in calls)
         assert failed.is_set()
 
-    @pytest.mark.parametrize("stage", ["posterior on the helper", "decode on the caller"])
+    @pytest.mark.parametrize(
+        "stage", ["posterior on the helper", "posterior on the caller", "decode on the caller"]
+    )
     def test_estimator_exception_reaches_the_caller(self, monkeypatch, stage):
         noisy, clean = _oracle_case(3.0)
+        assert hcf.FrameConfig().n_frames(len(noisy)) > 2 * POSTERIOR_BLOCK
         estimator = importlib.import_module("hcf.estimator")
         if stage.startswith("posterior"):
             target, name = estimator, "_posteriors"
         else:
             target, name = estimator.Decoder, "feed"
-        real, calls = getattr(target, name), []
-
-        def failing(*args, **kwargs):
-            calls.append(threading.current_thread())
-            if len(calls) == 2:
-                raise RuntimeError("estimator failed")
-            return real(*args, **kwargs)
-
+        on_helper, calls, failed = stage.endswith("helper"), [], threading.Event()
+        failing = _fail_second_call(getattr(target, name), on_helper, calls, failed,
+                                    "estimator failed")
         monkeypatch.setattr(target, name, failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="estimator failed"):
             hcf.enhance(noisy, clean=clean)
         assert threading.active_count() == before
+        assert failed.is_set()
         on_caller = [t is threading.current_thread() for t in calls]
-        assert on_caller == [stage.startswith("decode")] * 2
+        assert on_caller.count(not on_helper) == 2  # the second call on the target failed
+        if stage.startswith("decode"):
+            assert on_caller == [True, True]
 
-    def test_overlap_runs_settled_blocks_once_and_emits_in_order(self, rng):
-        n_blocks, log, emitted, lock = 12, [], [], threading.Lock()
-        settled = [0]
-        work = rng.standard_normal((n_blocks, 20000))
-
-        def consume(k):  # items 0..3 settle three blocks each
-            settled[0] = 3 * (k + 1)
-            return settled[0]
+    def test_overlap_runs_each_block_once_and_emits_in_order(self, rng):
+        log, emitted, lock = [], [], threading.Lock()
+        work = rng.standard_normal((12, 20000))
 
         def run(b):
             with lock:
-                log.append((b, settled[0], len(emitted)))
+                log.append((b, len(emitted)))
             return float(np.sort(work[b]).sum())  # releases the interpreter lock
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
         try:
             before = threading.active_count()
-            for _ in range(20):
-                log.clear(), emitted.clear()
-                overlap(range(4), lambda k: k, consume, n_blocks, run, emitted.append)
-                assert threading.active_count() == before
-                assert emitted == [float(np.sort(row).sum()) for row in work]
-                assert sorted(b for b, _, _ in log) == list(range(n_blocks))
-                for b, ready, done in log:
-                    assert b < ready and b < done + AHEAD
+            for n_blocks in (0, 1, len(work)):
+                for _ in range(20):
+                    log.clear(), emitted.clear()
+                    overlap(n_blocks, run, emitted.append)
+                    assert threading.active_count() == before
+                    assert emitted == [float(np.sort(row).sum()) for row in work[:n_blocks]]
+                    assert sorted(b for b, _ in log) == list(range(n_blocks))
+                    for b, done in log:
+                        assert b < done + AHEAD
         finally:
             sys.setswitchinterval(interval)
 

@@ -274,8 +274,8 @@ class TestBatchedPosterior:
 
 
 class TestPipelinedEstimate:
-    """A helper thread computes the posterior blocks while the Viterbi pass
-    decodes; both must equal the serial computation bit for bit."""
+    """The posterior blocks run on either thread while the calling thread
+    decodes them; both must equal the serial computation bit for bit."""
 
     @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 700])
     def test_matches_serial_blocks_and_whole_decode(self, grid, frame_cfg, n_frames):

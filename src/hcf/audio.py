@@ -137,10 +137,11 @@ def _decode_samples(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
     if audio_format == _FMT_FLOAT:
         if bits != 32:
             raise AudioFormatError(f"float WAV must be 32-bit, got {bits}")
-        out = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        out = np.frombuffer(raw, dtype="<f4")
+        # checked before the cast, which warns on a signalling NaN
         if not np.all(np.isfinite(out)):
             raise AudioFormatError("data chunk contains non-finite float samples")
-        return np.clip(out, -1.0, 1.0)
+        return np.clip(out.astype(np.float64), -1.0, 1.0)
     if bits == 16:
         return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if bits == 24:

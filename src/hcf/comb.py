@@ -15,9 +15,12 @@ Two routes produce filtered frames:
 * ``filter_inference`` computes only each frame's selected candidate from
   shifted chunk slices.
 
-They agree to float64 round-off; ``MacCounter`` tallies the multiply-add
-cost of each route, by its per-frame definition, so the gap is measurable,
-not anecdotal.
+Every row of a bank holds the same few weights, so both routes scale the
+signal once per distinct weight and build each filtered sample from
+additions of windows of those scaled signals, in the order of multiplying
+each weight in turn. They agree to float64 round-off; ``MacCounter``
+tallies the multiply-add cost of each route, by its per-frame definition,
+so the gap is measurable, not anecdotal.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ TAP_TOL = 1e-9
 class MacCounter:
     """Multiply-adds per route, each counted by its per-frame definition.
 
-    ``parallel`` is ``nonzero_taps * frame * n_frames``, although the span
-    fill computes each sample that frames share only once.
+    ``parallel`` is ``nonzero_taps * frame * n_frames`` and ``inference`` is
+    ``len(taps) * frame`` per voiced frame, although the routes compute each
+    sample that frames share once and multiply by each distinct weight once.
     """
 
     parallel: int = 0
@@ -140,24 +144,54 @@ def _signal(chunks: np.ndarray):
     return np.ascontiguousarray(chunks.T).ravel(), size
 
 
-def _fill_rows(out: np.ndarray, rows: np.ndarray, signal: np.ndarray):
-    """Filter ``signal`` with every row of ``rows`` into ``out``, one pass per nonzero weight.
+def _scaled(weights: np.ndarray, signal: np.ndarray) -> list:
+    """``weights[k] * signal`` for each k, computed once per distinct weight.
 
-    Row ``i`` of ``out`` is ``sum_j rows[i, j] * signal[j:j + L]``. Its first
-    nonzero weight writes it; each later one is multiplied into one product
-    buffer and added, in weight order.
+    Each weight is the float64 scalar read from its array, so a float32
+    signal is scaled in float64, as multiplying it in place would be.
+    """
+    by_bits = {}
+    for w in weights:
+        if w.tobytes() not in by_bits:
+            by_bits[w.tobytes()] = np.multiply(w, signal)
+    return [by_bits[w.tobytes()] for w in weights]
+
+
+def _fill_rows(out: np.ndarray, rows: np.ndarray, signal: np.ndarray) -> int:
+    """Filter ``signal`` with every row of ``rows`` into ``out``; returns the nonzero count.
+
+    Row ``i`` of ``out`` is ``sum_j rows[i, j] * signal[j:j + L]``. Rows with
+    the same sequence of nonzero weights share their products with the
+    signal: each distinct weight scales it once, and a row is its first two
+    windows of those scaled signals added, then each later window added, in
+    weight order. Those are the float operations of multiplying each weight
+    into the row in turn, so every sample is bit-identical to that.
     """
     span = out.shape[1]
-    product = np.empty(span)
-    for row, weights in zip(out, rows):
-        js = np.flatnonzero(weights)
-        if js.size == 0:  # a hand-built bank's empty row
-            row[...] = 0.0
+    flat = np.flatnonzero(rows.ravel() != 0)
+    row_of, cols = divmod(flat, rows.shape[1])
+    values = rows.ravel()[flat]
+    bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
+    groups = {}
+    for i in range(len(rows)):
+        groups.setdefault(values[bounds[i]:bounds[i + 1]].tobytes(), []).append(i)
+    for members in groups.values():
+        weights = values[bounds[members[0]]:bounds[members[0] + 1]]
+        if weights.size == 0:  # a hand-built bank's empty row
+            out[members] = 0.0
             continue
-        np.multiply(weights[js[0]], signal[js[0]:js[0] + span], out=row)
-        for j in js[1:]:
-            np.multiply(weights[j], signal[j:j + span], out=product)
-            row += product
+        products = _scaled(weights, signal)
+        for i in members:
+            starts = cols[bounds[i]:bounds[i + 1]].tolist()
+            windows = [p[j:j + span] for p, j in zip(products, starts)]
+            if len(windows) == 1:
+                out[i] = windows[0]
+                continue
+            row = out[i]
+            np.add(windows[0], windows[1], out=row)
+            for window in windows[2:]:
+                row += window
+    return flat.size
 
 
 def filter_all_candidates(
@@ -192,9 +226,9 @@ def filter_all_candidates(
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ShapeError(f"out must be C-contiguous float64 {shape}, got {out.dtype} {out.shape}")
-    _fill_rows(out, rows, signal)
+    nonzero = _fill_rows(out, rows, signal)
     if counter is not None:
-        counter.parallel += bank.nonzero_taps() * frame * n_frames
+        counter.parallel += nonzero * frame * n_frames
     return as_strided(
         out, (shape[0], frame, n_frames), (out.strides[0], out.itemsize, hop * out.itemsize),
         writeable=False,
@@ -220,20 +254,30 @@ def filter_inference(
 
     Voiced frame t with rounded period T sums the ``2M+1`` slices
     ``chunks[pad - k*T : pad - k*T + frame, t]`` weighted by the taps;
-    unvoiced frames pass the center slice through exactly.
+    unvoiced frames pass the center slice through exactly. The stretch of
+    the signal behind the chunks that voiced frames reach is scaled once per
+    distinct tap, and each voiced frame adds its windows of those onto zeros
+    in tap order, the float operations of weighting each slice in turn.
     """
     frame = _check_chunks(bank, chunks)
     _check_track(track, chunks.shape[1], bank.grid.label_size)
     voiced = track.voiced_mask(bank.grid)
-    frames_first, m, pad = chunks.T, bank.order, bank.pad
+    m, pad = bank.order, bank.pad
     out = np.zeros((chunks.shape[1], frame))
-    for t in np.flatnonzero(voiced):
-        period = int(bank.rounded_periods[track.indices[t]])
-        row = out[t]
-        for k in range(-m, m + 1):
-            base = pad - k * period
-            row += bank.taps[k + m] * frames_first[t, base:base + frame]
-    out[~voiced] = frames_first[~voiced, pad:pad + frame]
+    ts = np.flatnonzero(voiced)
+    if ts.size:
+        signal, hop = _signal(chunks)
+        periods = bank.rounded_periods[track.indices[ts]]
+        centers = ts * hop + pad
+        lo = int((centers - m * periods).min())
+        hi = int((centers + m * periods).max()) + frame
+        products = _scaled(bank.taps, signal[lo:hi])
+        for t, center, period in zip(ts.tolist(), (centers - lo).tolist(), periods.tolist()):
+            row = out[t]
+            for k, product in zip(range(-m, m + 1), products):
+                base = center - k * period
+                row += product[base:base + frame]
+    out[~voiced] = chunks.T[~voiced, pad:pad + frame]
     if counter is not None:
         counter.inference += len(bank.taps) * frame * int(voiced.sum())
     return out.T

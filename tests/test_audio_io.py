@@ -81,6 +81,15 @@ class TestReadWav:
         with pytest.raises(AudioFormatError, match="non-finite"):
             hcf.read_wav(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_float32_signalling_nan_rejected_without_warning(self, tmp_path):
+        # casting this bit pattern to float64 warns, so it is checked as float32
+        payload = struct.pack("<fIf", 0.5, 0x7F800001, -0.25)
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes(payload, fmt_code=3, bits=32))
+        with pytest.raises(AudioFormatError, match="non-finite"):
+            hcf.read_wav(path)
+
     def test_stereo_averaged(self, tmp_path):
         payload = struct.pack("<4h", 1000, 3000, -2000, -4000)
         path = tmp_path / "a.wav"

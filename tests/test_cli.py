@@ -159,6 +159,17 @@ class TestDataErrors:
         assert main(["f0", str(path), str(tmp_path / "track.csv")]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_exits_three_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "snan.wav"
+        hcf.write_wav(buffer(tone(150.0, 0.2, amp=0.4)), path, bit_depth="float32")
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 44 + 4 * 100, 0x7F800001)  # a signalling NaN at sample 100
+        path.write_bytes(bytes(data))
+        assert main(["f0", str(path), str(tmp_path / "track.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Warning" not in err
+
     @pytest.mark.parametrize(
         "command", ["f0", "metrics", "enhance", "metrics-silent-clean", "enhance-silent-clean"]
     )
@@ -287,6 +298,15 @@ class TestVerify:
         assert capsys.readouterr().out == (
             "max_dev=2.220e-16 frames=250 tracks=10 mac_ratio=22.642\n"
         )
+
+    @pytest.mark.parametrize("order, line", [
+        (2, "max_dev=2.220e-16 frames=250 tracks=10 mac_ratio=22.6286\n"),
+        (3, "max_dev=3.331e-16 frames=250 tracks=10 mac_ratio=22.6229\n"),
+    ])
+    def test_golden_line_higher_order(self, capsys, order, line):
+        # these taps repeat a weight at positions that are not adjacent
+        assert main(["verify", "--seed", "3", "--order", str(order)]) == 0
+        assert capsys.readouterr().out == line
 
     def test_every_block_refills_one_buffer(self, capsys, monkeypatch):
         real, outs = hcf.cli.filter_all_candidates, []

@@ -3,11 +3,13 @@
 Each input format is mutated a fixed number of times from a fixed seed, and
 every mutant goes through one of the commands that read that format. Bad data
 must exit 3, never 1 (an exception out of ``main``) or 2 (usage): every exit is
-0 or 3, or 4 from ``verify``. The seed and the counts are fixed, so the gate
-cannot flake; a wider search belongs outside the test suite.
+0 or 3, or 4 from ``verify``. Any Python warning fails the gate too. The seed
+and the counts are fixed, so the gate cannot flake; a wider search belongs
+outside the test suite.
 """
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,13 +115,14 @@ def _commands(p, m, out):
 SOURCES = ["16", "24", "float32", "gain", "track"]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("source", SOURCES)
 def test_mutants_exit_zero_or_three(files, source, capsys):
     # a command that exits 3 must also leave no output behind
     d, p = files
     kind = {"gain": "hcf", "track": "csv"}.get(source, "wav")
     rng = np.random.default_rng([SEED, SOURCES.index(source)])
-    data = open(p[source], "rb").read()
+    data = Path(p[source]).read_bytes()
     mutant, out, diag = d / f"mutant.{source}", d / "out", d / "out.diag"
     bad = []
     for n in range(MUTANTS):

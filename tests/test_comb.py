@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,11 +248,15 @@ class TestMacCounting:
         assert hcf.MacCounter(parallel=10, inference=0).ratio() == np.inf
 
 
-def _strided_chunks(bank, rng, frame=16, n_frames=3):
+def _strided_chunks(bank, rng, frame=16, n_frames=3, signed_zeros=False):
     """Overlapping strided chunk columns of one buffer, as the pipeline passes
-    them, with signal (not padding) under every tap of every row."""
+    them, with signal (not padding) under every tap of every row; with
+    ``signed_zeros``, every other sample and the middle third are -0.0."""
     cfg = hcf.FrameConfig(frame_size=frame, hop_size=4)
     x = rng.standard_normal(2 * bank.pad + frame + 4 * n_frames)
+    if signed_zeros:
+        x[::2] = -0.0
+        x[len(x) // 3:2 * len(x) // 3] = -0.0
     first = -(-bank.pad // 4)  # the first chunk that starts inside the signal
     return hcf.chunk_signal(x, cfg, bank.pad)[:, first:first + n_frames]
 
@@ -444,6 +449,111 @@ class TestCandidateOut:
         want = _comb_all_py(chunks.T, periods, bank.taps, bank.pad, 16)
         picks = want[track.indices, np.arange(4)].T
         assert np.ascontiguousarray(hcf.select_candidate(got, track)).tobytes() == picks.tobytes()
+
+
+def _naive_fill(chunks, rows, frame):
+    """Every row over every chunk alone: a row's first nonzero weight times its
+    window is written, and each later one's product is added, in column order."""
+    out = np.empty((len(rows), chunks.shape[1], frame))
+    for i, weights in enumerate(rows):
+        js = np.flatnonzero(weights)
+        for t in range(chunks.shape[1]):
+            if js.size == 0:
+                out[i, t] = 0.0
+                continue
+            out[i, t] = weights[js[0]] * chunks[js[0]:js[0] + frame, t]
+            for j in js[1:]:
+                out[i, t] += weights[j] * chunks[j:j + frame, t]
+    return out
+
+
+def _negative_zeros(x):
+    return int(np.count_nonzero((x == 0) & np.signbit(x)))
+
+
+class TestSharedProducts:
+    """Both routes scale the signal once per distinct weight and then only add
+    windows of the scaled signals, in the order of multiplying each weight in
+    turn, so every sample keeps its bytes."""
+
+    def hand_built_bank(self, rng):
+        # 25-tap rows with 0, 1, 2, 3 and 5 distinct weights; rows 6 to 8 repeat
+        # the weight sequences of rows 4, 3 and 0 at other columns
+        bank = hcf.build_bank(desk_grid())
+        spec = [
+            [],
+            [12],
+            [3, 20],
+            [0, 12, 24],
+            [2, 7, 12, 17, 22],
+            [1, 9],
+            [0, 6, 12, 18, 24],
+            [5, 12, 19],
+            [],
+        ]
+        rows = np.zeros((len(spec), 2 * bank.pad + 1))
+        draws = iter(rng.uniform(-1.0, 1.0, 13))
+        for i, cols in enumerate(spec[:6]):
+            rows[i, cols] = [next(draws) for _ in cols]
+        for i, like in ((6, 4), (7, 3), (8, 0)):
+            rows[i, spec[i]] = rows[like][rows[like] != 0]
+        return dataclasses.replace(bank, weights=rows[:, None, :, None]), rows
+
+    @pytest.mark.parametrize("layout", ["pipeline", "fortran"])
+    def test_hand_built_bank_matches_a_naive_fill_byte_for_byte(self, rng, layout):
+        hand, rows = self.hand_built_bank(rng)
+        if layout == "pipeline":
+            chunks, hop = _strided_chunks(hand, rng, n_frames=5), 4
+        else:  # copied column after column
+            chunks = np.asfortranarray(rng.standard_normal((16 + 2 * hand.pad, 5)))
+            hop = len(chunks)
+        want = _naive_fill(chunks, rows, 16).tobytes()
+        for out in (None, np.full((len(rows), 4 * hop + 16), np.nan)):
+            counter = hcf.MacCounter()
+            got = hcf.filter_all_candidates(hand, chunks, counter, out=out)
+            assert np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes() == want
+            assert counter.parallel == np.count_nonzero(rows) * 16 * 5
+
+    @pytest.mark.parametrize("make_bank", [
+        lambda: hcf.build_bank(hcf.F0Grid()),
+        lambda: hcf.build_bank(desk_grid()),
+        lambda: hcf.build_bank(desk_grid(), order=2),
+        lambda: hcf.build_bank(desk_grid(), taps=[0.5, 0.0, 0.5]),
+    ], ids=["default", "desk", "desk-order2", "desk-zero-center-tap"])
+    def test_signed_zeros_keep_their_bytes_on_both_routes(self, rng, make_bank):
+        # a filled row starts from its first product, so -0.0 stays -0.0; an
+        # inference frame starts from 0.0, which turns -0.0 into 0.0
+        bank = make_bank()
+        chunks = _strided_chunks(bank, rng, n_frames=8, signed_zeros=True)
+        rows = bank.weights[:, 0, :, 0]
+        want = _naive_fill(chunks, rows, 16)
+        assert _negative_zeros(want) > 0
+        got = hcf.filter_all_candidates(bank, chunks)
+        assert np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes() == want.tobytes()
+
+        indices = rng.integers(0, bank.grid.label_size, size=8)
+        indices[:2] = [0, bank.grid.size]  # one voiced and one unvoiced frame at least
+        track = hcf.track_from_indices(bank.grid, indices)
+        periods = np.concatenate([bank.rounded_periods, [0]])[indices]
+        want = _comb_inference_py(chunks.T, periods, bank.taps, bank.pad, 16)
+        assert _negative_zeros(want[indices == bank.grid.size]) > 0
+        fast = hcf.filter_inference(bank, chunks, track)
+        assert np.ascontiguousarray(fast.T).tobytes() == want.tobytes()
+
+    def test_fill_peak_memory_stays_under_one_megabyte(self, bank, rng):
+        # the scaled signals of one row's distinct weights, 2 x 120 KB here, and
+        # one scan of the tensor: not one product buffer per row or weight
+        cfg = hcf.FrameConfig()
+        chunks = hcf.chunk_signal(rng.standard_normal(40 * cfg.hop_size), cfg, bank.pad)[:, :32]
+        assert chunks.shape[1] == 32
+        out = np.empty((len(bank.weights), 31 * cfg.hop_size + cfg.frame_size))
+        tracemalloc.start()
+        try:
+            hcf.filter_all_candidates(bank, chunks, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestFrequencyResponse:

@@ -226,7 +226,7 @@ def _write_report(
 def _cmd_f0(args) -> int:
     buffer = read_wav(args.wav)
     grid = _grid(args)
-    track, _ = estimate_track(buffer, grid, _estimator_cfg(args), _frame_cfg(args))
+    track = estimate_track(buffer, grid, _estimator_cfg(args), _frame_cfg(args))
     write_track(track, args.out, grid)
     voiced = int(track.voiced_mask(grid).sum())
     print(f"wrote {len(track)} frames ({voiced} voiced) to {args.out}")

@@ -23,9 +23,9 @@ import numpy as np
 from .audio import AudioBuffer
 from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
 from .errors import ShapeError
-from .estimator import BLOCK_FRAMES as POSTERIOR_FRAMES, Decoder, EstimatorConfig, posterior_block
+from .estimator import EstimatorConfig, estimate_track
 from .framing import FrameConfig, OverlapAdd, stft, windows
-from .grid import F0Grid, F0Track, track_from_indices
+from .grid import F0Grid, F0Track
 from .helper import overlap
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
@@ -151,14 +151,13 @@ def enhance(
     ``grid`` that differs from ``bank.grid`` is rejected.
 
     Blocks of work run on this thread and one helper thread (see
-    :func:`hcf.helper.overlap`). With no track given, a first phase computes
-    the pitch posteriors block by block on either thread while this thread
-    alone decodes them, in frame order; no posteriors are kept, and its
-    helper is joined before the next phase starts. Then every stage after
-    the track runs on blocks of ``BLOCK_FRAMES`` frames, on either thread,
-    while this thread alone overlap-adds them in order, so memory beyond the
-    input, output and maps is bounded. The results are those of one pass
-    over the whole buffer, whichever thread ran a block.
+    :func:`hcf.helper.overlap`). With no track given, a first phase is one
+    call of :func:`hcf.estimator.estimate_track`, whose helper is joined
+    before the next phase starts; no posteriors are kept. Then every stage
+    after the track runs on blocks of ``BLOCK_FRAMES`` frames, on either
+    thread, while this thread alone overlap-adds them in order, so memory
+    beyond the input, output and maps is bounded. The results are those of
+    one pass over the whole buffer, whichever thread ran a block.
     A frame whose given strength is 0 in every bin skips the comb, like an
     unvoiced frame.
     """
@@ -193,10 +192,7 @@ def enhance(
     strength_map = np.empty(shape, np.float32)
 
     if track is None:
-        decoder = Decoder(grid, est_cfg, n_frames)
-        overlap(-(-n_frames // POSTERIOR_FRAMES),
-                lambda b: posterior_block(noisy, b, grid, est_cfg, frame_cfg), decoder.feed)
-        track = track_from_indices(grid, decoder.indices)
+        track = estimate_track(noisy, grid, est_cfg, frame_cfg)
     indices = track.indices
 
     def run_block(b):

@@ -141,9 +141,10 @@ def _posteriors(frames: np.ndarray, grid: F0Grid, cfg: EstimatorConfig) -> np.nd
     posterior[:, :grid.size] = np.maximum(0.0, 1.0 - dprime[:, periods])
     search = dprime[:, t_min:t_max + 1]
     dip_min = search.min(axis=1)
-    posterior[:, grid.unvoiced_index] = np.minimum(1.0, dip_min / cfg.yin_threshold)
-
     dipped = np.nonzero(dip_min < cfg.yin_threshold)[0]
+    # min(1, dip_min / threshold), divided only below it so a tiny threshold cannot overflow
+    posterior[:, grid.unvoiced_index] = 1.0
+    posterior[dipped, grid.unvoiced_index] = dip_min[dipped] / cfg.yin_threshold
     if dipped.size:
         tau = t_min + _threshold_pick(search[dipped], cfg.yin_threshold)
         refined = _parabolic_refine(dprime[dipped], tau)
@@ -163,13 +164,18 @@ def transition_weights(grid_size: int, cfg: EstimatorConfig) -> np.ndarray:
     """Additive log-weights for state moves; state ``grid_size`` is unvoiced.
 
     Voiced-to-voiced moves cost ``(di)^2 / (2*width^2)``, switching voicing
-    costs ``switch_cost``, staying unvoiced is free.
+    costs ``switch_cost``, staying put is free. Where ``2*width^2``
+    underflows to 0 every move to another bin costs ``inf``; where it
+    overflows every move is free.
     """
     n_states = grid_size + 1
     idx = np.arange(grid_size, dtype=np.float64)
     trans = np.zeros((n_states, n_states))
-    width2 = 2.0 * cfg.transition_width ** 2
-    trans[:grid_size, :grid_size] = -((idx[:, None] - idx[None, :]) ** 2) / width2
+    voiced = trans[:grid_size, :grid_size]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        width2 = 2.0 * np.float64(cfg.transition_width) ** 2
+        np.divide(-((idx[:, None] - idx[None, :]) ** 2), width2, out=voiced)
+    np.fill_diagonal(voiced, -0.0)  # 0 / 0 where width2 underflowed
     trans[grid_size, :grid_size] = -cfg.switch_cost
     trans[:grid_size, grid_size] = -cfg.switch_cost
     return trans
@@ -284,23 +290,18 @@ def estimate_track(
     grid: F0Grid,
     cfg: EstimatorConfig = EstimatorConfig(),
     frame_cfg: FrameConfig = FrameConfig(),
-):
+) -> F0Track:
     """Track a signal: YIN posteriors for blocks of frames, then Viterbi.
 
     Analysis windows are centered on the pipeline frames (hop
     ``frame_cfg.hop_size``), so entry t lines up with frame t everywhere
     else in the pipeline. The posterior blocks run on this thread and one
     helper thread (see :func:`hcf.helper.overlap`); this thread alone decodes
-    them, in frame order. Returns ``(track, posteriors)`` with posteriors
-    shaped (n_frames, N+1), joined from the decoded blocks.
+    them, in frame order, and keeps none of them. An input with no frames
+    raises ``ValueError``.
     """
     n_frames = frame_cfg.n_frames(len(buffer))
-    decoder, blocks = Decoder(grid, cfg, n_frames), []
-
-    def decode(rows):
-        blocks.append(rows)
-        decoder.feed(rows)
-
+    decoder = Decoder(grid, cfg, n_frames)
     overlap(-(-n_frames // BLOCK_FRAMES),
-            lambda b: posterior_block(buffer, b, grid, cfg, frame_cfg), decode)
-    return track_from_indices(grid, decoder.indices), np.concatenate(blocks)
+            lambda b: posterior_block(buffer, b, grid, cfg, frame_cfg), decoder.feed)
+    return track_from_indices(grid, decoder.indices)

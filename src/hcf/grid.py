@@ -70,7 +70,7 @@ def nearest_index(grid: F0Grid, f0: float) -> int:
     grid range clamp to the end bins. Unvoiced is not handled here: callers
     encode it as ``grid.unvoiced_index`` explicitly.
     """
-    if f0 <= 0:
+    if not f0 > 0:  # NaN fails too
         raise ValueError(f"f0 must be positive, got {f0}")
     return int(nearest_period_index(grid, PIPELINE_RATE / f0))
 

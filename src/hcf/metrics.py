@@ -31,8 +31,8 @@ class LossConfig:
             raise ValueError("compression must be in (0, 1]")
         if not 0.0 <= self.magnitude_weight <= 1.0:
             raise ValueError("magnitude_weight must be in [0, 1]")
-        if self.pitch_weight < 0.0:
-            raise ValueError("pitch_weight must be nonnegative")
+        if not 0.0 <= self.pitch_weight < np.inf:  # NaN fails too
+            raise ValueError("pitch_weight must be nonnegative and finite")
 
 
 def compress(spec, c: float):
@@ -86,7 +86,7 @@ def se_loss(clean_spec, out_spec, gains_only_spec, cfg: LossConfig = LossConfig(
 
 def total_loss(se: float, pitch: float, cfg: LossConfig = LossConfig()) -> float:
     """Weighted sum of the spectral and pitch losses."""
-    if se < 0 or pitch < 0:
+    if not (se >= 0 and pitch >= 0):  # NaN fails too
         raise ValueError("loss components must be nonnegative")
     return se + cfg.pitch_weight * pitch
 

@@ -14,6 +14,7 @@ except ImportError:  # not on every platform
     resource = None
 
 import hcf
+from hcf.estimator import BLOCK_FRAMES, posterior_block
 
 FS = 48000
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -71,6 +72,13 @@ def noise_at_snr(reference, snr_db, rng):
 
 def buffer(x):
     return hcf.AudioBuffer(np.asarray(x, dtype=np.float64))
+
+
+def posteriors(buf, grid, cfg=hcf.EstimatorConfig(), frame_cfg=hcf.FrameConfig()):
+    """Whole-signal ``(n_frames, N+1)`` pitch posteriors: ``posterior_block``
+    over every block, in order, as ``estimate_track`` decodes them."""
+    n_blocks = -(-frame_cfg.n_frames(len(buf)) // BLOCK_FRAMES)
+    return np.concatenate([posterior_block(buf, b, grid, cfg, frame_cfg) for b in range(n_blocks)])
 
 
 def interior(n_samples, cfg=None):

@@ -183,7 +183,7 @@ def test_09_estimator_accuracy_and_decoder_optimality(grid):
     for f0, x in signals:
         for snr_db in (None, 20.0):
             y = x if snr_db is None else x + noise_at_snr(x, snr_db, rng)
-            track, _ = hcf.estimate_track(buffer(y), grid)
+            track = hcf.estimate_track(buffer(y), grid)
             target = hcf.nearest_index(grid, f0)
             full = (np.arange(len(track)) * 384 + 1536) <= y.size
             voiced = track.voiced_mask(grid) & full

@@ -5,7 +5,8 @@ every mutant goes through one of the commands that read that format. Bad data
 must exit 3, never 1 (an exception out of ``main``) or 2 (usage): every exit is
 0 or 3, or 4 from ``verify``. Any Python warning fails the gate too. The seed
 and the counts are fixed, so the gate cannot flake; a wider search belongs
-outside the test suite.
+outside the test suite. A second gate runs the float tuning flags at boundary
+values, where a rejected value may also exit 2.
 """
 
 import shutil
@@ -138,3 +139,36 @@ def test_mutants_exit_zero_or_three(files, source, capsys):
         elif code == 3 and (out.exists() or diag.exists()):
             bad.append((n, argv, "output left behind", err))
     assert not bad, bad[:5]
+
+
+#: Boundary values for every float flag that only tunes a computation. The
+#: flags that size the comb bank or the frames (--f-min, --f-max, --grid-size,
+#: --order, --frame-size, --hop) are left out: such values could allocate gigabytes.
+FLAG_VALUES = ["5e-324", "1e-300", "1e-160", "1e300", "inf", "nan", "0", "-0.0"]
+FLOAT_FLAGS = [
+    ("f0", "--threshold"),
+    ("f0", "--transition-width"),
+    ("f0", "--voicing-prior"),
+    ("f0", "--switch-cost"),
+    ("metrics", "--compression"),
+    ("metrics", "--magnitude-weight"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_float_flag_boundaries_exit_zero_two_or_three(tmp_path, command, flag, capsys):
+    # nothing escapes main, and no warning reaches stderr
+    rng = np.random.default_rng(SEED)
+    clean = harmonic_complex(150.0, 4, 0.1, amp=0.12)
+    paths = [tmp_path / "clean.wav", tmp_path / "noisy.wav"]
+    hcf.write_wav(buffer(clean), paths[0])
+    hcf.write_wav(buffer(clean + noise_at_snr(clean, 10.0, rng)), paths[1])
+    inputs = [str(paths[1]), str(tmp_path / "f0.csv")] if command == "f0" else [str(p) for p in paths]
+    bad = []
+    for value in FLAG_VALUES:
+        code = main([command, *inputs, flag, value])
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3) or "Warning" in err:
+            bad.append((value, code, err))
+    assert not bad, bad

@@ -14,7 +14,7 @@ from hcf.estimator import BLOCK_FRAMES as POSTERIOR_BLOCK, _posteriors, analysis
 from hcf.errors import ShapeError
 from hcf.helper import AHEAD, overlap
 
-from helpers import buffer, harmonic_complex, interior, noise_at_snr, rel_rms, tone
+from helpers import buffer, harmonic_complex, interior, noise_at_snr, posteriors, rel_rms, tone
 
 
 def all_voiced_track(n_frames, index=96):
@@ -417,11 +417,11 @@ def serial_oracle_enhance(noisy, clean, bank, counter):
     n_frames = cfg.n_frames(len(noisy))
     offset = (cfg.frame_size - window) // 2
     windows = hcf.framing.windows(noisy.samples, n_frames, cfg.hop_size, offset, window)
-    posteriors = np.concatenate([
+    post = np.concatenate([
         _posteriors(windows[lo:lo + POSTERIOR_BLOCK], grid, est_cfg)
         for lo in range(0, n_frames, POSTERIOR_BLOCK)
     ])
-    track = hcf.viterbi_track(posteriors, grid, est_cfg)
+    track = hcf.viterbi_track(post, grid, est_cfg)
     chunks = hcf.chunk_signal(noisy, cfg, bank.pad)
     frames, clean_frames = chunks[bank.pad:bank.pad + cfg.frame_size], hcf.frame_signal(clean, cfg)
     fb = hcf.build_mel_filterbank(cfg=cfg)
@@ -436,7 +436,7 @@ def serial_oracle_enhance(noisy, clean, bank, counter):
         strength[:, cols] = hcf.oracle_strength(noisy_spec, filtered_spec, clean_spec)
         strength[:, cols][:, ~block_track.voiced_mask(grid)] = 0.0
         ola.add(hcf.blend(noisy_spec, filtered_spec, strength[:, cols], gain[:, cols]))
-    return ola.finish().samples, track, posteriors, strength, gain
+    return ola.finish().samples, track, post, strength, gain
 
 
 class TestBlockedEnhance:
@@ -511,19 +511,41 @@ class TestBlockedEnhance:
         noisy, clean = _oracle_case(seconds)
         counter, serial_counter = hcf.MacCounter(), hcf.MacCounter()
         result = hcf.enhance(noisy, clean=clean, bank=bank, counter=counter)
-        audio, track, posteriors, strength, gain = serial_oracle_enhance(
+        audio, track, serial_post, strength, gain = serial_oracle_enhance(
             noisy, clean, bank, serial_counter
         )
         assert_bit_identical(result.audio.samples, audio)
         assert_bit_identical(result.track.indices, track.indices)
         # the same posterior blocks and decode, without the post-track blocks
-        est_track, est_posteriors = hcf.estimate_track(noisy, bank.grid, hcf.EstimatorConfig())
+        est_track = hcf.estimate_track(noisy, bank.grid, hcf.EstimatorConfig())
         assert_bit_identical(est_track.indices, track.indices)
-        assert_bit_identical(est_posteriors, posteriors)
+        assert_bit_identical(posteriors(noisy, bank.grid), serial_post)
         assert_bit_identical(result.strength, strength.astype(np.float32))
         assert_bit_identical(result.gain, gain.astype(np.float32))
         assert counter.inference == serial_counter.inference > 0
         assert 0 < track.voiced_mask(bank.grid).sum() < len(track)
+
+    def test_estimates_the_track_with_one_call_of_estimate_track(self, monkeypatch, bank):
+        module = importlib.import_module("hcf.enhance")
+        real, calls, tracks = module.estimate_track, [], []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            tracks.append(real(*args, **kwargs))
+            return tracks[-1]
+
+        monkeypatch.setattr(module, "estimate_track", spy)
+        noisy, clean = _oracle_case(0.5)
+        est_cfg, frame_cfg = hcf.EstimatorConfig(switch_cost=1.0), hcf.FrameConfig()
+        result = hcf.enhance(noisy, clean=clean, bank=bank, est_cfg=est_cfg, frame_cfg=frame_cfg)
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert kwargs == {} and len(args) == 4
+        assert args[0] is noisy and args[1] == bank.grid
+        assert args[2] is est_cfg and args[3] is frame_cfg
+        assert result.track is tracks[0]
+        hcf.enhance(noisy, clean=clean, bank=bank, track=result.track)
+        assert len(calls) == 1  # a given track is not estimated
 
     def test_zero_strength_skips_the_comb(self, bank, grid, rng):
         # a frame the blend weights by 0 is passed through like an unvoiced one
@@ -602,8 +624,8 @@ def _fail_second_call(real, on_helper, calls, failed, message):
 
 class TestThreadedEnhance:
     """``enhance`` and ``estimate_track`` run at most one helper thread at a time,
-    started and joined inside the call: an estimating ``enhance`` runs one for its
-    posterior blocks, then one for its post-track blocks."""
+    started and joined inside the call: an estimating ``enhance`` runs one inside
+    its call of ``estimate_track``, then one for its post-track blocks."""
 
     def test_concurrent_calls_match_sequential(self):
         cases = [_oracle_case(1.2, seed) for seed in (1, 2, 3)]

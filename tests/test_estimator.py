@@ -14,6 +14,7 @@ from helpers import (
     harmonic_complex,
     noise_at_snr,
     periodic_tone,
+    posteriors,
     tone,
 )
 
@@ -45,7 +46,7 @@ class TestConfig:
 
 def first_posterior(x, grid):
     """Frame 0's posterior; at the default geometry its window is x[:1536]."""
-    return hcf.estimate_track(buffer(x), grid, CFG)[1][0]
+    return posteriors(buffer(x), grid, CFG)[0]
 
 
 class TestYinFrame:
@@ -93,6 +94,14 @@ class TestYinFrame:
         shifted = first_posterior(tone(300.0, 0.032), grid)
         assert hcf.bce_loss(label, matched) < hcf.bce_loss(label, shifted)
         assert int(np.argmax(shifted)) == octave
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_threshold_scores_unvoiced_without_overflow(self, grid):
+        # min(1, dip / threshold): only a dip of exactly 0 is under 5e-324
+        cfg = hcf.EstimatorConfig(yin_threshold=5e-324)
+        post = posteriors(buffer(tone(150.0, 0.2)), grid, cfg)
+        assert np.all((post >= 0.0) & (post <= 1.0))
+        assert np.isin(post[:, grid.unvoiced_index], [0.0, 1.0]).all()
 
 
 class TestViterbi:
@@ -179,13 +188,31 @@ class TestViterbi:
         assert trans[0, 4] == -2.0
         assert trans[4, 0] == -2.0
 
+    @pytest.mark.parametrize("width", [8.0, 1.5, 3.7, 1e-153])
+    def test_transition_weights_are_the_gaussian_cost(self, width):
+        d = np.arange(225, dtype=np.float64)
+        with np.errstate(over="ignore"):  # 1e-153 sends the far moves to -inf
+            expected = -((d[:, None] - d[None, :]) ** 2) / (2 * width ** 2)
+        trans = transition_weights(225, hcf.EstimatorConfig(transition_width=width))
+        assert trans[:225, :225].tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width, far", [(1e-160, -np.inf), (5e-324, -np.inf), (1e300, -0.0)])
+    def test_extreme_widths_keep_staying_free(self, width, far):
+        # 2 * width^2 underflows to 0 or overflows to inf: no 0 / 0, no warning
+        trans = transition_weights(4, hcf.EstimatorConfig(transition_width=width))
+        voiced = trans[:4, :4]
+        assert np.diag(voiced).tobytes() == np.full(4, -0.0).tobytes()
+        off = voiced[~np.eye(4, dtype=bool)]
+        assert off.tobytes() == np.full(12, far).tobytes()
+
 
 class TestEstimateTrack:
     def test_harmonic_complex_in_noise(self, grid, rng):
         clean = harmonic_complex(220.0, 5, 0.6)
         noisy = buffer(clean + noise_at_snr(clean, 20.0, rng))
-        track, posteriors = hcf.estimate_track(noisy, grid, CFG)
-        assert posteriors.shape == (len(track), 226)
+        track = hcf.estimate_track(noisy, grid, CFG)
+        assert posteriors(noisy, grid, CFG).shape == (len(track), 226)
         target = hcf.nearest_index(grid, 220.0)
         voiced = track.voiced_mask(grid)
         # ignore boundary frames whose window sticks out of the signal
@@ -200,7 +227,7 @@ class TestEstimateTrack:
         # exponential sweep 100 -> 400 Hz
         f0, f1, dur = 100.0, 400.0, 0.6
         phase = 2 * np.pi * f0 * dur / np.log(f1 / f0) * (np.exp(t / dur * np.log(f1 / f0)) - 1)
-        track, _ = hcf.estimate_track(buffer(0.5 * np.sin(phase)), grid, CFG)
+        track = hcf.estimate_track(buffer(0.5 * np.sin(phase)), grid, CFG)
         full = (np.arange(len(track)) * 384 + 1536) <= t.size
         idx = track.indices[track.voiced_mask(grid) & full]
         assert idx.size > 10
@@ -210,7 +237,7 @@ class TestEstimateTrack:
     def test_silence_then_tone_flips_once(self, grid):
         fs = 48000
         x = np.concatenate([np.zeros(int(0.5 * fs)), tone(200.0, 0.5)])
-        track, _ = hcf.estimate_track(buffer(x), grid, CFG)
+        track = hcf.estimate_track(buffer(x), grid, CFG)
         voiced = track.voiced_mask(grid).astype(int)
         # trailing frames whose window runs past the signal see padded zeros
         full = (np.arange(len(track)) * 384 + 1536) <= x.size
@@ -221,9 +248,17 @@ class TestEstimateTrack:
 
     def test_track_aligns_with_frame_count(self, grid, frame_cfg):
         x = tone(130.0, 0.25)
-        track, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+        track = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
         assert len(track) == frame_cfg.n_frames(x.size)
-        assert posteriors.shape[0] == len(track)
+        assert posteriors(buffer(x), grid, CFG, frame_cfg).shape[0] == len(track)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_width_still_tracks_a_tone(self, grid):
+        cfg = hcf.EstimatorConfig(transition_width=1e-200)
+        track = hcf.estimate_track(buffer(tone(150.0, 1.0)), grid, cfg)
+        voiced = track.indices[track.voiced_mask(grid)]
+        assert voiced.size > len(track) // 2
+        assert np.all(np.abs(voiced - hcf.nearest_index(grid, 150.0)) <= 1)
 
 
 def _voiced_in_noise(seconds, seed):
@@ -252,17 +287,17 @@ class TestBatchedPosterior:
         ids=["default", "frame2048_hop512", "frame1024_hop256", "shorter_than_window", "one_sample", "silence_gaps"],
     )
     def test_matches_reference(self, grid, x, frame_cfg):
-        _, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+        post = posteriors(buffer(x), grid, CFG, frame_cfg)
         expected = _track_posteriors_py(x, grid, CFG, frame_cfg)
-        assert posteriors.shape == expected.shape == (frame_cfg.n_frames(x.size), grid.label_size)
-        np.testing.assert_allclose(posteriors, expected, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(np.argmax(posteriors, axis=1), np.argmax(expected, axis=1))
+        assert post.shape == expected.shape == (frame_cfg.n_frames(x.size), grid.label_size)
+        np.testing.assert_allclose(post, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.argmax(post, axis=1), np.argmax(expected, axis=1))
 
     def test_digital_silence_is_unvoiced_one_hot(self, grid):
         x = _silence_gaps()
-        _, posteriors = hcf.estimate_track(buffer(x), grid, CFG)
+        post = posteriors(buffer(x), grid, CFG)
         window = analysis_window(grid)
-        starts = np.arange(posteriors.shape[0]) * 384 + (1536 - window) // 2
+        starts = np.arange(post.shape[0]) * 384 + (1536 - window) // 2
         gap = int(0.15 * 48000)
         tone_len = int(0.2 * 48000)
         mid = gap + tone_len
@@ -270,19 +305,21 @@ class TestBatchedPosterior:
         assert silent[0] and silent.sum() >= 20
         one_hot = np.zeros(grid.label_size)
         one_hot[grid.unvoiced_index] = 1.0
-        np.testing.assert_array_equal(posteriors[silent], np.tile(one_hot, (silent.sum(), 1)))
+        np.testing.assert_array_equal(post[silent], np.tile(one_hot, (silent.sum(), 1)))
 
 
 class TestPipelinedEstimate:
-    """The posterior blocks run on either thread while the calling thread
-    decodes them; both must equal the serial computation bit for bit."""
+    """``estimate_track`` runs the posterior blocks on either thread while the
+    calling thread decodes them. Its track must equal the whole decode of the
+    serial posteriors bit for bit, and ``posterior_block`` the whole-window
+    posteriors."""
 
     @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 700])
     def test_matches_serial_blocks_and_whole_decode(self, grid, frame_cfg, n_frames):
         x = _voiced_in_noise(n_frames * 384 / 48000, n_frames)
         x[: x.size // 3] = 0.0  # a silent stretch, so the track switches voicing
         assert frame_cfg.n_frames(x.size) == n_frames
-        track, posteriors = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+        track = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
 
         window = analysis_window(grid)
         frames = windows(x, n_frames, 384, (1536 - window) // 2, window)
@@ -290,21 +327,21 @@ class TestPipelinedEstimate:
             _posteriors(frames[lo:lo + BLOCK_FRAMES], grid, CFG)
             for lo in range(0, n_frames, BLOCK_FRAMES)
         ])
-        assert posteriors.tobytes() == serial.tobytes()
-        whole = hcf.viterbi_track(posteriors, grid, CFG)
+        assert posteriors(buffer(x), grid, CFG, frame_cfg).tobytes() == serial.tobytes()
+        whole = hcf.viterbi_track(serial, grid, CFG)
         assert track.indices.tobytes() == whole.indices.tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, BLOCK_FRAMES, 10_000])
     def test_settled_prefixes_join_to_the_whole_decode(self, grid, block):
-        _, posteriors = hcf.estimate_track(buffer(_silence_gaps()), grid, CFG)
-        whole = hcf.viterbi_track(posteriors, grid, CFG).indices
+        post = posteriors(buffer(_silence_gaps()), grid, CFG)
+        whole = hcf.viterbi_track(post, grid, CFG).indices
         decoder, head = Decoder(grid, CFG, len(whole)), len(whole) - 1
         for lo in range(0, head, block):  # every frame but the last
-            settled = decoder.feed(posteriors[lo:min(lo + block, head)])
+            settled = decoder.feed(post[lo:min(lo + block, head)])
             assert settled == decoder.settled <= decoder.frames == min(lo + block, head)
             assert decoder.indices[:settled].tobytes() == whole[:settled].tobytes()
         assert 0 < decoder.settled < head  # the silences settle a prefix early
-        assert decoder.feed(posteriors[head:]) == len(whole)  # the last frame settles the rest
+        assert decoder.feed(post[head:]) == len(whole)  # the last frame settles the rest
         assert decoder.indices.tobytes() == whole.tobytes()
 
     def test_decodes_uneven_blocks_like_the_whole_array(self, grid, rng):

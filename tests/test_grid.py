@@ -86,8 +86,9 @@ class TestNearestIndex:
         assert picks.tolist() == expected
 
     def test_rejects_nonpositive(self, grid):
-        with pytest.raises(ValueError):
-            hcf.nearest_index(grid, 0.0)
+        for f0 in (0.0, -1.0, float("nan")):  # NaN fails too
+            with pytest.raises(ValueError):
+                hcf.nearest_index(grid, f0)
 
 
 class TestGaussianLabel:

@@ -113,14 +113,19 @@ class TestTotalLoss:
             hcf.total_loss(-1.0, 0.0)
         with pytest.raises(ValueError):
             hcf.total_loss(0.0, -1.0)
+        with pytest.raises(ValueError):
+            hcf.total_loss(float("nan"), 1.0)
+        with pytest.raises(ValueError):
+            hcf.total_loss(1.0, float("nan"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             hcf.LossConfig(compression=0.0)
         with pytest.raises(ValueError):
             hcf.LossConfig(magnitude_weight=1.5)
-        with pytest.raises(ValueError):
-            hcf.LossConfig(pitch_weight=-0.1)
+        for weight in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="pitch_weight"):
+                hcf.LossConfig(pitch_weight=weight)
         hcf.LossConfig(compression=1.0, magnitude_weight=1.0, pitch_weight=0.0)
 
 

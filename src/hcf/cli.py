@@ -12,6 +12,7 @@ memory, 4 numerical verification failure.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,11 +23,12 @@ from .comb import (
     CombFilterBank, MacCounter, build_bank, filter_all_candidates, filter_inference,
     select_candidate,
 )
-from .enhance import BLOCK_FRAMES, BlendConfig, enhance
+from .enhance import BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
 from .framing import FrameConfig, stft, windows
 from .grid import F0Grid, gaussian_label, read_track, track_from_indices, write_track
+from .helper import BLOCK_FRAMES
 from .matrixio import read_matrix, write_matrix
 from .metrics import LossConfig, sdr, se_loss, snr
 
@@ -167,7 +169,24 @@ def _cmd_enhance(args) -> int:
         est_cfg=_estimator_cfg(args),
         bank=bank,
     )
-    clipped = write_wav(result.audio, args.out, bit_depth=args.bits)
+    # everything is computed before the first write, and a failed write
+    # removes the topmost directory that making ``diag`` created
+    diag = Path(args.diag) if args.diag else None
+    report = _report(clean, noisy, result, frame_cfg, bank) if diag and clean is not None else None
+    made = diag and next((d for d in reversed([diag, *diag.parents]) if not d.exists()), None)
+    try:
+        if diag is not None:
+            diag.mkdir(parents=True, exist_ok=True)
+            write_track(result.track, diag / "track.csv", grid)
+            write_matrix(result.strength, diag / "strength.hcf")
+            write_matrix(result.gain, diag / "gain.hcf")
+            if report is not None:
+                (diag / "report.txt").write_text(report)
+        clipped = write_wav(result.audio, args.out, bit_depth=args.bits)
+    except Exception:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     print(f"enhanced {args.noisy} -> {args.out} ({len(result.track)} frames)")
     if clipped:
         print(f"clipped {clipped} samples on write", file=sys.stderr)
@@ -175,15 +194,6 @@ def _cmd_enhance(args) -> int:
         snr_in = snr(clean, noisy)
         snr_out = snr(clean, result.audio)
         print(f"snr_in_db={snr_in:.3f} snr_out_db={snr_out:.3f} snr_gain_db={snr_out - snr_in:.3f}")
-
-    if args.diag:
-        diag = Path(args.diag)
-        diag.mkdir(parents=True, exist_ok=True)
-        write_track(result.track, diag / "track.csv", grid)
-        write_matrix(result.strength, diag / "strength.hcf")
-        write_matrix(result.gain, diag / "gain.hcf")
-        if clean is not None:
-            _write_report(diag / "report.txt", clean, noisy, result, frame_cfg, bank)
     return 0
 
 
@@ -210,17 +220,17 @@ def _loss_lines(clean, estimate, gains_only, frame_cfg: FrameConfig, cfg: LossCo
     ]
 
 
-def _write_report(
-    path, clean: AudioBuffer, noisy: AudioBuffer, result, frame_cfg: FrameConfig,
-    bank: CombFilterBank,
-) -> None:
+def _report(
+    clean: AudioBuffer, noisy: AudioBuffer, result, frame_cfg: FrameConfig, bank: CombFilterBank,
+) -> str:
+    """The text of ``report.txt``."""
     # the gains-only estimate is the blend at strength 0: noisy spectrum times gain
     gains_only = enhance(
         noisy, track=result.track, gain=result.gain, strength=0.0, frame_cfg=frame_cfg, bank=bank
     ).audio
     lines = _loss_lines(clean, result.audio, gains_only, frame_cfg, LossConfig())
     lines.append(f"latency_samples={result.latency_samples}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_f0(args) -> int:

@@ -4,7 +4,8 @@ The output spectrum per bin is ``(R^gamma * Y_cf + (1 - R^gamma) * Y) * G``
 where ``Y`` is the noisy spectrum, ``Y_cf`` the comb-filtered one, ``R`` the
 per-bin filtering strength, ``G`` the interpolated sub-band gain, and
 ``gamma`` an optional rescaling exponent (0.5 pushes weights toward the
-filtered path; 1 leaves them untouched).
+filtered path; 1 leaves them untouched). Every stage after the pitch track
+takes a frame range ``(lo, n)``, one of :func:`hcf.helper.overlap`'s blocks.
 
 Strength and gain come from one of two sources, as a trained model would
 predict both: a clean reference, from which the oracles compute them
@@ -31,10 +32,6 @@ from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
 NOISE_EPS = 1e-12
 STRENGTH_EPS = 1e-12
-
-#: Frames per block in the stages after the pitch track; 64 keeps a block's
-#: spectra in cache.
-BLOCK_FRAMES = 64
 
 Provider = Union[float, np.ndarray]
 
@@ -154,7 +151,7 @@ def enhance(
     :func:`hcf.helper.overlap`). With no track given, a first phase is one
     call of :func:`hcf.estimator.estimate_track`, whose helper is joined
     before the next phase starts; no posteriors are kept. Then every stage
-    after the track runs on blocks of ``BLOCK_FRAMES`` frames, on either
+    after the track runs on ``overlap``'s blocks of frames, on either
     thread, while this thread alone overlap-adds them in order, so memory
     beyond the input, output and maps is bounded. The results are those of
     one pass over the whole buffer, whichever thread ran a block.
@@ -195,16 +192,16 @@ def enhance(
         track = estimate_track(noisy, grid, est_cfg, frame_cfg)
     indices = track.indices
 
-    def run_block(b):
-        """Block b's output spectrum and comb MACs; writes only its own map columns.
+    def run_block(lo, n):
+        """Output spectrum and comb MACs of the ``n`` frames from ``lo`` on;
+        writes only their own map columns.
 
         The block's chunks and frames are strided views of a padded copy of
         its own span of the signal, never of the whole signal.
         """
-        lo = b * BLOCK_FRAMES
-        cols = slice(lo, lo + BLOCK_FRAMES)
+        cols = slice(lo, lo + n)
         v = indices[cols] != grid.unvoiced_index
-        chunks = windows(noisy.samples, len(v), hop, lo * hop - pad, size + 2 * pad).T
+        chunks = windows(noisy.samples, n, hop, lo * hop - pad, size + 2 * pad).T
         noisy_spec = stft(chunks[pad:pad + size])
         block_strength = np.zeros(noisy_spec.shape)
         combed = v
@@ -220,7 +217,7 @@ def enhance(
         combed_spec = noisy_spec[:, combed]
         filtered_spec = stft(filtered[:, combed])
         if oracle:
-            clean_spec = stft(windows(clean.samples, len(v), hop, lo * hop, size).T)
+            clean_spec = stft(windows(clean.samples, n, hop, lo * hop, size).T)
             block_strength[:, combed] = oracle_strength(
                 combed_spec, filtered_spec, clean_spec[:, combed]
             )
@@ -241,7 +238,7 @@ def enhance(
         if counter is not None:
             counter.inference += macs
 
-    overlap(-(-n_frames // BLOCK_FRAMES), run_block, emit)
+    overlap(n_frames, run_block, emit)
 
     return EnhanceResult(
         audio=ola.finish(),

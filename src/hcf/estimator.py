@@ -7,13 +7,13 @@ model head would produce, so everything downstream is exercised unchanged.
 
 Every analysis window gets a cumulative-mean-normalized difference function
 d'(tau) for lags up to the longest candidate period; the windows are scored
-together, one row per frame, in fixed-size blocks of frames. Candidate salience
-is ``max(0, 1 - d'(T_i))``; the dip picked by the classic threshold rule
-(first lag under threshold, walked to its local minimum, refined by
-parabolic interpolation) is nudged above all other saliences so that pure
-tones resolve to the nearest grid index instead of a subharmonic, whose
-multiple-of-T dip scores just as well. The unvoiced slot scores
-``min(1, min_tau d'(tau) / threshold)``.
+one row per frame, together in :func:`hcf.helper.overlap`'s blocks, whose size
+changes no row. Candidate salience is ``max(0, 1 - d'(T_i))``; the dip picked
+by the classic threshold rule (first lag under threshold, walked to its local
+minimum, refined by parabolic interpolation) is nudged above all other
+saliences so that pure tones resolve to the nearest grid index instead of a
+subharmonic, whose multiple-of-T dip scores just as well. The unvoiced slot
+scores ``min(1, min_tau d'(tau) / threshold)``.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ PRIOR_FLOOR = 1e-12
 #: Relative bump applied to the threshold-rule pick; any value > 1 works,
 #: it only has to beat equal-salience octave dips.
 PICK_BUMP = 1.001
-
-#: Frames per posterior block; bounds the transient arrays, and the Viterbi
-#: pass decodes each block while the next ones are computed. Two blocks may be
-#: in flight at once, one per thread, each with about 5 MB of transients at
-#: 128, so a larger block raises the peak memory.
-BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -274,13 +268,11 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
     return track_from_indices(grid, decoder.indices)
 
 
-def posterior_block(buffer: AudioBuffer, b: int, grid: F0Grid, cfg: EstimatorConfig,
+def posterior_block(buffer: AudioBuffer, lo: int, n: int, grid: F0Grid, cfg: EstimatorConfig,
                     frame_cfg: FrameConfig) -> np.ndarray:
-    """New posterior rows for block ``b``: frames ``b * BLOCK_FRAMES`` on, at most
-    ``BLOCK_FRAMES`` of them, each window zero-padded past the signal's ends."""
+    """Posterior rows of the ``n`` frames from frame ``lo`` on, each analysis
+    window zero-padded past the signal's ends."""
     x, hop, window = buffer.samples, frame_cfg.hop_size, analysis_window(grid)
-    lo = b * BLOCK_FRAMES
-    n = min(BLOCK_FRAMES, frame_cfg.n_frames(len(x)) - lo)
     frames = windows(x, n, hop, lo * hop + (frame_cfg.frame_size - window) // 2, window)
     return _posteriors(frames, grid, cfg)
 
@@ -302,6 +294,6 @@ def estimate_track(
     """
     n_frames = frame_cfg.n_frames(len(buffer))
     decoder = Decoder(grid, cfg, n_frames)
-    overlap(-(-n_frames // BLOCK_FRAMES),
-            lambda b: posterior_block(buffer, b, grid, cfg, frame_cfg), decoder.feed)
+    overlap(n_frames, lambda lo, n: posterior_block(buffer, lo, n, grid, cfg, frame_cfg),
+            decoder.feed)
     return track_from_indices(grid, decoder.indices)

@@ -41,6 +41,8 @@ class F0Grid:
         if self.size < 2:
             raise ValueError("need at least 2 candidates")
         t_max = PIPELINE_RATE / self.f_min
+        if not t_max < 2.0**63:  # inf fails too; the periods round into int64
+            raise ValueError(f"f_min={self.f_min} Hz gives a period too long to round to samples")
         t_min = PIPELINE_RATE / self.f_max
         step = (t_max - t_min) / (self.size - 1)
         periods = t_max - step * np.arange(self.size)

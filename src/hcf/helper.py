@@ -1,29 +1,36 @@
-"""One helper thread that shares a call's blocks of work with the calling thread.
+"""Blocks of frames, run on the calling thread and one helper thread.
 
-numpy's FFTs and large array loops release the interpreter lock, so a block
-computed on a second thread overlaps the caller's own work. The thread is
-started and joined inside :func:`overlap`: calls share no state, and a process
-forked after a call inherits no worker.
+:func:`overlap` alone cuts frames into blocks; each stage it runs takes a frame
+range ``(lo, n)``. numpy's FFTs and large loops release the interpreter lock,
+so a block on the helper overlaps the caller's own work. The thread is started
+and joined inside :func:`overlap`: calls share no state, and a process forked
+after a call inherits no worker.
 """
 
 from __future__ import annotations
 
 import threading
 
+#: Frames per block; 64 keeps a block's spectra in cache. The posteriors, the
+#: track and the given-map output do not depend on it.
+BLOCK_FRAMES = 64
+
 #: A thread starts only a block fewer than this many past the next one to
 #: emit, which bounds the finished blocks waiting for their turn.
 AHEAD = 4
 
 
-def overlap(n_blocks: int, run, emit) -> None:
-    """Run blocks ``0 .. n_blocks - 1`` on the calling thread and one helper thread.
+def overlap(n_frames: int, run, emit) -> None:
+    """Run frames ``0 .. n_frames - 1`` in blocks on the calling thread and one helper thread.
 
-    Each thread calls ``run(b)`` for the lowest-numbered block that no thread
-    has taken, if it is fewer than ``AHEAD`` blocks past the next block to
-    emit. The caller alone passes each block's result to ``emit``, in block
-    order. An exception on either thread is raised by the caller once the
-    helper has stopped. ``run`` must write nothing that another block reads.
+    Each thread calls ``run(lo, n)`` for the lowest block of ``BLOCK_FRAMES``
+    frames (the last may be short) that no thread has taken, if it is fewer
+    than ``AHEAD`` blocks past the next block to emit. The caller alone passes
+    each block's result to ``emit``, in block order. An exception on either
+    thread is raised by the caller once the helper has stopped. ``run`` must
+    write nothing that another block reads.
     """
+    spans = [(lo, min(BLOCK_FRAMES, n_frames - lo)) for lo in range(0, n_frames, BLOCK_FRAMES)]
     cond = threading.Condition()
     finished = {}
     # guarded by ``cond``; only the caller advances ``emitted``
@@ -32,7 +39,7 @@ def overlap(n_blocks: int, run, emit) -> None:
     def take():
         """Take the next block to run, or return None; call with ``cond`` held."""
         b = state["taken"]
-        if b >= min(n_blocks, state["emitted"] + AHEAD):
+        if b >= min(len(spans), state["emitted"] + AHEAD):
             return None
         state["taken"] += 1
         return b
@@ -42,10 +49,10 @@ def overlap(n_blocks: int, run, emit) -> None:
             while True:
                 with cond:
                     while (b := take()) is None:
-                        if state["stop"] or state["taken"] >= n_blocks:
+                        if state["stop"] or state["taken"] >= len(spans):
                             return
                         cond.wait()
-                result = run(b)
+                result = run(*spans[b])
                 with cond:
                     finished[b] = result
                     cond.notify_all()
@@ -66,11 +73,11 @@ def overlap(n_blocks: int, run, emit) -> None:
                 return "run", b
             cond.wait()
 
-    thread = threading.Thread(target=helper, daemon=True) if n_blocks else None
+    thread = threading.Thread(target=helper, daemon=True) if spans else None
     if thread is not None:
         thread.start()
     try:
-        while state["emitted"] < n_blocks:
+        while state["emitted"] < len(spans):
             with cond:
                 action, arg = next_action()
             if action == "emit":
@@ -79,7 +86,7 @@ def overlap(n_blocks: int, run, emit) -> None:
                     state["emitted"] += 1
                     cond.notify_all()
             else:
-                result = run(arg)
+                result = run(*spans[arg])
                 with cond:
                     finished[arg] = result
     finally:

@@ -14,7 +14,8 @@ except ImportError:  # not on every platform
     resource = None
 
 import hcf
-from hcf.estimator import BLOCK_FRAMES, posterior_block
+from hcf.estimator import posterior_block
+from hcf.helper import overlap
 
 FS = 48000
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -76,9 +77,11 @@ def buffer(x):
 
 def posteriors(buf, grid, cfg=hcf.EstimatorConfig(), frame_cfg=hcf.FrameConfig()):
     """Whole-signal ``(n_frames, N+1)`` pitch posteriors: ``posterior_block``
-    over every block, in order, as ``estimate_track`` decodes them."""
-    n_blocks = -(-frame_cfg.n_frames(len(buf)) // BLOCK_FRAMES)
-    return np.concatenate([posterior_block(buf, b, grid, cfg, frame_cfg) for b in range(n_blocks)])
+    over the frame blocks of ``overlap``, in order, as ``estimate_track`` decodes them."""
+    blocks = []
+    overlap(frame_cfg.n_frames(len(buf)),
+            lambda lo, n: posterior_block(buf, lo, n, grid, cfg, frame_cfg), blocks.append)
+    return np.concatenate(blocks)
 
 
 def interior(n_samples, cfg=None):

@@ -262,6 +262,37 @@ class TestDataErrors:
         assert "gain.hcf has negative entries" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diag_path_that_is_a_file_leaves_no_output(self, tmp_path, wav_pair, capsys):
+        clean_path, noisy_path, _, _ = wav_pair
+        out, notadir = tmp_path / "out.wav", tmp_path / "notadir"
+        notadir.write_text("a file")
+        code = main(["enhance", str(noisy_path), str(out), "--clean", str(clean_path),
+                     "--diag", str(notadir)])
+        assert code == 3
+        assert "enhanced" not in capsys.readouterr().out
+        assert not out.exists()
+        assert notadir.read_text() == "a file"
+
+    @pytest.mark.parametrize("diag", ["d", "d/e/f"])
+    def test_unwritable_output_leaves_no_diag_directory(self, tmp_path, wav_pair, capsys, diag):
+        clean_path, noisy_path, _, _ = wav_pair
+        out = tmp_path / "missing" / "out.wav"
+        code = main(["enhance", str(noisy_path), str(out), "--clean", str(clean_path),
+                     "--diag", str(tmp_path / diag)])
+        assert code == 3
+        assert "out.wav" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists() and not out.parent.exists()
+
+    def test_unwritable_output_keeps_an_existing_diag_directory(self, tmp_path, wav_pair, capsys):
+        clean_path, noisy_path, _, _ = wav_pair
+        diag = tmp_path / "diag"
+        diag.mkdir()
+        code = main(["enhance", str(noisy_path), str(tmp_path / "missing" / "out.wav"),
+                     "--clean", str(clean_path), "--diag", str(diag)])
+        assert code == 3
+        capsys.readouterr()
+        assert diag.is_dir()
+
     def test_metrics_length_mismatch(self, tmp_path, wav_pair, capsys):
         clean_path, _, clean, _ = wav_pair
         short = tmp_path / "short.wav"

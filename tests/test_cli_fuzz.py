@@ -141,9 +141,10 @@ def test_mutants_exit_zero_or_three(files, source, capsys):
     assert not bad, bad[:5]
 
 
-#: Boundary values for every float flag that only tunes a computation. The
-#: flags that size the comb bank or the frames (--f-min, --f-max, --grid-size,
-#: --order, --frame-size, --hop) are left out: such values could allocate gigabytes.
+#: Boundary values for every float flag. ``F0Grid`` rejects each of them for
+#: --f-min and --f-max before anything is allocated. The integer flags that size
+#: the comb bank or the frames (--grid-size, --order, --frame-size, --hop) are
+#: left out: extreme values could allocate gigabytes.
 FLAG_VALUES = ["5e-324", "1e-300", "1e-160", "1e300", "inf", "nan", "0", "-0.0"]
 FLOAT_FLAGS = [
     ("f0", "--threshold"),
@@ -152,6 +153,7 @@ FLOAT_FLAGS = [
     ("f0", "--switch-cost"),
     ("metrics", "--compression"),
     ("metrics", "--magnitude-weight"),
+    *((command, flag) for command in ("f0", "verify", "enhance") for flag in ("--f-min", "--f-max")),
 ]
 
 
@@ -164,7 +166,13 @@ def test_float_flag_boundaries_exit_zero_two_or_three(tmp_path, command, flag, c
     paths = [tmp_path / "clean.wav", tmp_path / "noisy.wav"]
     hcf.write_wav(buffer(clean), paths[0])
     hcf.write_wav(buffer(clean + noise_at_snr(clean, 10.0, rng)), paths[1])
-    inputs = [str(paths[1]), str(tmp_path / "f0.csv")] if command == "f0" else [str(p) for p in paths]
+    clean_path, noisy_path, out = str(paths[0]), str(paths[1]), str(tmp_path / "out")
+    inputs = {
+        "f0": [noisy_path, out],
+        "metrics": [clean_path, noisy_path],
+        "verify": ["--duration", "0.1"],
+        "enhance": [noisy_path, out, "--clean", clean_path],
+    }[command]
     bad = []
     for value in FLAG_VALUES:
         code = main([command, *inputs, flag, value])

@@ -9,10 +9,9 @@ import pytest
 
 import hcf
 from hcf.cli import main
-from hcf.enhance import BLOCK_FRAMES
-from hcf.estimator import BLOCK_FRAMES as POSTERIOR_BLOCK, _posteriors, analysis_window
+from hcf.estimator import _posteriors, analysis_window
 from hcf.errors import ShapeError
-from hcf.helper import AHEAD, overlap
+from hcf.helper import AHEAD, BLOCK_FRAMES, overlap
 
 from helpers import buffer, harmonic_complex, interior, noise_at_snr, posteriors, rel_rms, tone
 
@@ -418,8 +417,8 @@ def serial_oracle_enhance(noisy, clean, bank, counter):
     offset = (cfg.frame_size - window) // 2
     windows = hcf.framing.windows(noisy.samples, n_frames, cfg.hop_size, offset, window)
     post = np.concatenate([
-        _posteriors(windows[lo:lo + POSTERIOR_BLOCK], grid, est_cfg)
-        for lo in range(0, n_frames, POSTERIOR_BLOCK)
+        _posteriors(windows[lo:lo + BLOCK_FRAMES], grid, est_cfg)
+        for lo in range(0, n_frames, BLOCK_FRAMES)
     ])
     track = hcf.viterbi_track(post, grid, est_cfg)
     chunks = hcf.chunk_signal(noisy, cfg, bank.pad)
@@ -524,6 +523,30 @@ class TestBlockedEnhance:
         assert_bit_identical(result.gain, gain.astype(np.float32))
         assert counter.inference == serial_counter.inference > 0
         assert 0 < track.voiced_mask(bank.grid).sum() < len(track)
+
+    @pytest.mark.parametrize("size", [1, 7, 63, 64, 65, 128, 10_000])
+    def test_block_size_changes_no_posterior_track_or_given_map_audio(self, monkeypatch, bank, size):
+        # the posteriors and the given-map stages are computed frame by frame
+        monkeypatch.setattr("hcf.helper.BLOCK_FRAMES", size)
+        noisy, _ = _oracle_case(1.2)
+        grid, cfg, est_cfg = bank.grid, hcf.FrameConfig(), hcf.EstimatorConfig()
+        n_frames, window = cfg.n_frames(len(noisy)), analysis_window(grid)
+        frames = hcf.framing.windows(
+            noisy.samples, n_frames, cfg.hop_size, (cfg.frame_size - window) // 2, window
+        )
+        whole = _posteriors(frames, grid, est_cfg)
+        assert_bit_identical(posteriors(noisy, grid), whole)
+        track = hcf.estimate_track(noisy, grid, est_cfg)
+        assert_bit_identical(track.indices, hcf.viterbi_track(whole, grid, est_cfg).indices)
+        assert 0 < track.voiced_mask(grid).sum() < n_frames
+
+        rng = np.random.default_rng(7)
+        # float32-valued maps, as the CLI reads them
+        gain = rng.uniform(0.0, 1.5, (cfg.n_bins, n_frames)).astype(np.float32).astype(np.float64)
+        strength = rng.uniform(-0.2, 1.2, gain.shape).astype(np.float32).astype(np.float64)
+        result = hcf.enhance(noisy, track=track, gain=gain, strength=strength, bank=bank)
+        audio, _, _ = whole_buffer_enhance(noisy, None, track, gain, strength, 1.0, bank)
+        assert_bit_identical(result.audio.samples, audio)
 
     def test_estimates_the_track_with_one_call_of_estimate_track(self, monkeypatch, bank):
         module = importlib.import_module("hcf.enhance")
@@ -670,7 +693,7 @@ class TestThreadedEnhance:
     )
     def test_estimator_exception_reaches_the_caller(self, monkeypatch, stage):
         noisy, clean = _oracle_case(3.0)
-        assert hcf.FrameConfig().n_frames(len(noisy)) > 2 * POSTERIOR_BLOCK
+        assert hcf.FrameConfig().n_frames(len(noisy)) > 2 * BLOCK_FRAMES
         estimator = importlib.import_module("hcf.estimator")
         if stage.startswith("posterior"):
             target, name = estimator, "_posteriors"
@@ -692,26 +715,33 @@ class TestThreadedEnhance:
 
     def test_overlap_runs_each_block_once_and_emits_in_order(self, rng):
         log, emitted, lock = [], [], threading.Lock()
-        work = rng.standard_normal((12, 20000))
+        work = rng.standard_normal((12 * BLOCK_FRAMES + 5, 300))
 
-        def run(b):
+        def run(lo, n):
             with lock:
-                log.append((b, len(emitted)))
-            return float(np.sort(work[b]).sum())  # releases the interpreter lock
+                log.append((lo, n, len(emitted)))
+            return lo, n, float(np.sort(work[lo:lo + n]).sum())  # releases the interpreter lock
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
         try:
             before = threading.active_count()
-            for n_blocks in (0, 1, len(work)):
+            for n_frames in (0, 1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, len(work)):
                 for _ in range(20):
                     log.clear(), emitted.clear()
-                    overlap(n_blocks, run, emitted.append)
+                    overlap(n_frames, run, emitted.append)
                     assert threading.active_count() == before
-                    assert emitted == [float(np.sort(row).sum()) for row in work[:n_blocks]]
-                    assert sorted(b for b, _ in log) == list(range(n_blocks))
-                    for b, done in log:
-                        assert b < done + AHEAD
+                    ranges = [(lo, n) for lo, n, _ in emitted]
+                    # in order, covering [0, n_frames) once, full blocks but a shorter last one
+                    assert [f for lo, n in ranges for f in range(lo, lo + n)] == list(range(n_frames))
+                    assert all(n == BLOCK_FRAMES for _, n in ranges[:-1])
+                    assert all(0 < n <= BLOCK_FRAMES for _, n in ranges)
+                    assert [total for *_, total in emitted] == [
+                        float(np.sort(work[lo:lo + n]).sum()) for lo, n in ranges
+                    ]
+                    assert sorted((lo, n) for lo, n, _ in log) == ranges  # each block run once
+                    for lo, _, done in log:
+                        assert lo // BLOCK_FRAMES < done + AHEAD
         finally:
             sys.setswitchinterval(interval)
 

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import hcf
-from hcf.estimator import BLOCK_FRAMES, Decoder, _posteriors, analysis_window, transition_weights
+from hcf.estimator import Decoder, _posteriors, analysis_window, transition_weights
+from hcf.helper import BLOCK_FRAMES
 from hcf.framing import windows
 
 from reference_kernels import _track_posteriors_py
@@ -331,7 +332,7 @@ class TestPipelinedEstimate:
         whole = hcf.viterbi_track(serial, grid, CFG)
         assert track.indices.tobytes() == whole.indices.tobytes()
 
-    @pytest.mark.parametrize("block", [1, 7, BLOCK_FRAMES, 10_000])
+    @pytest.mark.parametrize("block", [1, 7, BLOCK_FRAMES, 128, 10_000])
     def test_settled_prefixes_join_to_the_whole_decode(self, grid, block):
         post = posteriors(buffer(_silence_gaps()), grid, CFG)
         whole = hcf.viterbi_track(post, grid, CFG).indices

@@ -47,6 +47,16 @@ class TestGridConstants:
         with pytest.raises(ValueError, match="Nyquist"):
             hcf.F0Grid(f_max=24000.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f_min", [5e-324, 1e-300, 1e-160, 5e-15])
+    def test_period_too_long_to_round_rejected(self, f_min):
+        # 48000 / f_min is infinite or past int64, where rounding would warn or wrap
+        with pytest.raises(ValueError, match="too long"):
+            hcf.F0Grid(f_min=f_min)
+
+    def test_longest_period_under_int64_limit_rounds(self):
+        assert hcf.F0Grid(f_min=1e-14).rounded_periods()[0] == 48000 * 10**14
+
     def test_equal_grids_compare_equal(self, grid):
         assert hcf.F0Grid() == grid
         assert hcf.F0Grid(f_min=62.5, f_max=500.0, size=225) == grid

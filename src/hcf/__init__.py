@@ -13,6 +13,7 @@ from .comb import (
     CombFilterBank,
     MacCounter,
     build_bank,
+    candidate_rows,
     filter_all_candidates,
     filter_inference,
     frequency_response,
@@ -84,6 +85,7 @@ __all__ = [
     "blend",
     "build_bank",
     "build_mel_filterbank",
+    "candidate_rows",
     "chunk_signal",
     "compress",
     "enhance",

@@ -19,10 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioBuffer, PIPELINE_RATE, read_wav, write_wav
-from .comb import (
-    CombFilterBank, MacCounter, build_bank, filter_all_candidates, filter_inference,
-    select_candidate,
-)
+from .comb import CombFilterBank, MacCounter, build_bank, candidate_rows, filter_inference
 from .enhance import BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
@@ -34,8 +31,14 @@ from .metrics import LossConfig, sdr, se_loss, snr
 
 VERIFY_TOLERANCE = 1e-8
 
-#: Frames per block in ``verify``; bounds its one buffer of (N+1) filtered block spans.
+#: Frames per block in ``verify``; fewer above 10 tracks (see ``VERIFY_REFERENCE_FRAMES``).
 VERIFY_BLOCK_FRAMES = 32
+
+#: Candidate rows ``verify`` filters at a time: 8 rows of a 32-frame span are 0.86 MB.
+VERIFY_ROWS = 8
+
+#: Selected frames, over all tracks, ``verify`` keeps per block: 3.9 MB of float64.
+VERIFY_REFERENCE_FRAMES = 320
 
 
 #: Tuning flags as ``flag: (type, default, help)``; each subcommand declares
@@ -276,25 +279,30 @@ def _cmd_verify(args) -> int:
 
     frame_cfg, pad = _frame_cfg(args), bank.pad
     hop, n_frames = frame_cfg.hop_size, frame_cfg.n_frames(len(samples))
-    tracks = [rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)]
+    tracks = np.array([rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)])
 
     max_dev, macs = 0.0, MacCounter()
-    # one buffer of filtered block spans that every block refills (the last one a
-    # prefix of it): a fresh one per block would be faulted in and zeroed again each time
-    n_rows, frame = len(bank.weights), frame_cfg.frame_size
-    buffer = np.empty(n_rows * ((min(VERIFY_BLOCK_FRAMES, n_frames) - 1) * hop + frame))
-    for lo in range(0, n_frames, VERIFY_BLOCK_FRAMES):
-        n = min(VERIFY_BLOCK_FRAMES, n_frames - lo)
+    block_frames = min(VERIFY_BLOCK_FRAMES, max(1, VERIFY_REFERENCE_FRAMES // args.tracks))
+    # one buffer of VERIFY_ROWS filtered block spans and one of the tracks' picks, which
+    # every block refills (the last one a prefix): fresh ones per block would be faulted
+    # in and zeroed again each time
+    frame = frame_cfg.frame_size
+    rows = np.empty(VERIFY_ROWS * ((min(block_frames, n_frames) - 1) * hop + frame))
+    picked = np.empty((args.tracks, min(block_frames, n_frames), frame))
+    for lo in range(0, n_frames, block_frames):
+        n = min(block_frames, n_frames - lo)
         # this block's chunks only: a view of a padded copy of its own span
         block = windows(samples, n, hop, lo * hop - pad, frame + 2 * pad).T
         span = (n - 1) * hop + frame
-        out = buffer[:n_rows * span].reshape(n_rows, span)
-        all_candidates = filter_all_candidates(bank, block, macs, out)
-        for indices in tracks:
-            track = track_from_indices(grid, indices[lo:lo + VERIFY_BLOCK_FRAMES])
-            reference = select_candidate(all_candidates, track)
-            fast = filter_inference(bank, block, track, macs)
-            max_dev = max(max_dev, float(np.abs(reference - fast).max()))
+        picks, reference = tracks[:, lo:lo + n], picked[:, :n]
+        out = rows[:VERIFY_ROWS * span].reshape(VERIFY_ROWS, span)
+        for first, candidates in candidate_rows(bank, block, out, macs):
+            k, t = np.nonzero((picks >= first) & (picks < first + len(candidates)))
+            reference[k, t] = candidates[picks[k, t] - first, :, t]
+        for indices, selected in zip(picks, reference):
+            fast = filter_inference(bank, block, track_from_indices(grid, indices), macs)
+            np.subtract(selected, fast.T, out=selected)  # in place: no fresh pages per track
+            max_dev = max(max_dev, float(np.abs(selected, out=selected).max()))
 
     # the reference route's MACs over those of every track's inference route
     print(f"max_dev={max_dev:.3e} frames={n_frames} tracks={args.tracks} "

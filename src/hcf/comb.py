@@ -11,7 +11,10 @@ Two routes produce filtered frames:
 * ``filter_all_candidates`` runs every row over every frame (the reference
   route, one output per candidate) followed by ``select_candidate``. Each
   candidate is a time-invariant FIR, so it filters the signal the chunks
-  were cut from once per row and returns the frames as a strided view;
+  were cut from once per row and returns the frames as a strided view. It
+  is one step of ``candidate_rows``, which fills any number of rows at a
+  time into one reused buffer, so a caller that only reads some frames of
+  each row never holds every row at once;
 * ``filter_inference`` computes only each frame's selected candidate from
   shifted chunk slices.
 
@@ -99,6 +102,8 @@ def build_bank(grid: F0Grid, order: int = 1, taps: Optional[Sequence] = None) ->
     t_max = int(periods.max())
     center = order * t_max
     k_len = 2 * center + 1
+    if (grid.size + 1) * k_len > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
+        raise MemoryError(f"a comb bank of {grid.size + 1} x {k_len} float64 weights")
     weights = np.zeros((grid.size + 1, 1, k_len, 1))
     ks = np.arange(-order, order + 1)
     for i, t_i in enumerate(periods):
@@ -157,41 +162,67 @@ def _scaled(weights: np.ndarray, signal: np.ndarray) -> list:
     return [by_bits[w.tobytes()] for w in weights]
 
 
-def _fill_rows(out: np.ndarray, rows: np.ndarray, signal: np.ndarray) -> int:
-    """Filter ``signal`` with every row of ``rows`` into ``out``; returns the nonzero count.
+def candidate_rows(
+    bank: CombFilterBank,
+    chunks: np.ndarray,
+    out: np.ndarray,
+    counter: Optional[MacCounter] = None,
+):
+    """Filter the signal behind ``chunks`` with every row of the bank, ``len(out)`` rows a step.
 
-    Row ``i`` of ``out`` is ``sum_j rows[i, j] * signal[j:j + L]``. Rows with
-    the same sequence of nonzero weights share their products with the
-    signal: each distinct weight scales it once, and a row is its first two
-    windows of those scaled signals added, then each later window added, in
-    weight order. Those are the float operations of multiplying each weight
-    into the row in turn, so every sample is bit-identical to that.
+    ``out`` is a C-contiguous float64 ``(G, L)`` buffer with ``G >= 1`` and
+    ``L = (n_frames - 1)*hop + frame``; anything else raises ``ShapeError``
+    at the first step. Each step refills ``out`` with the filtered signals
+    of rows ``first .. first+G-1`` (the last step a prefix ``out[:m]``) and
+    yields ``(first, view)``, where ``view[r, :, t]`` is frame t of row
+    ``first + r``: a read-only ``(rows, frame, n_frames)`` strided view of
+    ``out``, valid until the next step. Each step adds its rows'
+    ``nonzero_taps * frame * n_frames`` to ``counter.parallel``.
+
+    Row ``i`` is ``sum_j w[i, j] * signal[j:j + L]``. The weight tensor is
+    scanned once per call. Rows with the same sequence of nonzero weights
+    share their products with the signal: each distinct weight scales it
+    once, on the group's first row, and a row is its first two windows of
+    those scaled signals added, then each later window added, in weight
+    order. Those are the float operations of multiplying each weight into
+    the row in turn, so every sample is bit-identical to that.
     """
-    span = out.shape[1]
+    frame = _check_chunks(bank, chunks)
+    n_frames = chunks.shape[1]
+    signal, hop = _signal(chunks)
+    span = (n_frames - 1) * hop + frame if n_frames else 0
+    if (out.ndim != 2 or not len(out) or out.shape[1] != span or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        raise ShapeError(
+            f"out must be C-contiguous float64 (rows >= 1, {span}), got {out.dtype} {out.shape}"
+        )
+    rows = bank.weights[:, 0, :, 0]
     flat = np.flatnonzero(rows.ravel() != 0)
     row_of, cols = divmod(flat, rows.shape[1])
     values = rows.ravel()[flat]
     bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
-    groups = {}
-    for i in range(len(rows)):
-        groups.setdefault(values[bounds[i]:bounds[i + 1]].tobytes(), []).append(i)
-    for members in groups.values():
-        weights = values[bounds[members[0]]:bounds[members[0] + 1]]
-        if weights.size == 0:  # a hand-built bank's empty row
-            out[members] = 0.0
-            continue
-        products = _scaled(weights, signal)
-        for i in members:
+    products = {}  # the scaled signals of each weight sequence met so far
+    for first in range(0, len(rows), len(out)):
+        filled = out[:len(rows) - first]
+        for row, i in zip(filled, range(first, len(rows))):
+            weights = values[bounds[i]:bounds[i + 1]]
+            key = weights.tobytes()
+            if key not in products:
+                products[key] = _scaled(weights, signal)
             starts = cols[bounds[i]:bounds[i + 1]].tolist()
-            windows = [p[j:j + span] for p, j in zip(products, starts)]
-            if len(windows) == 1:
-                out[i] = windows[0]
+            windows = [p[j:j + span] for p, j in zip(products[key], starts)]
+            if len(windows) < 2:  # one weight, or a hand-built bank's empty row
+                row[:] = windows[0] if windows else 0.0
                 continue
-            row = out[i]
             np.add(windows[0], windows[1], out=row)
             for window in windows[2:]:
                 row += window
-    return flat.size
+        if counter is not None:
+            counter.parallel += (bounds[first + len(filled)] - bounds[first]) * frame * n_frames
+        yield first, as_strided(
+            filled, (len(filled), frame, n_frames),
+            (filled.strides[0], filled.itemsize, hop * filled.itemsize), writeable=False,
+        )
 
 
 def filter_all_candidates(
@@ -210,8 +241,9 @@ def filter_all_candidates(
     Each row is a time-invariant FIR, so the rows filter the signal whose
     windows are the chunks once, over its ``L = (n_frames - 1)*hop + frame``
     output samples, and frame t is the read-only strided view
-    ``[:, t*hop : t*hop + frame]`` of those filtered signals. Every sample is
-    the same float operations, in the same order, as filtering frame t alone.
+    ``[:, t*hop : t*hop + frame]`` of those filtered signals. This is one
+    step of :func:`candidate_rows` over all ``N+1`` rows; every sample is the
+    same float operations, in the same order, as filtering frame t alone.
 
     ``out``, if given, receives the filtered signals: a C-contiguous float64
     (N+1, L) array, wholly overwritten, of which the result is a view.
@@ -219,20 +251,14 @@ def filter_all_candidates(
     """
     frame = _check_chunks(bank, chunks)
     n_frames = chunks.shape[1]
-    rows = bank.weights[:, 0, :, 0]
-    signal, hop = _signal(chunks)
-    shape = (rows.shape[0], (n_frames - 1) * hop + frame if n_frames else 0)
+    _, hop = _signal(chunks)
+    shape = (len(bank.weights), (n_frames - 1) * hop + frame if n_frames else 0)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ShapeError(f"out must be C-contiguous float64 {shape}, got {out.dtype} {out.shape}")
-    nonzero = _fill_rows(out, rows, signal)
-    if counter is not None:
-        counter.parallel += nonzero * frame * n_frames
-    return as_strided(
-        out, (shape[0], frame, n_frames), (out.strides[0], out.itemsize, hop * out.itemsize),
-        writeable=False,
-    )
+    [(_, all_candidates)] = candidate_rows(bank, chunks, out, counter)
+    return all_candidates
 
 
 def select_candidate(all_candidates: np.ndarray, track: F0Track) -> np.ndarray:

@@ -225,7 +225,8 @@ def enhance(
         else:
             block_gain = gain_map[:, cols]
         strength_map[:, cols] = block_strength
-        out = noisy_spec * block_gain
+        # frame-contiguous, as OverlapAdd's inverse FFT and overlap-add read it
+        out = np.multiply(noisy_spec, block_gain, order="F")
         out[:, combed] = blend(combed_spec, filtered_spec, block_strength[:, combed],
                                block_gain[:, combed], blend_cfg)
         return out, macs.inference

@@ -76,6 +76,8 @@ def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> 
     views into it.
     """
     span = (n_frames - 1) * hop + length
+    if span > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
+        raise MemoryError(f"windows spanning {span} float64 samples")
     lo = max(start, 0)
     piece = x[lo:max(start + span, 0)]
     padded = np.zeros(span)

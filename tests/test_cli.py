@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,18 +341,52 @@ class TestVerify:
         assert capsys.readouterr().out == line
 
     def test_every_block_refills_one_buffer(self, capsys, monkeypatch):
-        real, outs = hcf.cli.filter_all_candidates, []
+        real, outs = hcf.cli.candidate_rows, []
 
-        def recording(bank, chunks, counter=None, out=None):
+        def recording(bank, chunks, out, counter=None):
             outs.append(out)
-            return real(bank, chunks, counter, out)
+            return real(bank, chunks, out, counter)
 
-        monkeypatch.setattr(hcf.cli, "filter_all_candidates", recording)
+        monkeypatch.setattr(hcf.cli, "candidate_rows", recording)
         assert main(["verify", "--duration", "0.3", "--tracks", "2"]) == 0
         assert "frames=38" in capsys.readouterr().out
-        # 32 + 6 frames: each block's filtered span, (n - 1) * 384 + 1536 samples per row
-        assert [out.shape for out in outs] == [(226, 13440), (226, 3456)]
+        # 32 + 6 frames: each block's filtered span, (n - 1) * 384 + 1536 samples per row,
+        # 8 rows at a time in a prefix of one buffer
+        assert [out.shape for out in outs] == [(8, 13440), (8, 3456)]
         assert all(np.shares_memory(out, outs[0]) for out in outs[1:])
+        assert all(out.ctypes.data == outs[0].ctypes.data for out in outs)
+
+    @pytest.mark.parametrize("block_frames", [1, 7, 32])
+    def test_line_does_not_depend_on_the_block_size(self, capsys, monkeypatch, block_frames):
+        monkeypatch.setattr(hcf.cli, "VERIFY_BLOCK_FRAMES", block_frames)
+        assert main(["verify", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "max_dev=2.220e-16 frames=250 tracks=10 mac_ratio=22.642\n"
+        )
+
+    @pytest.mark.parametrize("tracks, line", [
+        (1, "max_dev=2.220e-16 frames=38 tracks=1 mac_ratio=231.423\n"),
+        (10, "max_dev=2.220e-16 frames=38 tracks=10 mac_ratio=22.6526\n"),
+        (100, "max_dev=2.220e-16 frames=38 tracks=100 mac_ratio=2.26645\n"),
+        (400, "max_dev=2.220e-16 frames=38 tracks=400 mac_ratio=0.566464\n"),
+    ])
+    def test_line_at_any_track_count(self, capsys, tracks, line):
+        # more tracks make shorter blocks, which change no sample or count
+        assert main(["verify", "--duration", "0.3", "--seed", "5", "--tracks", str(tracks)]) == 0
+        assert capsys.readouterr().out == line
+
+    @pytest.mark.parametrize("tracks", [10, 100])
+    def test_peak_memory_stays_under_sixteen_megabytes(self, capsys, tracks):
+        # 8 filtered rows of a block's span and at most 320 selected frames: not
+        # every candidate's span (24 MB) nor 32 frames of every track's picks
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--duration", "3", "--tracks", str(tracks)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "frames=375" in capsys.readouterr().out
+        assert peak < 16_000_000
 
     def test_tolerance_breach_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr("hcf.cli.VERIFY_TOLERANCE", -1.0)

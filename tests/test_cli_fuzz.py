@@ -180,3 +180,21 @@ def test_float_flag_boundaries_exit_zero_two_or_three(tmp_path, command, flag, c
         if code not in (0, 2, 3) or "Warning" in err:
             bad.append((value, code, err))
     assert not bad, bad
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["f0", "enhance", "verify"])
+def test_grid_too_large_to_shape_exits_three(tmp_path, command, capsys):
+    # the longest period, 4.8e18 samples, rounds into int64, but the comb bank and the
+    # analysis windows it sizes hold more bytes than numpy can shape: out of memory, not usage
+    wav = tmp_path / "tone.wav"
+    hcf.write_wav(buffer(harmonic_complex(150.0, 4, 0.1, amp=0.12)), wav)
+    inputs = {
+        "f0": [str(wav), str(tmp_path / "out.csv")],
+        "enhance": [str(wav), str(tmp_path / "out.wav"), "--clean", str(wav)],
+        "verify": ["--duration", "0.1"],
+    }[command]
+    assert main([command, *inputs, "--f-min", "1e-14"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and "float64" in err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.wav").exists()

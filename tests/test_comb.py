@@ -303,7 +303,7 @@ class TestCandidateFill:
 
     def test_fill_starts_no_thread(self, rng, monkeypatch):
         comb = importlib.import_module("hcf.comb")
-        real, threads = comb._fill_rows, []
+        real, threads = comb._scaled, []
 
         def recording(*args):
             threads.append(threading.current_thread())
@@ -312,11 +312,12 @@ class TestCandidateFill:
         def no_start(thread):
             raise AssertionError("the candidate fill started a thread")
 
-        monkeypatch.setattr(comb, "_fill_rows", recording)
+        monkeypatch.setattr(comb, "_scaled", recording)
         monkeypatch.setattr(threading.Thread, "start", no_start)
         bank = hcf.build_bank(hcf.F0Grid())
         hcf.filter_all_candidates(bank, _strided_chunks(bank, rng))
-        assert threads == [threading.current_thread()]
+        # once per weight sequence: the voiced rows' taps and the identity row's 1.0
+        assert threads == [threading.current_thread()] * 2
 
     def test_verify_out_of_memory_in_the_fill_exits_three(self, monkeypatch, capsys):
         comb = importlib.import_module("hcf.comb")
@@ -324,7 +325,7 @@ class TestCandidateFill:
         def failing(*args):
             raise MemoryError("candidate fill")
 
-        monkeypatch.setattr(comb, "_fill_rows", failing)
+        monkeypatch.setattr(comb, "_scaled", failing)
         assert main(["verify", "--duration", "0.2", "--tracks", "1"]) == 3
         assert capsys.readouterr().err.startswith("error: out of memory: ")
 
@@ -554,6 +555,49 @@ class TestSharedProducts:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestCandidateRows:
+    """``candidate_rows`` refills a ``(G, L)`` buffer with G rows at a time;
+    ``filter_all_candidates`` is its one step over all ``N+1`` rows."""
+
+    BANKS = {
+        "default": lambda rng: hcf.build_bank(hcf.F0Grid()),  # 226 rows
+        "order2": lambda rng: hcf.build_bank(hcf.F0Grid(), order=2),
+        "hand-built": lambda rng: TestSharedProducts().hand_built_bank(rng)[0],  # empty rows
+    }
+
+    @pytest.mark.parametrize("group", [1, 7, 8, None], ids=["1", "7", "8", "all"])
+    @pytest.mark.parametrize("name", BANKS)
+    def test_groups_match_filter_all_candidates_byte_for_byte(self, rng, name, group):
+        bank = self.BANKS[name](rng)
+        chunks = _strided_chunks(bank, rng, n_frames=5)
+        want_macs, got_macs = hcf.MacCounter(), hcf.MacCounter()
+        want = hcf.filter_all_candidates(bank, chunks, want_macs)
+        n_rows = len(bank.weights)
+        out = np.full((group or n_rows, _span(5)), np.nan)  # any entry skipped stays NaN
+        firsts = []
+        for first, view in hcf.candidate_rows(bank, chunks, out, got_macs):
+            firsts.append(first)
+            assert view.shape == (min(len(out), n_rows - first), 16, 5)
+            assert np.shares_memory(view, out) and not view.flags.writeable
+            assert view.tobytes() == want[first:first + len(view)].tobytes()
+        assert firsts == list(range(0, n_rows, len(out)))
+        assert n_rows % len(out) == 0 or len(view) < len(out)  # a short last group
+        assert got_macs.parallel == want_macs.parallel
+
+    @pytest.mark.parametrize("make_out", [
+        lambda span: np.empty((8, span), dtype=np.float32),
+        lambda span: np.empty((8, 2 * span))[:, ::2],
+        lambda span: np.empty((8, span + 1)),
+        lambda span: np.empty((0, span)),
+        lambda span: np.empty(8 * span),
+    ], ids=["float32", "non-contiguous", "wrong-span", "zero-rows", "one-dimensional"])
+    def test_rejects_anything_but_a_row_group_buffer(self, rng, make_out):
+        bank = hcf.build_bank(desk_grid())
+        chunks = _strided_chunks(bank, rng)
+        with pytest.raises(ShapeError, match="out must be"):
+            next(hcf.candidate_rows(bank, chunks, make_out(_span(3))))
 
 
 class TestFrequencyResponse:

@@ -18,6 +18,7 @@ from .comb import (
     filter_inference,
     frequency_response,
     select_candidate,
+    verify_routes,
 )
 from .enhance import (
     BlendConfig,
@@ -114,6 +115,7 @@ __all__ = [
     "stft",
     "total_loss",
     "track_from_indices",
+    "verify_routes",
     "viterbi_track",
     "write_matrix",
     "write_track",

@@ -19,26 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioBuffer, PIPELINE_RATE, read_wav, write_wav
-from .comb import CombFilterBank, MacCounter, build_bank, candidate_rows, filter_inference
+from .comb import CombFilterBank, MacCounter, build_bank, verify_routes
 from .enhance import BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
 from .framing import FrameConfig, stft, windows
-from .grid import F0Grid, gaussian_label, read_track, track_from_indices, write_track
+from .grid import F0Grid, gaussian_label, read_track, write_track
 from .helper import BLOCK_FRAMES
 from .matrixio import read_matrix, write_matrix
 from .metrics import LossConfig, sdr, se_loss, snr
 
 VERIFY_TOLERANCE = 1e-8
-
-#: Frames per block in ``verify``; fewer above 10 tracks (see ``VERIFY_REFERENCE_FRAMES``).
-VERIFY_BLOCK_FRAMES = 32
-
-#: Candidate rows ``verify`` filters at a time: 8 rows of a 32-frame span are 0.86 MB.
-VERIFY_ROWS = 8
-
-#: Selected frames, over all tracks, ``verify`` keeps per block: 3.9 MB of float64.
-VERIFY_REFERENCE_FRAMES = 320
 
 
 #: Tuning flags as ``flag: (type, default, help)``; each subcommand declares
@@ -268,41 +259,19 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--tracks must be at least 1, got {args.tracks}")
     if not (np.isfinite(args.duration) and args.duration > 0):
         raise ValueError(f"--duration must be a positive number of seconds, got {args.duration}")
+    n_noise = int(args.duration * PIPELINE_RATE)
+    if not args.wav and n_noise > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
+        raise MemoryError(f"{n_noise} float64 samples of noise")
     grid = _grid(args)
     bank = build_bank(grid, order=args.order)
     rng = np.random.default_rng(args.seed)
+    samples = read_wav(args.wav).samples if args.wav else 0.5 * rng.standard_normal(n_noise)
 
-    if args.wav:
-        samples = read_wav(args.wav).samples
-    else:
-        samples = 0.5 * rng.standard_normal(int(args.duration * PIPELINE_RATE))
-
-    frame_cfg, pad = _frame_cfg(args), bank.pad
-    hop, n_frames = frame_cfg.hop_size, frame_cfg.n_frames(len(samples))
+    frame_cfg = _frame_cfg(args)
+    n_frames = frame_cfg.n_frames(len(samples))
     tracks = np.array([rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)])
-
-    max_dev, macs = 0.0, MacCounter()
-    block_frames = min(VERIFY_BLOCK_FRAMES, max(1, VERIFY_REFERENCE_FRAMES // args.tracks))
-    # one buffer of VERIFY_ROWS filtered block spans and one of the tracks' picks, which
-    # every block refills (the last one a prefix): fresh ones per block would be faulted
-    # in and zeroed again each time
-    frame = frame_cfg.frame_size
-    rows = np.empty(VERIFY_ROWS * ((min(block_frames, n_frames) - 1) * hop + frame))
-    picked = np.empty((args.tracks, min(block_frames, n_frames), frame))
-    for lo in range(0, n_frames, block_frames):
-        n = min(block_frames, n_frames - lo)
-        # this block's chunks only: a view of a padded copy of its own span
-        block = windows(samples, n, hop, lo * hop - pad, frame + 2 * pad).T
-        span = (n - 1) * hop + frame
-        picks, reference = tracks[:, lo:lo + n], picked[:, :n]
-        out = rows[:VERIFY_ROWS * span].reshape(VERIFY_ROWS, span)
-        for first, candidates in candidate_rows(bank, block, out, macs):
-            k, t = np.nonzero((picks >= first) & (picks < first + len(candidates)))
-            reference[k, t] = candidates[picks[k, t] - first, :, t]
-        for indices, selected in zip(picks, reference):
-            fast = filter_inference(bank, block, track_from_indices(grid, indices), macs)
-            np.subtract(selected, fast.T, out=selected)  # in place: no fresh pages per track
-            max_dev = max(max_dev, float(np.abs(selected, out=selected).max()))
+    macs = MacCounter()
+    max_dev = verify_routes(bank, samples, tracks, frame_cfg, macs)
 
     # the reference route's MACs over those of every track's inference route
     print(f"max_dev={max_dev:.3e} frames={n_frames} tracks={args.tracks} "

@@ -1,4 +1,4 @@
-"""Pitch-adaptive comb filter bank and its two filtering routes.
+"""Pitch-adaptive comb filter bank, its two filtering routes and their check.
 
 The bank holds one FIR comb per candidate period: taps ``w_-M..w_M`` spaced
 ``T`` samples apart, symmetric and summing to 1, so every harmonic of
@@ -6,24 +6,16 @@ The bank holds one FIR comb per candidate period: taps ``w_-M..w_M`` spaced
 The rows live in a sparse weight tensor of shape ``(N+1, 1, K, 1)`` with
 ``K = 2*M*T_max + 1``; the final row is an identity tap for unvoiced frames.
 
-Two routes produce filtered frames:
-
-* ``filter_all_candidates`` runs every row over every frame (the reference
-  route, one output per candidate) followed by ``select_candidate``. Each
-  candidate is a time-invariant FIR, so it filters the signal the chunks
-  were cut from once per row and returns the frames as a strided view. It
-  is one step of ``candidate_rows``, which fills any number of rows at a
-  time into one reused buffer, so a caller that only reads some frames of
-  each row never holds every row at once;
-* ``filter_inference`` computes only each frame's selected candidate from
-  shifted chunk slices.
-
-Every row of a bank holds the same few weights, so both routes scale the
-signal once per distinct weight and build each filtered sample from
-additions of windows of those scaled signals, in the order of multiplying
-each weight in turn. They agree to float64 round-off; ``MacCounter``
-tallies the multiply-add cost of each route, by its per-frame definition,
-so the gap is measurable, not anecdotal.
+The reference route, ``filter_all_candidates`` then ``select_candidate``,
+runs every row of the tensor over every frame; it is one step of
+``candidate_rows``, which refills one buffer a few rows at a time. The
+inference route, ``filter_inference``, filters each frame with the taps of its
+selected candidate only. Both scale the signal once per distinct weight, then
+only add windows of the scaled signals in the order of multiplying each weight
+in turn, so they agree to float64 round-off; ``MacCounter`` tallies each
+route's multiply-adds by its per-frame definition. ``verify_routes`` measures
+their deviation over many tracks of one signal, in blocks of bounded memory,
+through the same inference kernel as ``filter_inference``.
 """
 
 from __future__ import annotations
@@ -32,13 +24,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
+from .framing import FrameConfig, windows
 from .grid import F0Grid, F0Track
+from .helper import BLOCK_FRAMES
 
 TAP_TOL = 1e-9
+
+#: Candidate rows :func:`verify_routes` filters at a time: 8 rows of a 64-frame span are 1.6 MB.
+VERIFY_ROWS = 8
 
 
 @dataclass
@@ -109,9 +106,7 @@ def build_bank(grid: F0Grid, order: int = 1, taps: Optional[Sequence] = None) ->
     for i, t_i in enumerate(periods):
         weights[i, 0, center + ks * int(t_i), 0] = w
     weights[grid.size, 0, center, 0] = 1.0
-    return CombFilterBank(
-        order=order, taps=w, grid=grid, weights=weights, rounded_periods=periods
-    )
+    return CombFilterBank(order=order, taps=w, grid=grid, weights=weights, rounded_periods=periods)
 
 
 def _check_chunks(bank: CombFilterBank, chunks: np.ndarray) -> int:
@@ -119,9 +114,7 @@ def _check_chunks(bank: CombFilterBank, chunks: np.ndarray) -> int:
         raise ShapeError(f"chunks must be 2-D (chunk_size, n_frames), got {chunks.shape}")
     frame = chunks.shape[0] - 2 * bank.pad
     if frame <= 0:
-        raise ShapeError(
-            f"chunk length {chunks.shape[0]} too short for pad {bank.pad} per side"
-        )
+        raise ShapeError(f"chunk length {chunks.shape[0]} too short for pad {bank.pad} per side")
     return frame
 
 
@@ -163,29 +156,23 @@ def _scaled(weights: np.ndarray, signal: np.ndarray) -> list:
 
 
 def candidate_rows(
-    bank: CombFilterBank,
-    chunks: np.ndarray,
-    out: np.ndarray,
-    counter: Optional[MacCounter] = None,
+    bank: CombFilterBank, chunks: np.ndarray, out: np.ndarray, counter: Optional[MacCounter] = None
 ):
     """Filter the signal behind ``chunks`` with every row of the bank, ``len(out)`` rows a step.
 
     ``out`` is a C-contiguous float64 ``(G, L)`` buffer with ``G >= 1`` and
-    ``L = (n_frames - 1)*hop + frame``; anything else raises ``ShapeError``
-    at the first step. Each step refills ``out`` with the filtered signals
-    of rows ``first .. first+G-1`` (the last step a prefix ``out[:m]``) and
-    yields ``(first, view)``, where ``view[r, :, t]`` is frame t of row
-    ``first + r``: a read-only ``(rows, frame, n_frames)`` strided view of
-    ``out``, valid until the next step. Each step adds its rows'
-    ``nonzero_taps * frame * n_frames`` to ``counter.parallel``.
+    ``L = (n_frames - 1)*hop + frame``, else the first step raises
+    ``ShapeError``. Each step refills ``out`` (the last step a prefix) with
+    rows ``first .. first+G-1`` and yields ``(first, view)``: ``view[r, :, t]``
+    is frame t of row ``first + r``, a read-only strided view of ``out`` valid
+    until the next step. Each step adds its rows' ``nonzero_taps * frame *
+    n_frames`` to ``counter.parallel``.
 
-    Row ``i`` is ``sum_j w[i, j] * signal[j:j + L]``. The weight tensor is
-    scanned once per call. Rows with the same sequence of nonzero weights
-    share their products with the signal: each distinct weight scales it
-    once, on the group's first row, and a row is its first two windows of
-    those scaled signals added, then each later window added, in weight
-    order. Those are the float operations of multiplying each weight into
-    the row in turn, so every sample is bit-identical to that.
+    Row ``i`` is ``sum_j w[i, j] * signal[j:j + L]``, from one scan of the
+    tensor. Rows with the same sequence of nonzero weights share the signal
+    scaled once per distinct weight; a row adds its first two windows of
+    those, then each later one, in weight order: the float operations of
+    multiplying each weight into the row in turn, bit for bit.
     """
     frame = _check_chunks(bank, chunks)
     n_frames = chunks.shape[1]
@@ -210,12 +197,12 @@ def candidate_rows(
             if key not in products:
                 products[key] = _scaled(weights, signal)
             starts = cols[bounds[i]:bounds[i + 1]].tolist()
-            windows = [p[j:j + span] for p, j in zip(products[key], starts)]
-            if len(windows) < 2:  # one weight, or a hand-built bank's empty row
-                row[:] = windows[0] if windows else 0.0
+            shifted = [p[j:j + span] for p, j in zip(products[key], starts)]
+            if len(shifted) < 2:  # one weight, or a hand-built bank's empty row
+                row[:] = shifted[0] if shifted else 0.0
                 continue
-            np.add(windows[0], windows[1], out=row)
-            for window in windows[2:]:
+            np.add(shifted[0], shifted[1], out=row)
+            for window in shifted[2:]:
                 row += window
         if counter is not None:
             counter.parallel += (bounds[first + len(filled)] - bounds[first]) * frame * n_frames
@@ -226,10 +213,7 @@ def candidate_rows(
 
 
 def filter_all_candidates(
-    bank: CombFilterBank,
-    chunks: np.ndarray,
-    counter: Optional[MacCounter] = None,
-    out: Optional[np.ndarray] = None,
+    bank: CombFilterBank, chunks: np.ndarray, counter: Optional[MacCounter] = None
 ) -> np.ndarray:
     """Run every candidate filter over every frame.
 
@@ -241,22 +225,15 @@ def filter_all_candidates(
     Each row is a time-invariant FIR, so the rows filter the signal whose
     windows are the chunks once, over its ``L = (n_frames - 1)*hop + frame``
     output samples, and frame t is the read-only strided view
-    ``[:, t*hop : t*hop + frame]`` of those filtered signals. This is one
-    step of :func:`candidate_rows` over all ``N+1`` rows; every sample is the
-    same float operations, in the same order, as filtering frame t alone.
-
-    ``out``, if given, receives the filtered signals: a C-contiguous float64
-    (N+1, L) array, wholly overwritten, of which the result is a view.
-    Anything else raises ``ShapeError``.
+    ``[:, t*hop : t*hop + frame]`` of those filtered signals, held in one
+    fresh (N+1, L) buffer. This is one step of :func:`candidate_rows` over
+    all ``N+1`` rows; every sample is the same float operations, in the same
+    order, as filtering frame t alone.
     """
     frame = _check_chunks(bank, chunks)
     n_frames = chunks.shape[1]
     _, hop = _signal(chunks)
-    shape = (len(bank.weights), (n_frames - 1) * hop + frame if n_frames else 0)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ShapeError(f"out must be C-contiguous float64 {shape}, got {out.dtype} {out.shape}")
+    out = np.empty((len(bank.weights), (n_frames - 1) * hop + frame if n_frames else 0))
     [(_, all_candidates)] = candidate_rows(bank, chunks, out, counter)
     return all_candidates
 
@@ -270,43 +247,95 @@ def select_candidate(all_candidates: np.ndarray, track: F0Track) -> np.ndarray:
     return all_candidates[track.indices, :, np.arange(n_frames)].T
 
 
+def _infer(bank: CombFilterBank, signal: np.ndarray, hop: int, frames: np.ndarray,
+           indices: np.ndarray, out: np.ndarray, counter: Optional[MacCounter]) -> None:
+    """Filter chunk ``frames[r]``, ``signal[t*hop:][:frame + 2*pad]`` for chunk t, with
+    row ``indices[r]`` into ``out[r]``; the pairs may come in any order and repeat a frame.
+
+    An unvoiced pair copies its center slice. The stretch of the signal that the
+    voiced pairs reach is scaled once per distinct tap, and each voiced pair adds
+    its ``2M+1`` windows of those onto zeros in tap order, as weighting each slice
+    in turn would. Reads the taps and rounded periods, never the weight tensor.
+    """
+    m, pad, frame = bank.order, bank.pad, out.shape[1]
+    voiced = indices != bank.grid.unvoiced_index
+    if not voiced.all():
+        # row t of this view is chunk t's center slice
+        out[~voiced] = sliding_window_view(signal[pad:], frame)[::hop][frames[~voiced]]
+    rs = np.flatnonzero(voiced)
+    if rs.size:
+        periods = bank.rounded_periods[indices[rs]]
+        starts = frames[rs] * hop + pad  # where each voiced pair's center slice starts
+        lo = int((starts - m * periods).min())
+        hi = int((starts + m * periods).max()) + frame
+        products = _scaled(bank.taps, signal[lo:hi])
+        out[rs] = 0.0
+        for r, start, period in zip(rs.tolist(), (starts - lo).tolist(), periods.tolist()):
+            row = out[r]
+            for k, product in zip(range(-m, m + 1), products):
+                base = start - k * period
+                row += product[base:base + frame]
+    if counter is not None:
+        counter.inference += len(bank.taps) * frame * rs.size
+
+
 def filter_inference(
-    bank: CombFilterBank,
-    chunks: np.ndarray,
-    track: F0Track,
-    counter: Optional[MacCounter] = None,
+    bank: CombFilterBank, chunks: np.ndarray, track: F0Track, counter: Optional[MacCounter] = None
 ) -> np.ndarray:
     """Filter each frame with its selected candidate only.
 
     Voiced frame t with rounded period T sums the ``2M+1`` slices
     ``chunks[pad - k*T : pad - k*T + frame, t]`` weighted by the taps;
-    unvoiced frames pass the center slice through exactly. The stretch of
-    the signal behind the chunks that voiced frames reach is scaled once per
-    distinct tap, and each voiced frame adds its windows of those onto zeros
-    in tap order, the float operations of weighting each slice in turn.
+    unvoiced frames pass the center slice through exactly. The frames run
+    through the same kernel as :func:`verify_routes`' inference route.
     """
     frame = _check_chunks(bank, chunks)
     _check_track(track, chunks.shape[1], bank.grid.label_size)
-    voiced = track.voiced_mask(bank.grid)
-    m, pad = bank.order, bank.pad
-    out = np.zeros((chunks.shape[1], frame))
-    ts = np.flatnonzero(voiced)
-    if ts.size:
-        signal, hop = _signal(chunks)
-        periods = bank.rounded_periods[track.indices[ts]]
-        centers = ts * hop + pad
-        lo = int((centers - m * periods).min())
-        hi = int((centers + m * periods).max()) + frame
-        products = _scaled(bank.taps, signal[lo:hi])
-        for t, center, period in zip(ts.tolist(), (centers - lo).tolist(), periods.tolist()):
-            row = out[t]
-            for k, product in zip(range(-m, m + 1), products):
-                base = center - k * period
-                row += product[base:base + frame]
-    out[~voiced] = chunks.T[~voiced, pad:pad + frame]
-    if counter is not None:
-        counter.inference += len(bank.taps) * frame * int(voiced.sum())
+    out = np.empty((chunks.shape[1], frame))
+    _infer(bank, *_signal(chunks), np.arange(len(out)), track.indices, out, counter)
     return out.T
+
+
+def verify_routes(
+    bank: CombFilterBank, samples: np.ndarray, tracks: np.ndarray, frame_cfg: FrameConfig,
+    counter: Optional[MacCounter] = None,
+) -> float:
+    """The largest deviation between the two routes over ``tracks``, an
+    ``(n_tracks, n_frames)`` matrix of bank rows for the frames of ``samples``.
+
+    Each block of ``BLOCK_FRAMES`` frames is framed from its own span and its
+    candidates filled ``VERIFY_ROWS`` rows at a time. The (track, frame) pairs
+    that pick a row of a group go at most ``BLOCK_FRAMES`` at a time through the
+    kernel of :func:`filter_inference`, so memory is bounded at any number of
+    tracks. ``counter`` gets both routes' multiply-adds.
+    """
+    hop, frame, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
+    n_frames = frame_cfg.n_frames(len(samples))
+    tracks = np.asarray(tracks, dtype=np.int64)
+    if tracks.ndim != 2 or tracks.shape[1] != n_frames:
+        raise ShapeError(f"tracks must be (n_tracks, {n_frames}), got {tracks.shape}")
+    _check_track(F0Track(tracks.ravel()), tracks.size, bank.grid.label_size)
+    # buffers that every block refills (the last a prefix): fresh ones would be faulted in
+    step = min(BLOCK_FRAMES, n_frames)
+    rows, fast = np.empty(VERIFY_ROWS * ((step - 1) * hop + frame)), np.empty((step, frame))
+    max_dev = 0.0
+    for lo in range(0, n_frames, BLOCK_FRAMES):
+        n = min(BLOCK_FRAMES, n_frames - lo)
+        # this block's chunks only: a view of a padded copy of its own span
+        chunks = windows(samples, n, hop, lo * hop - pad, frame + 2 * pad).T
+        signal, _ = _signal(chunks)
+        picks, span = tracks[:, lo:lo + n], (n - 1) * hop + frame
+        out = rows[:VERIFY_ROWS * span].reshape(VERIFY_ROWS, span)
+        for first, candidates in candidate_rows(bank, chunks, out, counter):
+            k, t = np.nonzero((picks >= first) & (picks < first + len(candidates)))
+            picked = picks[k, t]
+            for s in range(0, len(t), step):
+                ts, indices = t[s:s + step], picked[s:s + step]
+                reference = candidates[indices - first, :, ts]
+                _infer(bank, signal, hop, ts, indices, fast[:len(ts)], counter)
+                np.subtract(reference, fast[:len(ts)], out=reference)
+                max_dev = max(max_dev, float(np.abs(reference, out=reference).max()))
+    return max_dev
 
 
 def frequency_response(bank: CombFilterBank, candidate: int, n_points: int = 1024):

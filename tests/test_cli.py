@@ -340,25 +340,53 @@ class TestVerify:
         assert main(["verify", "--seed", "3", "--order", str(order)]) == 0
         assert capsys.readouterr().out == line
 
+    def test_library_routine_reproduces_the_golden_line(self):
+        # the same seeded draws as ``hcf verify --seed 3``: the noise, then each track
+        rng = np.random.default_rng(3)
+        samples = 0.5 * rng.standard_normal(2 * 48000)
+        tracks = np.array([rng.integers(0, 226, size=250) for _ in range(10)])
+        macs = hcf.MacCounter()
+        max_dev = hcf.verify_routes(
+            hcf.build_bank(hcf.F0Grid()), samples, tracks, hcf.FrameConfig(), macs
+        )
+        assert f"max_dev={max_dev:.3e} mac_ratio={macs.ratio():.6g}" == (
+            "max_dev=2.220e-16 mac_ratio=22.642"
+        )
+
     def test_every_block_refills_one_buffer(self, capsys, monkeypatch):
-        real, outs = hcf.cli.candidate_rows, []
+        real, outs = hcf.comb.candidate_rows, []
 
         def recording(bank, chunks, out, counter=None):
             outs.append(out)
             return real(bank, chunks, out, counter)
 
-        monkeypatch.setattr(hcf.cli, "candidate_rows", recording)
-        assert main(["verify", "--duration", "0.3", "--tracks", "2"]) == 0
-        assert "frames=38" in capsys.readouterr().out
-        # 32 + 6 frames: each block's filtered span, (n - 1) * 384 + 1536 samples per row,
+        monkeypatch.setattr(hcf.comb, "candidate_rows", recording)
+        assert main(["verify", "--duration", "0.6", "--tracks", "2"]) == 0
+        assert "frames=75" in capsys.readouterr().out
+        # 64 + 11 frames: each block's filtered span, (n - 1) * 384 + 1536 samples per row,
         # 8 rows at a time in a prefix of one buffer
-        assert [out.shape for out in outs] == [(8, 13440), (8, 3456)]
+        assert [out.shape for out in outs] == [(8, 25728), (8, 5376)]
         assert all(np.shares_memory(out, outs[0]) for out in outs[1:])
         assert all(out.ctypes.data == outs[0].ctypes.data for out in outs)
 
-    @pytest.mark.parametrize("block_frames", [1, 7, 32])
+    @pytest.mark.parametrize("tracks", [1, 10, 100, 400])
+    def test_candidate_steps_do_not_depend_on_the_track_count(self, capsys, monkeypatch, tracks):
+        real, steps = hcf.comb.candidate_rows, []
+
+        def counting(*args):
+            for step in real(*args):
+                steps.append(step[0])
+                yield step
+
+        monkeypatch.setattr(hcf.comb, "candidate_rows", counting)
+        assert main(["verify", "--duration", "0.6", "--tracks", str(tracks)]) == 0
+        assert "frames=75" in capsys.readouterr().out
+        # two blocks of 64 and 11 frames, each filling 226 rows 8 at a time
+        assert steps == list(range(0, 226, 8)) * 2
+
+    @pytest.mark.parametrize("block_frames", [1, 7, 32, 64])
     def test_line_does_not_depend_on_the_block_size(self, capsys, monkeypatch, block_frames):
-        monkeypatch.setattr(hcf.cli, "VERIFY_BLOCK_FRAMES", block_frames)
+        monkeypatch.setattr(hcf.comb, "BLOCK_FRAMES", block_frames)
         assert main(["verify", "--seed", "3"]) == 0
         assert capsys.readouterr().out == (
             "max_dev=2.220e-16 frames=250 tracks=10 mac_ratio=22.642\n"
@@ -371,21 +399,32 @@ class TestVerify:
         (400, "max_dev=2.220e-16 frames=38 tracks=400 mac_ratio=0.566464\n"),
     ])
     def test_line_at_any_track_count(self, capsys, tracks, line):
-        # more tracks make shorter blocks, which change no sample or count
+        # more tracks check more pairs per row group, in more steps of one block's frames
         assert main(["verify", "--duration", "0.3", "--seed", "5", "--tracks", str(tracks)]) == 0
         assert capsys.readouterr().out == line
 
-    @pytest.mark.parametrize("tracks", [10, 100])
-    def test_peak_memory_stays_under_sixteen_megabytes(self, capsys, tracks):
-        # 8 filtered rows of a block's span and at most 320 selected frames: not
-        # every candidate's span (24 MB) nor 32 frames of every track's picks
+    @pytest.mark.parametrize("tracks, line", [
+        (1, "max_dev=2.220e-16 frames=125 tracks=1 mac_ratio=225.333\n"),
+        (100, "max_dev=2.220e-16 frames=125 tracks=100 mac_ratio=2.26347\n"),
+    ])
+    def test_golden_line_over_a_full_and_a_short_block(self, capsys, tracks, line):
+        # 125 frames: one block of 64 and a short last one of 61
+        assert main(["verify", "--duration", "1", "--tracks", str(tracks)]) == 0
+        assert capsys.readouterr().out == line
+
+    @pytest.mark.parametrize("tracks, seconds, frames", [
+        (10, "3", 375), (100, "3", 375), (400, "0.6", 75),
+    ], ids=["10", "100", "400"])
+    def test_peak_memory_stays_under_sixteen_megabytes(self, capsys, tracks, seconds, frames):
+        # 8 filtered rows of a block's span and one block's frames of picked pairs at a
+        # time: not every candidate's span (47 MB) nor every pair of a row group
         tracemalloc.start()
         try:
-            assert main(["verify", "--duration", "3", "--tracks", str(tracks)]) == 0
+            assert main(["verify", "--duration", seconds, "--tracks", str(tracks)]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "frames=375" in capsys.readouterr().out
+        assert f"frames={frames} " in capsys.readouterr().out
         assert peak < 16_000_000
 
     def test_tolerance_breach_exits_four(self, capsys, monkeypatch):

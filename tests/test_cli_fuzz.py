@@ -10,6 +10,7 @@ values, where a rejected value may also exit 2.
 """
 
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,7 @@ FLOAT_FLAGS = [
     ("f0", "--switch-cost"),
     ("metrics", "--compression"),
     ("metrics", "--magnitude-weight"),
+    ("verify", "--duration"),
     *((command, flag) for command in ("f0", "verify", "enhance") for flag in ("--f-min", "--f-max")),
 ]
 
@@ -198,3 +200,20 @@ def test_grid_too_large_to_shape_exits_three(tmp_path, command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and "float64" in err
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("duration", ["1e14", "1e300"])
+def test_noise_too_large_to_shape_exits_three(duration, capsys):
+    # 4.8e18 float64 samples or more are more bytes than numpy can shape: out of
+    # memory, raised before the comb bank or the noise is allocated
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--duration", duration, "--tracks", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and "float64" in err
+    assert peak < 1_000_000

@@ -290,14 +290,17 @@ class TestCandidateFill:
 
     def test_empty_weight_row_filters_to_zero(self, rng):
         # the signals are not zeroed up front, so a row with no weight is written as zeros,
-        # also into a dirty reused buffer
+        # also by candidate_rows into a dirty reused buffer
         bank = hcf.build_bank(desk_grid())
         faulty = dataclasses.replace(bank, weights=bank.weights.copy())
         faulty.weights[2] = 0.0
         chunks = _strided_chunks(bank, rng)
         kept = [0, 1, 3, 4, 5]
-        for out in (None, np.full((6, _span(3)), np.nan)):
-            got = hcf.filter_all_candidates(faulty, chunks, out=out)
+        dirty = np.full((6, _span(3)), np.nan)
+        for got in (
+            hcf.filter_all_candidates(faulty, chunks),
+            next(hcf.candidate_rows(faulty, chunks, dirty))[1],
+        ):
             np.testing.assert_array_equal(got[2], 0.0)
             np.testing.assert_array_equal(got[kept], hcf.filter_all_candidates(bank, chunks)[kept])
 
@@ -406,9 +409,11 @@ class TestSignalLayouts:
 
 
 class TestCandidateOut:
-    """``out=`` takes the filtered signals, (N+1, L) with L = (n_frames - 1)*hop
-    + frame, so one buffer can be refilled block after block; the result is a
-    read-only strided view of it."""
+    """``candidate_rows``' ``out`` takes the filtered signals, (G, L) with L =
+    (n_frames - 1)*hop + frame, so one buffer can be refilled block after
+    block; each step yields a read-only strided view of it. Here G = N+1, so
+    one step fills every row, as ``filter_all_candidates`` does into a fresh
+    buffer."""
 
     @pytest.mark.parametrize("make_out", [
         lambda returned: np.empty((6, _span(3) + 1)),
@@ -422,7 +427,7 @@ class TestCandidateOut:
         chunks = _strided_chunks(bank, rng)
         out = make_out(hcf.filter_all_candidates(bank, chunks))
         with pytest.raises(ShapeError, match="out must be"):
-            hcf.filter_all_candidates(bank, chunks, out=out)
+            next(hcf.candidate_rows(bank, chunks, out))
 
     def test_refilled_buffer_matches_a_fresh_fill_bit_for_bit(self, rng):
         bank = hcf.build_bank(hcf.F0Grid())
@@ -433,7 +438,7 @@ class TestCandidateOut:
             chunks = _strided_chunks(bank, rng, n_frames=n_frames)
             buffer[:] = np.nan  # any entry the fill skipped would stay NaN
             out = buffer[:n_rows * _span(n_frames)].reshape(n_rows, _span(n_frames))
-            got = hcf.filter_all_candidates(bank, chunks, out=out)
+            [(_, got)] = hcf.candidate_rows(bank, chunks, out)
             assert np.shares_memory(got, out)
             assert got.tobytes() == hcf.filter_all_candidates(bank, chunks).tobytes()
 
@@ -441,7 +446,7 @@ class TestCandidateOut:
         bank = hcf.build_bank(desk_grid())
         chunks = _strided_chunks(bank, rng, n_frames=4)
         out = np.empty((6, _span(4)))
-        got = hcf.filter_all_candidates(bank, chunks, out=out)
+        [(_, got)] = hcf.candidate_rows(bank, chunks, out)
         assert np.shares_memory(got, out)
         with pytest.raises(ValueError):
             got[0, 0, 0] = 1.0
@@ -509,9 +514,16 @@ class TestSharedProducts:
             chunks = np.asfortranarray(rng.standard_normal((16 + 2 * hand.pad, 5)))
             hop = len(chunks)
         want = _naive_fill(chunks, rows, 16).tobytes()
-        for out in (None, np.full((len(rows), 4 * hop + 16), np.nan)):
+        fills = [
+            lambda counter: hcf.filter_all_candidates(hand, chunks, counter),
+            # one step over every row, into a dirty buffer
+            lambda counter: next(hcf.candidate_rows(
+                hand, chunks, np.full((len(rows), 4 * hop + 16), np.nan), counter
+            ))[1],
+        ]
+        for fill in fills:
             counter = hcf.MacCounter()
-            got = hcf.filter_all_candidates(hand, chunks, counter, out=out)
+            got = fill(counter)
             assert np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes() == want
             assert counter.parallel == np.count_nonzero(rows) * 16 * 5
 
@@ -550,7 +562,8 @@ class TestSharedProducts:
         out = np.empty((len(bank.weights), 31 * cfg.hop_size + cfg.frame_size))
         tracemalloc.start()
         try:
-            hcf.filter_all_candidates(bank, chunks, out=out)
+            for _ in hcf.candidate_rows(bank, chunks, out):  # every row in one step
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -598,6 +611,69 @@ class TestCandidateRows:
         chunks = _strided_chunks(bank, rng)
         with pytest.raises(ShapeError, match="out must be"):
             next(hcf.candidate_rows(bank, chunks, make_out(_span(3))))
+
+
+class TestPairKernel:
+    """``verify_routes`` runs the inference route on (frame, row) pairs through
+    the kernel behind ``filter_inference``: the pairs' order, repeated frames
+    and unvoiced pairs change no byte of any frame."""
+
+    @pytest.mark.parametrize("make_bank", [
+        lambda: hcf.build_bank(hcf.F0Grid()),
+        lambda: hcf.build_bank(hcf.F0Grid(), order=2),
+        lambda: hcf.build_bank(hcf.F0Grid(), taps=[0.5, 0.0, 0.5]),
+    ], ids=["default", "order2", "zero-center-tap"])
+    def test_pairs_match_filter_inference_columns_byte_for_byte(self, rng, make_bank):
+        comb = importlib.import_module("hcf.comb")
+        bank = make_bank()
+        grid = bank.grid
+        chunks = _strided_chunks(bank, rng, n_frames=8, signed_zeros=True)
+        frames = np.array([5, 0, 5, 7, 2, 2, 6, 1, 3, 4, 0, 7])  # unsorted, with repeats
+        indices = rng.integers(0, grid.size, size=len(frames))
+        indices[[1, 2, 5]] = grid.size  # frames 5 and 2 both voiced and unvoiced
+        columns = {
+            int(i): hcf.filter_inference(bank, chunks, hcf.track_from_indices(grid, np.full(8, i)))
+            for i in np.unique(indices)
+        }
+        want = np.array([columns[int(i)][:, t] for t, i in zip(frames, indices)])
+        assert _negative_zeros(want[indices == grid.size]) > 0
+
+        signal, hop = comb._signal(chunks)
+        out = np.full((len(frames), 16), np.nan)  # any entry the kernel skipped stays NaN
+        counter = hcf.MacCounter()
+        comb._infer(bank, signal, hop, frames, indices, out, counter)
+        assert out.tobytes() == want.tobytes()
+        assert counter.inference == len(bank.taps) * 16 * 9
+
+
+class TestVerifyRoutes:
+    def test_rejects_tracks_of_another_shape_or_range(self, bank, rng):
+        samples, cfg = rng.standard_normal(4000), hcf.FrameConfig()
+        n_frames = cfg.n_frames(len(samples))
+        for tracks in (np.zeros(n_frames, int), np.zeros((2, n_frames + 1), int)):
+            with pytest.raises(ShapeError, match="tracks must be"):
+                hcf.verify_routes(bank, samples, tracks, cfg)
+        for index in (-1, 226):
+            with pytest.raises(ShapeError, match=r"\[0, 225\]"):
+                hcf.verify_routes(bank, samples, np.full((2, n_frames), index), cfg)
+
+    @pytest.mark.parametrize("index", [96, 225], ids=["voiced", "unvoiced"])
+    def test_constant_tracks_stay_under_sixteen_megabytes(self, bank, rng, index):
+        # 400 tracks that pick one row put all 25 600 (track, frame) pairs of a 64-frame
+        # block into one row group: 315 MB of reference frames if checked at once
+        samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()
+        tracks = np.full((400, 75), index)
+        counter = hcf.MacCounter()
+        tracemalloc.start()
+        try:
+            dev = hcf.verify_routes(bank, samples, tracks, cfg, counter)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dev <= VERIFY_TOLERANCE
+        assert counter.parallel == (225 * 3 + 1) * 1536 * 75
+        assert counter.inference == (3 * 1536 * 400 * 75 if index < 225 else 0)
+        assert peak < 16_000_000
 
 
 class TestFrequencyResponse:

@@ -13,7 +13,6 @@ from .comb import (
     CombFilterBank,
     MacCounter,
     build_bank,
-    candidate_rows,
     filter_all_candidates,
     filter_inference,
     frequency_response,
@@ -86,7 +85,6 @@ __all__ = [
     "blend",
     "build_bank",
     "build_mel_filterbank",
-    "candidate_rows",
     "chunk_signal",
     "compress",
     "enhance",

@@ -6,16 +6,16 @@ The bank holds one FIR comb per candidate period: taps ``w_-M..w_M`` spaced
 The rows live in a sparse weight tensor of shape ``(N+1, 1, K, 1)`` with
 ``K = 2*M*T_max + 1``; the final row is an identity tap for unvoiced frames.
 
-The reference route, ``filter_all_candidates`` then ``select_candidate``,
-runs every row of the tensor over every frame; it is one step of
-``candidate_rows``, which refills one buffer a few rows at a time. The
-inference route, ``filter_inference``, filters each frame with the taps of its
-selected candidate only. Both scale the signal once per distinct weight, then
-only add windows of the scaled signals in the order of multiplying each weight
-in turn, so they agree to float64 round-off; ``MacCounter`` tallies each
-route's multiply-adds by its per-frame definition. ``verify_routes`` measures
-their deviation over many tracks of one signal, in blocks of bounded memory,
-through the same inference kernel as ``filter_inference``.
+The reference route, ``filter_all_candidates`` then ``select_candidate``, runs
+every row of the tensor over every frame; the inference route,
+``filter_inference``, each frame's selected candidate only. Each has one pair
+kernel that filters chunk ``frames[r]`` with row ``indices[r]``: ``_reference``
+reads only the weight tensor, ``_infer`` only the taps and rounded periods. Both
+scale the signal once per distinct weight, then only add windows of the scaled
+signals in the order of multiplying each weight in turn, so they agree to float64
+round-off. ``verify_routes`` measures their deviation over many tracks of one
+signal on the distinct (frame, row) pairs the tracks pick; ``MacCounter`` tallies
+each route's multiply-adds by its per-frame definition.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ from .helper import BLOCK_FRAMES
 
 TAP_TOL = 1e-9
 
-#: Candidate rows :func:`verify_routes` filters at a time: 8 rows of a 64-frame span are 1.6 MB.
-VERIFY_ROWS = 8
-
 
 @dataclass
 class MacCounter:
     """Multiply-adds per route, each counted by its per-frame definition.
 
     ``parallel`` is ``nonzero_taps * frame * n_frames`` and ``inference`` is
-    ``len(taps) * frame`` per voiced frame, although the routes compute each
-    sample that frames share once and multiply by each distinct weight once.
+    ``len(taps) * frame`` per voiced frame of each track, although the routes
+    multiply by each distinct weight once, ``filter_all_candidates`` computes
+    each sample that frames share once, and ``verify_routes`` filters only the
+    (frame, row) pairs that the tracks pick.
     """
 
     parallel: int = 0
@@ -155,61 +154,43 @@ def _scaled(weights: np.ndarray, signal: np.ndarray) -> list:
     return [by_bits[w.tobytes()] for w in weights]
 
 
-def candidate_rows(
-    bank: CombFilterBank, chunks: np.ndarray, out: np.ndarray, counter: Optional[MacCounter] = None
-):
-    """Filter the signal behind ``chunks`` with every row of the bank, ``len(out)`` rows a step.
-
-    ``out`` is a C-contiguous float64 ``(G, L)`` buffer with ``G >= 1`` and
-    ``L = (n_frames - 1)*hop + frame``, else the first step raises
-    ``ShapeError``. Each step refills ``out`` (the last step a prefix) with
-    rows ``first .. first+G-1`` and yields ``(first, view)``: ``view[r, :, t]``
-    is frame t of row ``first + r``, a read-only strided view of ``out`` valid
-    until the next step. Each step adds its rows' ``nonzero_taps * frame *
-    n_frames`` to ``counter.parallel``.
-
-    Row ``i`` is ``sum_j w[i, j] * signal[j:j + L]``, from one scan of the
-    tensor. Rows with the same sequence of nonzero weights share the signal
-    scaled once per distinct weight; a row adds its first two windows of
-    those, then each later one, in weight order: the float operations of
-    multiplying each weight into the row in turn, bit for bit.
-    """
-    frame = _check_chunks(bank, chunks)
-    n_frames = chunks.shape[1]
-    signal, hop = _signal(chunks)
-    span = (n_frames - 1) * hop + frame if n_frames else 0
-    if (out.ndim != 2 or not len(out) or out.shape[1] != span or out.dtype != np.float64
-            or not out.flags.c_contiguous):
-        raise ShapeError(
-            f"out must be C-contiguous float64 (rows >= 1, {span}), got {out.dtype} {out.shape}"
-        )
-    rows = bank.weights[:, 0, :, 0]
+def _scan(weights: np.ndarray) -> list:
+    """Each row of a ``(N+1, 1, K, 1)`` weight tensor as ``(key, nonzero weights, their
+    columns)``, from one scan of its nonzeros; ``key`` is the weights' bytes."""
+    rows = weights[:, 0, :, 0]
     flat = np.flatnonzero(rows.ravel() != 0)
     row_of, cols = divmod(flat, rows.shape[1])
     values = rows.ravel()[flat]
     bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
-    products = {}  # the scaled signals of each weight sequence met so far
-    for first in range(0, len(rows), len(out)):
-        filled = out[:len(rows) - first]
-        for row, i in zip(filled, range(first, len(rows))):
-            weights = values[bounds[i]:bounds[i + 1]]
-            key = weights.tobytes()
-            if key not in products:
-                products[key] = _scaled(weights, signal)
-            starts = cols[bounds[i]:bounds[i + 1]].tolist()
-            shifted = [p[j:j + span] for p, j in zip(products[key], starts)]
-            if len(shifted) < 2:  # one weight, or a hand-built bank's empty row
-                row[:] = shifted[0] if shifted else 0.0
-                continue
-            np.add(shifted[0], shifted[1], out=row)
-            for window in shifted[2:]:
-                row += window
-        if counter is not None:
-            counter.parallel += (bounds[first + len(filled)] - bounds[first]) * frame * n_frames
-        yield first, as_strided(
-            filled, (len(filled), frame, n_frames),
-            (filled.strides[0], filled.itemsize, hop * filled.itemsize), writeable=False,
-        )
+    return [(values[a:b].tobytes(), values[a:b], cols[a:b].tolist())
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _reference(rows: list, signal: np.ndarray, hop: int, frames: np.ndarray,
+               indices: np.ndarray, out: np.ndarray) -> None:
+    """Filter chunk ``frames[r]``, ``signal[t*hop:]`` for chunk t, with row ``indices[r]``
+    of :func:`_scan`'s ``rows`` into ``out[r]``; the pairs may come in any order.
+
+    The stretch the pairs reach is scaled once per distinct weight of each weight
+    sequence their rows share; a pair adds its first two windows of those, then each
+    later one, in weight order: the float operations of multiplying each weight into
+    the frame in turn, bit for bit. A row with no weight gives zeros.
+    """
+    frame, lo = out.shape[1], int(frames.min()) * hop
+    picked = [rows[i] for i in indices.tolist()]
+    reach = max((cols[-1] for _, _, cols in picked if cols), default=0) + frame
+    stretch = signal[lo:int(frames.max()) * hop + reach]
+    products = {}  # the scaled stretches of each weight sequence met so far
+    for row, start, (key, weights, cols) in zip(out, (frames * hop - lo).tolist(), picked):
+        if key not in products:
+            products[key] = _scaled(weights, stretch)
+        shifted = [p[start + j:start + j + frame] for p, j in zip(products[key], cols)]
+        if len(shifted) < 2:  # one weight, or a hand-built bank's empty row
+            row[:] = shifted[0] if shifted else 0.0
+            continue
+        np.add(shifted[0], shifted[1], out=row)
+        for window in shifted[2:]:
+            row += window
 
 
 def filter_all_candidates(
@@ -222,20 +203,24 @@ def filter_all_candidates(
     row i of ``bank.weights`` at valid positions only, so this route checks
     the weight tensor itself. Row N is the untouched center slice.
 
-    Each row is a time-invariant FIR, so the rows filter the signal whose
-    windows are the chunks once, over its ``L = (n_frames - 1)*hop + frame``
-    output samples, and frame t is the read-only strided view
-    ``[:, t*hop : t*hop + frame]`` of those filtered signals, held in one
-    fresh (N+1, L) buffer. This is one step of :func:`candidate_rows` over
-    all ``N+1`` rows; every sample is the same float operations, in the same
-    order, as filtering frame t alone.
+    Each row is a time-invariant FIR, so :func:`_reference` filters the signal
+    whose windows are the chunks once per row, as one frame of its
+    ``L = (n_frames - 1)*hop + frame`` output samples, and frame t is the
+    read-only strided view ``[:, t*hop : t*hop + frame]`` of those filtered
+    signals, held in one fresh (N+1, L) buffer. Every sample is the same float
+    operations, in the same order, as filtering frame t alone.
     """
     frame = _check_chunks(bank, chunks)
     n_frames = chunks.shape[1]
-    _, hop = _signal(chunks)
-    out = np.empty((len(bank.weights), (n_frames - 1) * hop + frame if n_frames else 0))
-    [(_, all_candidates)] = candidate_rows(bank, chunks, out, counter)
-    return all_candidates
+    signal, hop = _signal(chunks)
+    n_rows = len(bank.weights)
+    out = np.empty((n_rows, (n_frames - 1) * hop + frame if n_frames else 0))
+    _reference(_scan(bank.weights), signal, hop, np.zeros(n_rows, dtype=np.intp),
+               np.arange(n_rows), out)
+    if counter is not None:
+        counter.parallel += bank.nonzero_taps() * frame * n_frames
+    return as_strided(out, (n_rows, frame, n_frames),
+                      (out.strides[0], out.itemsize, hop * out.itemsize), writeable=False)
 
 
 def select_candidate(all_candidates: np.ndarray, track: F0Track) -> np.ndarray:
@@ -303,11 +288,10 @@ def verify_routes(
     """The largest deviation between the two routes over ``tracks``, an
     ``(n_tracks, n_frames)`` matrix of bank rows for the frames of ``samples``.
 
-    Each block of ``BLOCK_FRAMES`` frames is framed from its own span and its
-    candidates filled ``VERIFY_ROWS`` rows at a time. The (track, frame) pairs
-    that pick a row of a group go at most ``BLOCK_FRAMES`` at a time through the
-    kernel of :func:`filter_inference`, so memory is bounded at any number of
-    tracks. ``counter`` gets both routes' multiply-adds.
+    Each block of ``BLOCK_FRAMES`` frames is framed from its own span. The distinct
+    (frame, row) pairs its tracks pick go frame after frame, at most ``BLOCK_FRAMES``
+    at a time, through both pair kernels, so memory is bounded at any number of
+    tracks. ``counter`` gets each route's multiply-adds by its per-frame definition.
     """
     hop, frame, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
     n_frames = frame_cfg.n_frames(len(samples))
@@ -315,26 +299,31 @@ def verify_routes(
     if tracks.ndim != 2 or tracks.shape[1] != n_frames:
         raise ShapeError(f"tracks must be (n_tracks, {n_frames}), got {tracks.shape}")
     _check_track(F0Track(tracks.ravel()), tracks.size, bank.grid.label_size)
+    if counter is not None:
+        counter.parallel += bank.nonzero_taps() * frame * n_frames
+        voiced = int(np.count_nonzero(tracks != bank.grid.unvoiced_index))
+        counter.inference += len(bank.taps) * frame * voiced
     # buffers that every block refills (the last a prefix): fresh ones would be faulted in
     step = min(BLOCK_FRAMES, n_frames)
-    rows, fast = np.empty(VERIFY_ROWS * ((step - 1) * hop + frame)), np.empty((step, frame))
-    max_dev = 0.0
+    picked = np.empty((step, bank.grid.label_size), dtype=bool)
+    reference, fast = np.empty((2, step, frame))
+    rows, max_dev = _scan(bank.weights), 0.0
     for lo in range(0, n_frames, BLOCK_FRAMES):
         n = min(BLOCK_FRAMES, n_frames - lo)
         # this block's chunks only: a view of a padded copy of its own span
         chunks = windows(samples, n, hop, lo * hop - pad, frame + 2 * pad).T
         signal, _ = _signal(chunks)
-        picks, span = tracks[:, lo:lo + n], (n - 1) * hop + frame
-        out = rows[:VERIFY_ROWS * span].reshape(VERIFY_ROWS, span)
-        for first, candidates in candidate_rows(bank, chunks, out, counter):
-            k, t = np.nonzero((picks >= first) & (picks < first + len(candidates)))
-            picked = picks[k, t]
-            for s in range(0, len(t), step):
-                ts, indices = t[s:s + step], picked[s:s + step]
-                reference = candidates[indices - first, :, ts]
-                _infer(bank, signal, hop, ts, indices, fast[:len(ts)], counter)
-                np.subtract(reference, fast[:len(ts)], out=reference)
-                max_dev = max(max_dev, float(np.abs(reference, out=reference).max()))
+        pairs = picked[:n]
+        pairs[:] = False
+        pairs[np.arange(n), tracks[:, lo:lo + n]] = True
+        ts, picks = np.nonzero(pairs)  # frame-major, so a step reaches a short stretch
+        for s in range(0, len(ts), step):
+            t, i = ts[s:s + step], picks[s:s + step]
+            want, got = reference[:len(t)], fast[:len(t)]
+            _reference(rows, signal, hop, t, i, want)
+            _infer(bank, signal, hop, t, i, got, None)
+            np.subtract(want, got, out=want)
+            max_dev = max(max_dev, float(np.abs(want, out=want).max()))
     return max_dev
 
 

@@ -34,6 +34,11 @@ PRIOR_FLOOR = 1e-12
 #: it only has to beat equal-salience octave dips.
 PICK_BUMP = 1.001
 
+#: Bytes a posterior block's work may take, counted as four float64 rows of the
+#: analysis window per frame (its windows, FFTs and energies): 64 MiB runs whole
+#: blocks of the default 1536-sample window, and 2 frames at a time at f_min 0.1 Hz.
+POSTERIOR_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -271,10 +276,15 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
 def posterior_block(buffer: AudioBuffer, lo: int, n: int, grid: F0Grid, cfg: EstimatorConfig,
                     frame_cfg: FrameConfig) -> np.ndarray:
     """Posterior rows of the ``n`` frames from frame ``lo`` on, each analysis
-    window zero-padded past the signal's ends."""
+    window zero-padded past the signal's ends. The frames run in sub-blocks
+    whose work stays under ``POSTERIOR_BYTES``, at least one frame each; no
+    row depends on the sub-block size."""
     x, hop, window = buffer.samples, frame_cfg.hop_size, analysis_window(grid)
-    frames = windows(x, n, hop, lo * hop + (frame_cfg.frame_size - window) // 2, window)
-    return _posteriors(frames, grid, cfg)
+    step = max(1, POSTERIOR_BYTES // (4 * 8 * window))
+    first = lo * hop + (frame_cfg.frame_size - window) // 2
+    parts = [_posteriors(windows(x, min(step, n - s), hop, first + s * hop, window), grid, cfg)
+             for s in range(0, n, step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def estimate_track(

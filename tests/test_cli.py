@@ -354,35 +354,20 @@ class TestVerify:
         )
 
     def test_every_block_refills_one_buffer(self, capsys, monkeypatch):
-        real, outs = hcf.comb.candidate_rows, []
-
-        def recording(bank, chunks, out, counter=None):
-            outs.append(out)
-            return real(bank, chunks, out, counter)
-
-        monkeypatch.setattr(hcf.comb, "candidate_rows", recording)
+        outs = {"_reference": [], "_infer": []}
+        for name, seen in outs.items():
+            def recording(*args, real=getattr(hcf.comb, name), seen=seen):
+                seen.append(args[5])
+                return real(*args)
+            monkeypatch.setattr(hcf.comb, name, recording)
         assert main(["verify", "--duration", "0.6", "--tracks", "2"]) == 0
         assert "frames=75" in capsys.readouterr().out
-        # 64 + 11 frames: each block's filtered span, (n - 1) * 384 + 1536 samples per row,
-        # 8 rows at a time in a prefix of one buffer
-        assert [out.shape for out in outs] == [(8, 25728), (8, 5376)]
-        assert all(np.shares_memory(out, outs[0]) for out in outs[1:])
-        assert all(out.ctypes.data == outs[0].ctypes.data for out in outs)
-
-    @pytest.mark.parametrize("tracks", [1, 10, 100, 400])
-    def test_candidate_steps_do_not_depend_on_the_track_count(self, capsys, monkeypatch, tracks):
-        real, steps = hcf.comb.candidate_rows, []
-
-        def counting(*args):
-            for step in real(*args):
-                steps.append(step[0])
-                yield step
-
-        monkeypatch.setattr(hcf.comb, "candidate_rows", counting)
-        assert main(["verify", "--duration", "0.6", "--tracks", str(tracks)]) == 0
-        assert "frames=75" in capsys.readouterr().out
-        # two blocks of 64 and 11 frames, each filling 226 rows 8 at a time
-        assert steps == list(range(0, 226, 8)) * 2
+        # 64 + 11 frames: up to 128 + 22 picked pairs, 64 at a time, each route in a
+        # prefix of its own (64, 1536) buffer
+        for seen in outs.values():
+            assert [out.shape for out in seen[:2]] == [(64, 1536)] * 2 and len(seen) == 3
+            assert all(out.ctypes.data == seen[0].ctypes.data for out in seen)
+        assert not np.shares_memory(outs["_reference"][0], outs["_infer"][0])
 
     @pytest.mark.parametrize("block_frames", [1, 7, 32, 64])
     def test_line_does_not_depend_on_the_block_size(self, capsys, monkeypatch, block_frames):
@@ -399,7 +384,7 @@ class TestVerify:
         (400, "max_dev=2.220e-16 frames=38 tracks=400 mac_ratio=0.566464\n"),
     ])
     def test_line_at_any_track_count(self, capsys, tracks, line):
-        # more tracks check more pairs per row group, in more steps of one block's frames
+        # more tracks pick more distinct pairs, checked in more steps of one block's frames
         assert main(["verify", "--duration", "0.3", "--seed", "5", "--tracks", str(tracks)]) == 0
         assert capsys.readouterr().out == line
 
@@ -416,8 +401,8 @@ class TestVerify:
         (10, "3", 375), (100, "3", 375), (400, "0.6", 75),
     ], ids=["10", "100", "400"])
     def test_peak_memory_stays_under_sixteen_megabytes(self, capsys, tracks, seconds, frames):
-        # 8 filtered rows of a block's span and one block's frames of picked pairs at a
-        # time: not every candidate's span (47 MB) nor every pair of a row group
+        # one block's frames of picked pairs at a time on each route: not every
+        # candidate's span (47 MB) nor every pair that the tracks pick
         tracemalloc.start()
         try:
             assert main(["verify", "--duration", seconds, "--tracks", str(tracks)]) == 0
@@ -448,6 +433,16 @@ class TestVerify:
 
 
 class TestExitCodes:
+    @needs_rlimit_as
+    def test_long_analysis_windows_fit_in_one_gib(self, tmp_path):
+        # 960 000-sample windows: a whole block of 63 frames would need 461 MiB per FFT array
+        path = tmp_path / "tone.wav"
+        hcf.write_wav(buffer(tone(150.0, 0.5)), path, bit_depth="float32")
+        done = run_capped_cli("f0", str(path), str(tmp_path / "o.csv"), "--f-min", "0.1",
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert len(hcf.read_track(tmp_path / "o.csv", hcf.F0Grid(f_min=0.1))) == 63
+
     @needs_rlimit_as
     def test_out_of_memory_exits_three(self):
         # an hour of noise needs 1.3 GiB, so the first allocation fails at once

@@ -261,9 +261,26 @@ def _strided_chunks(bank, rng, frame=16, n_frames=3, signed_zeros=False):
     return hcf.chunk_signal(x, cfg, bank.pad)[:, first:first + n_frames]
 
 
-def _span(n_frames, hop=4, frame=16):
-    """Samples in the filtered signals behind ``n_frames`` frames."""
-    return (n_frames - 1) * hop + frame
+def _every_pair(bank, chunks, step=None):
+    """``comb._reference`` over every (frame, row) pair of ``chunks``, frame after
+    frame, ``step`` pairs at a time (all at once by default), each step into a
+    NaN-filled prefix of one reused buffer, so a skipped entry would stay NaN;
+    returns the pairs as the ``(N+1, frame, n_frames)`` candidate tensor."""
+    comb = importlib.import_module("hcf.comb")
+    frame, n_frames = chunks.shape[0] - 2 * bank.pad, chunks.shape[1]
+    n_rows = len(bank.weights)
+    signal, hop = comb._signal(chunks)
+    rows = comb._scan(bank.weights)
+    ts, indices = np.divmod(np.arange(n_frames * n_rows), n_rows)
+    buffer = np.empty((step or len(ts), frame))
+    got = np.empty((n_rows, frame, n_frames))
+    for s in range(0, len(ts), len(buffer)):
+        t, i = ts[s:s + len(buffer)], indices[s:s + len(buffer)]
+        out = buffer[:len(t)]
+        out[:] = np.nan
+        comb._reference(rows, signal, hop, t, i, out)
+        got[i, :, t] = out
+    return got
 
 
 class TestCandidateFill:
@@ -289,18 +306,14 @@ class TestCandidateFill:
         assert counter.parallel == (bank.grid.size * taps_per_row + 1) * 16 * 3
 
     def test_empty_weight_row_filters_to_zero(self, rng):
-        # the signals are not zeroed up front, so a row with no weight is written as zeros,
-        # also by candidate_rows into a dirty reused buffer
+        # the output is not zeroed up front, so a row with no weight is written as zeros,
+        # also by the pair kernel into a dirty reused buffer
         bank = hcf.build_bank(desk_grid())
         faulty = dataclasses.replace(bank, weights=bank.weights.copy())
         faulty.weights[2] = 0.0
         chunks = _strided_chunks(bank, rng)
         kept = [0, 1, 3, 4, 5]
-        dirty = np.full((6, _span(3)), np.nan)
-        for got in (
-            hcf.filter_all_candidates(faulty, chunks),
-            next(hcf.candidate_rows(faulty, chunks, dirty))[1],
-        ):
+        for got in (hcf.filter_all_candidates(faulty, chunks), _every_pair(faulty, chunks)):
             np.testing.assert_array_equal(got[2], 0.0)
             np.testing.assert_array_equal(got[kept], hcf.filter_all_candidates(bank, chunks)[kept])
 
@@ -397,6 +410,22 @@ class TestSignalLayouts:
         assert np.shares_memory(signal, chunks) == in_place
         assert signal.shape == ((chunks.shape[1] - 1) * got_hop + len(chunks),)
 
+    def test_a_copied_layout_is_copied_once(self, rng, monkeypatch):
+        # C-contiguous chunks are copied column after column; the fill needs that copy once
+        comb = importlib.import_module("hcf.comb")
+        bank = hcf.build_bank(hcf.F0Grid())
+        chunks = rng.standard_normal((3072, 64))
+        real, copies = comb._signal, []
+
+        def recording(chunks):
+            signal, hop = real(chunks)
+            copies.append(not np.shares_memory(signal, chunks))
+            return signal, hop
+
+        monkeypatch.setattr(comb, "_signal", recording)
+        hcf.filter_all_candidates(bank, chunks)
+        assert copies == [True]
+
     def test_no_frames_reads_nothing(self, rng):
         comb = importlib.import_module("hcf.comb")
         bank = hcf.build_bank(desk_grid())
@@ -409,45 +438,31 @@ class TestSignalLayouts:
 
 
 class TestCandidateOut:
-    """``candidate_rows``' ``out`` takes the filtered signals, (G, L) with L =
-    (n_frames - 1)*hop + frame, so one buffer can be refilled block after
-    block; each step yields a read-only strided view of it. Here G = N+1, so
-    one step fills every row, as ``filter_all_candidates`` does into a fresh
-    buffer."""
-
-    @pytest.mark.parametrize("make_out", [
-        lambda returned: np.empty((6, _span(3) + 1)),
-        lambda returned: np.empty((6, _span(3)), dtype=np.float32),
-        lambda returned: np.empty((6, 2 * _span(3)))[:, ::2],
-        lambda returned: returned,  # (N+1, frame, n_frames), as the route returns it
-        lambda returned: np.empty((6, 3, 16)),  # one row of samples per frame
-    ], ids=["wrong-shape", "float32", "non-contiguous", "returned-orientation", "frames-first"])
-    def test_rejects_anything_but_the_fill_layout(self, rng, make_out):
-        bank = hcf.build_bank(desk_grid())
-        chunks = _strided_chunks(bank, rng)
-        out = make_out(hcf.filter_all_candidates(bank, chunks))
-        with pytest.raises(ShapeError, match="out must be"):
-            next(hcf.candidate_rows(bank, chunks, out))
+    """``filter_all_candidates`` returns a read-only strided view of its filtered
+    signals; ``verify_routes`` refills one buffer of reference frames block after
+    block, which must match a fresh fill bit for bit."""
 
     def test_refilled_buffer_matches_a_fresh_fill_bit_for_bit(self, rng):
+        comb = importlib.import_module("hcf.comb")
         bank = hcf.build_bank(hcf.F0Grid())
-        n_rows = bank.grid.size + 1
-        buffer = np.empty(n_rows * _span(5))
-        # a full block, then a shorter trailing one in a prefix view of the same buffer
+        rows, buffer = comb._scan(bank.weights), np.empty((64, 16))
+        # a full block, then a shorter trailing one in a prefix of the same buffer
         for n_frames in (5, 2):
             chunks = _strided_chunks(bank, rng, n_frames=n_frames)
+            want = hcf.filter_all_candidates(bank, chunks)
+            signal, hop = comb._signal(chunks)
+            ts = np.repeat(np.arange(n_frames), 9)
+            indices = rng.integers(0, bank.grid.label_size, size=len(ts))
             buffer[:] = np.nan  # any entry the fill skipped would stay NaN
-            out = buffer[:n_rows * _span(n_frames)].reshape(n_rows, _span(n_frames))
-            [(_, got)] = hcf.candidate_rows(bank, chunks, out)
-            assert np.shares_memory(got, out)
-            assert got.tobytes() == hcf.filter_all_candidates(bank, chunks).tobytes()
+            out = buffer[:len(ts)]
+            comb._reference(rows, signal, hop, ts, indices, out)
+            assert out.tobytes() == np.ascontiguousarray(want[indices, :, ts]).tobytes()
 
     def test_result_is_a_read_only_view_whose_picks_match_the_reference(self, rng):
         bank = hcf.build_bank(desk_grid())
         chunks = _strided_chunks(bank, rng, n_frames=4)
-        out = np.empty((6, _span(4)))
-        [(_, got)] = hcf.candidate_rows(bank, chunks, out)
-        assert np.shares_memory(got, out)
+        got = hcf.filter_all_candidates(bank, chunks)
+        assert got.base is not None and got.shape == (6, 16, 4)
         with pytest.raises(ValueError):
             got[0, 0, 0] = 1.0
         track = hcf.track_from_indices(bank.grid, [0, 5, 2, 4])
@@ -514,18 +529,11 @@ class TestSharedProducts:
             chunks = np.asfortranarray(rng.standard_normal((16 + 2 * hand.pad, 5)))
             hop = len(chunks)
         want = _naive_fill(chunks, rows, 16).tobytes()
-        fills = [
-            lambda counter: hcf.filter_all_candidates(hand, chunks, counter),
-            # one step over every row, into a dirty buffer
-            lambda counter: next(hcf.candidate_rows(
-                hand, chunks, np.full((len(rows), 4 * hop + 16), np.nan), counter
-            ))[1],
-        ]
-        for fill in fills:
-            counter = hcf.MacCounter()
-            got = fill(counter)
+        counter = hcf.MacCounter()
+        # the whole span of each row, then every (frame, row) pair, 4 at a time into a dirty buffer
+        for got in (hcf.filter_all_candidates(hand, chunks, counter), _every_pair(hand, chunks, 4)):
             assert np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes() == want
-            assert counter.parallel == np.count_nonzero(rows) * 16 * 5
+        assert counter.parallel == np.count_nonzero(rows) * 16 * 5
 
     @pytest.mark.parametrize("make_bank", [
         lambda: hcf.build_bank(hcf.F0Grid()),
@@ -541,8 +549,8 @@ class TestSharedProducts:
         rows = bank.weights[:, 0, :, 0]
         want = _naive_fill(chunks, rows, 16)
         assert _negative_zeros(want) > 0
-        got = hcf.filter_all_candidates(bank, chunks)
-        assert np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes() == want.tobytes()
+        for got in (hcf.filter_all_candidates(bank, chunks), _every_pair(bank, chunks, 64)):
+            assert np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes() == want.tobytes()
 
         indices = rng.integers(0, bank.grid.label_size, size=8)
         indices[:2] = [0, bank.grid.size]  # one voiced and one unvoiced frame at least
@@ -554,16 +562,21 @@ class TestSharedProducts:
         assert np.ascontiguousarray(fast.T).tobytes() == want.tobytes()
 
     def test_fill_peak_memory_stays_under_one_megabyte(self, bank, rng):
-        # the scaled signals of one row's distinct weights, 2 x 120 KB here, and
-        # one scan of the tensor: not one product buffer per row or weight
+        # one scan of the tensor and the scaled stretches of one step's pairs, here
+        # every pair of a 32-frame block 64 at a time into one reused buffer: not one
+        # product buffer per row or weight
+        comb = importlib.import_module("hcf.comb")
         cfg = hcf.FrameConfig()
         chunks = hcf.chunk_signal(rng.standard_normal(40 * cfg.hop_size), cfg, bank.pad)[:, :32]
-        assert chunks.shape[1] == 32
-        out = np.empty((len(bank.weights), 31 * cfg.hop_size + cfg.frame_size))
+        signal, hop = comb._signal(chunks)
+        ts, indices = np.divmod(np.arange(32 * 226), 226)
+        out = np.empty((64, cfg.frame_size))
         tracemalloc.start()
         try:
-            for _ in hcf.candidate_rows(bank, chunks, out):  # every row in one step
-                pass
+            rows = comb._scan(bank.weights)
+            for s in range(0, len(ts), len(out)):
+                t, i = ts[s:s + len(out)], indices[s:s + len(out)]
+                comb._reference(rows, signal, hop, t, i, out[:len(t)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -571,8 +584,8 @@ class TestSharedProducts:
 
 
 class TestCandidateRows:
-    """``candidate_rows`` refills a ``(G, L)`` buffer with G rows at a time;
-    ``filter_all_candidates`` is its one step over all ``N+1`` rows."""
+    """The reference route's (frame, row) pairs filtered any number at a time
+    match ``filter_all_candidates``, which filters each row's whole span once."""
 
     BANKS = {
         "default": lambda rng: hcf.build_bank(hcf.F0Grid()),  # 226 rows
@@ -585,38 +598,35 @@ class TestCandidateRows:
     def test_groups_match_filter_all_candidates_byte_for_byte(self, rng, name, group):
         bank = self.BANKS[name](rng)
         chunks = _strided_chunks(bank, rng, n_frames=5)
-        want_macs, got_macs = hcf.MacCounter(), hcf.MacCounter()
-        want = hcf.filter_all_candidates(bank, chunks, want_macs)
-        n_rows = len(bank.weights)
-        out = np.full((group or n_rows, _span(5)), np.nan)  # any entry skipped stays NaN
-        firsts = []
-        for first, view in hcf.candidate_rows(bank, chunks, out, got_macs):
-            firsts.append(first)
-            assert view.shape == (min(len(out), n_rows - first), 16, 5)
-            assert np.shares_memory(view, out) and not view.flags.writeable
-            assert view.tobytes() == want[first:first + len(view)].tobytes()
-        assert firsts == list(range(0, n_rows, len(out)))
-        assert n_rows % len(out) == 0 or len(view) < len(out)  # a short last group
-        assert got_macs.parallel == want_macs.parallel
-
-    @pytest.mark.parametrize("make_out", [
-        lambda span: np.empty((8, span), dtype=np.float32),
-        lambda span: np.empty((8, 2 * span))[:, ::2],
-        lambda span: np.empty((8, span + 1)),
-        lambda span: np.empty((0, span)),
-        lambda span: np.empty(8 * span),
-    ], ids=["float32", "non-contiguous", "wrong-span", "zero-rows", "one-dimensional"])
-    def test_rejects_anything_but_a_row_group_buffer(self, rng, make_out):
-        bank = hcf.build_bank(desk_grid())
-        chunks = _strided_chunks(bank, rng)
-        with pytest.raises(ShapeError, match="out must be"):
-            next(hcf.candidate_rows(bank, chunks, make_out(_span(3))))
+        want = hcf.filter_all_candidates(bank, chunks)
+        assert _every_pair(bank, chunks, group).tobytes() == want.tobytes()
 
 
 class TestPairKernel:
-    """``verify_routes`` runs the inference route on (frame, row) pairs through
-    the kernel behind ``filter_inference``: the pairs' order, repeated frames
-    and unvoiced pairs change no byte of any frame."""
+    """``verify_routes`` runs both routes on (frame, row) pairs, the reference
+    route through ``_reference`` and the inference route through the kernel
+    behind ``filter_inference``: the pairs' order, repeated frames and unvoiced
+    pairs change no byte of any frame."""
+
+    @pytest.mark.parametrize("make_bank", [
+        lambda: hcf.build_bank(hcf.F0Grid()),
+        lambda: hcf.build_bank(hcf.F0Grid(), order=2),
+        lambda: hcf.build_bank(hcf.F0Grid(), taps=[0.5, 0.0, 0.5]),
+    ], ids=["default", "order2", "zero-center-tap"])
+    def test_reference_pairs_match_filter_all_candidates_byte_for_byte(self, rng, make_bank):
+        comb = importlib.import_module("hcf.comb")
+        bank = make_bank()
+        chunks = _strided_chunks(bank, rng, n_frames=8, signed_zeros=True)
+        frames = np.array([5, 0, 5, 7, 2, 2, 6, 1, 3, 4, 0, 7])  # unsorted, with repeats
+        indices = rng.integers(0, bank.grid.size, size=len(frames))
+        indices[[1, 2, 5]] = bank.grid.size
+        want = np.ascontiguousarray(hcf.filter_all_candidates(bank, chunks)[indices, :, frames])
+        assert _negative_zeros(want) > 0
+
+        signal, hop = comb._signal(chunks)
+        out = np.full((len(frames), 16), np.nan)
+        comb._reference(comb._scan(bank.weights), signal, hop, frames, indices, out)
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make_bank", [
         lambda: hcf.build_bank(hcf.F0Grid()),
@@ -659,8 +669,8 @@ class TestVerifyRoutes:
 
     @pytest.mark.parametrize("index", [96, 225], ids=["voiced", "unvoiced"])
     def test_constant_tracks_stay_under_sixteen_megabytes(self, bank, rng, index):
-        # 400 tracks that pick one row put all 25 600 (track, frame) pairs of a 64-frame
-        # block into one row group: 315 MB of reference frames if checked at once
+        # 400 tracks that pick one row give 25 600 (track, frame) pairs per 64-frame
+        # block, 315 MB of reference frames if each were checked, but 64 distinct pairs
         samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()
         tracks = np.full((400, 75), index)
         counter = hcf.MacCounter()
@@ -674,6 +684,69 @@ class TestVerifyRoutes:
         assert counter.parallel == (225 * 3 + 1) * 1536 * 75
         assert counter.inference == (3 * 1536 * 400 * 75 if index < 225 else 0)
         assert peak < 16_000_000
+
+    @pytest.mark.parametrize("n_tracks", [1, 10, 100, 400, "constant"])
+    def test_each_distinct_pair_runs_through_each_route_once(self, bank, rng, monkeypatch,
+                                                              n_tracks):
+        comb = importlib.import_module("hcf.comb")
+        samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()
+        if n_tracks == "constant":
+            tracks = np.full((400, 75), 96)
+        else:
+            tracks = rng.integers(0, 226, size=(n_tracks, 75))
+        steps = {"_reference": [], "_infer": []}
+
+        def wrap(name):
+            real = getattr(comb, name)
+
+            def recording(*args):
+                frames, indices = args[3:5]
+                steps[name].append(list(zip(frames.tolist(), indices.tolist())))
+                return real(*args)
+            monkeypatch.setattr(comb, name, recording)
+
+        wrap("_reference")
+        wrap("_infer")
+        assert hcf.verify_routes(bank, samples, tracks, cfg) <= VERIFY_TOLERANCE
+        # blocks of 64 and 11 frames; in each, every distinct pair, frame after frame
+        want = [(f % 64, int(i)) for f in range(75) for i in np.unique(tracks[:, f])]
+        if n_tracks == "constant":
+            assert len(want) == 75
+        for route in steps.values():
+            assert [pair for step in route for pair in step] == want
+            assert max(len(step) for step in route) <= 64
+        assert steps["_reference"] == steps["_infer"]
+
+    def test_a_perturbed_picked_row_breaks_the_check(self, bank, rng):
+        samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()
+        tracks = rng.integers(0, 200, size=(10, 75))  # rows 200 to 225 are never picked
+        want = hcf.verify_routes(bank, samples, tracks, cfg)
+        assert want <= VERIFY_TOLERANCE
+        for row, deviates in ((int(tracks[3, 40]), True), (210, False)):
+            weights = bank.weights.copy()
+            column = np.flatnonzero(weights[row, 0, :, 0])[-1]
+            weights[row, 0, column, 0] *= 1.0 + 1e-6
+            faulty = dataclasses.replace(bank, weights=weights)
+            dev = hcf.verify_routes(faulty, samples, tracks, cfg)
+            assert dev > VERIFY_TOLERANCE if deviates else dev == want
+
+    def test_a_perturbed_bank_makes_hcf_verify_exit_four(self, monkeypatch, capsys):
+        cli = importlib.import_module("hcf.cli")
+        # the draws of ``hcf verify --duration 0.2 --tracks 1 --seed 9``: the noise, then the track
+        draws = np.random.default_rng(9)
+        draws.standard_normal(9600)
+        row = int(draws.integers(0, 226, size=25)[0])  # the center tap of any row is nonzero
+        real = cli.build_bank
+
+        def perturbed(grid, order):
+            bank = real(grid, order=order)
+            weights = bank.weights.copy()
+            weights[row, 0, bank.pad, 0] += 1e-6
+            return dataclasses.replace(bank, weights=weights)
+
+        monkeypatch.setattr(cli, "build_bank", perturbed)
+        assert main(["verify", "--duration", "0.2", "--tracks", "1", "--seed", "9"]) == 4
+        assert "filtering routes disagree" in capsys.readouterr().err
 
 
 class TestFrequencyResponse:

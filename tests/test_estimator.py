@@ -1,8 +1,11 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hcf
+from hcf import estimator
 from hcf.estimator import Decoder, _posteriors, analysis_window, transition_weights
 from hcf.helper import BLOCK_FRAMES
 from hcf.framing import windows
@@ -352,3 +355,33 @@ class TestPipelinedEstimate:
         settled = [decoder.feed(block) for block in (post[:1], post[1:1], post[1:120], post[120:])]
         assert settled[-1] == decoder.settled == len(post)
         np.testing.assert_array_equal(decoder.indices[:decoder.settled], whole.indices)
+
+
+class TestPosteriorBudget:
+    """``posterior_block`` runs its frames in sub-blocks whose work stays under
+    ``POSTERIOR_BYTES``; the default grid keeps whole blocks."""
+
+    def test_one_frame_sub_blocks_match_whole_blocks(self, grid, frame_cfg, monkeypatch):
+        x = _voiced_in_noise(140 * 384 / 48000, 5)  # 140 frames: two whole blocks and a short one
+        assert estimator.POSTERIOR_BYTES // (4 * 8 * analysis_window(grid)) >= BLOCK_FRAMES
+        whole = posteriors(buffer(x), grid, CFG, frame_cfg)
+        track = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+        monkeypatch.setattr(estimator, "POSTERIOR_BYTES", 1)  # one frame per sub-block
+        assert posteriors(buffer(x), grid, CFG, frame_cfg).tobytes() == whole.tobytes()
+        got = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+        assert got.indices.tobytes() == track.indices.tobytes()
+
+    def test_long_window_block_stays_under_the_budget(self, frame_cfg, monkeypatch):
+        # 96 000-sample windows: four frames' rows are 3 MB, sixteen would be 12 MB
+        grid = hcf.F0Grid(f_min=1.0)
+        row = 8 * analysis_window(grid)
+        monkeypatch.setattr(estimator, "POSTERIOR_BYTES", 4 * 4 * row)
+        x = buffer(tone(150.0, 0.2))
+        tracemalloc.start()
+        try:
+            block = estimator.posterior_block(x, 0, 16, grid, CFG, frame_cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (16, grid.label_size)
+        assert peak < estimator.POSTERIOR_BYTES + 4 * row

@@ -1,4 +1,5 @@
-"""Every name a module of ``src/hcf`` imports is used in that module.
+"""Every name a module of ``src/hcf`` imports is used in that module, and
+every private module-level name it defines is read somewhere in ``src/hcf``.
 
 ``__init__.py`` is checked apart: it imports names to re-export them, so
 they must be exactly the names of ``hcf.__all__``. No module but ``helper.py``
@@ -75,3 +76,43 @@ def test_package_exports_exactly_what_it_imports():
                 if isinstance(node, ast.ImportFrom) for a in node.names]
     assert len(hcf.__all__) == len(set(hcf.__all__))
     assert sorted(imported) == sorted(hcf.__all__)
+
+
+def unread_privates(sources: dict) -> list[str]:
+    """``module:name`` for each module-level ``_name`` (not a dunder) that a module of
+    ``sources`` defines and that no expression of any of them reads, by name or as
+    an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(unread)
+
+
+def test_checker_finds_an_unread_private():
+    sources = {
+        "a.py": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+        "b.py": "from . import a\n_D, _E = 1, 2\nprint(a._C, _E)\ndef _g(_B=0):\n    _f = 1\n",
+    }
+    assert unread_privates(sources) == ["a.py:_B", "a.py:_f", "b.py:_D", "b.py:_g"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_privates(sources) == []

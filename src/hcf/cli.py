@@ -262,13 +262,15 @@ def _cmd_verify(args) -> int:
     n_noise = int(args.duration * PIPELINE_RATE)
     if not args.wav and n_noise > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
         raise MemoryError(f"{n_noise} float64 samples of noise")
-    grid = _grid(args)
+    grid, frame_cfg = _grid(args), _frame_cfg(args)
+    samples = read_wav(args.wav).samples if args.wav else None
+    n_frames = frame_cfg.n_frames(n_noise if samples is None else len(samples))
+    if args.tracks * n_frames > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
+        raise MemoryError(f"{args.tracks} x {n_frames} int64 track indices")
     bank = build_bank(grid, order=args.order)
     rng = np.random.default_rng(args.seed)
-    samples = read_wav(args.wav).samples if args.wav else 0.5 * rng.standard_normal(n_noise)
-
-    frame_cfg = _frame_cfg(args)
-    n_frames = frame_cfg.n_frames(len(samples))
+    if samples is None:
+        samples = 0.5 * rng.standard_normal(n_noise)
     tracks = np.array([rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)])
     macs = MacCounter()
     max_dev = verify_routes(bank, samples, tracks, frame_cfg, macs)

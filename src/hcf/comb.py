@@ -8,23 +8,25 @@ The rows live in a sparse weight tensor of shape ``(N+1, 1, K, 1)`` with
 
 The reference route, ``filter_all_candidates`` then ``select_candidate``, runs
 every row of the tensor over every frame; the inference route,
-``filter_inference``, each frame's selected candidate only. Each has one pair
-kernel that filters chunk ``frames[r]`` with row ``indices[r]``: ``_reference``
-reads only the weight tensor, ``_infer`` only the taps and rounded periods. Both
-scale the signal once per distinct weight, then only add windows of the scaled
-signals in the order of multiplying each weight in turn, so they agree to float64
-round-off. ``verify_routes`` measures their deviation over many tracks of one
-signal on the distinct (frame, row) pairs the tracks pick; ``MacCounter`` tallies
-each route's multiply-adds by its per-frame definition.
+``filter_inference``, each frame's selected candidate only. Both run one pair
+kernel, ``_filter``, which filters chunk ``frames[r]`` with row ``indices[r]`` of a
+row table: the reference route's, ``_scan``, reads only the weight tensor, and the
+inference route's, ``_tap_rows``, only the taps and rounded periods. The kernel
+scales the signal once per distinct weight, then only adds windows of the scaled
+signals in the order of multiplying each weight in turn, so the routes agree to
+float64 round-off. ``verify_routes`` measures their deviation over many tracks of
+one signal on the distinct (frame, row) pairs the tracks pick; ``MacCounter``
+tallies each route's multiply-adds by its per-frame definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
@@ -40,9 +42,10 @@ class MacCounter:
     """Multiply-adds per route, each counted by its per-frame definition.
 
     ``parallel`` is ``nonzero_taps * frame * n_frames`` and ``inference`` is
-    ``len(taps) * frame`` per voiced frame of each track, although the routes
-    multiply by each distinct weight once, ``filter_all_candidates`` computes
-    each sample that frames share once, and ``verify_routes`` filters only the
+    ``len(taps) * frame`` per voiced frame of each track. The routes count, not
+    their shared pair kernel, which multiplies by each distinct weight once (by
+    the unvoiced row's 1.0 too), while ``filter_all_candidates`` computes each
+    sample that frames share once and ``verify_routes`` filters only the
     (frame, row) pairs that the tracks pick.
     """
 
@@ -71,6 +74,12 @@ class CombFilterBank:
 
     def nonzero_taps(self) -> int:
         return int(np.count_nonzero(self.weights))
+
+    @cached_property
+    def _tap_table(self) -> list:
+        """:func:`_tap_rows` of this bank, built once on first use, since
+        ``enhance`` filters every block with it."""
+        return _tap_rows(self)
 
 
 def build_bank(grid: F0Grid, order: int = 1, taps: Optional[Sequence] = None) -> CombFilterBank:
@@ -166,19 +175,31 @@ def _scan(weights: np.ndarray) -> list:
             for a, b in zip(bounds, bounds[1:])]
 
 
-def _reference(rows: list, signal: np.ndarray, hop: int, frames: np.ndarray,
-               indices: np.ndarray, out: np.ndarray) -> None:
+def _tap_rows(bank: CombFilterBank) -> list:
+    """The bank's rows in :func:`_scan`'s form, from the taps and rounded periods
+    alone: voiced row i weights columns ``pad - k*T_i`` for ``k = -M..M`` with the
+    taps in tap order, and the unvoiced row weights column ``pad`` with 1.0."""
+    cols = bank.pad - np.outer(bank.rounded_periods, np.arange(-bank.order, bank.order + 1))
+    key, one = bank.taps.tobytes(), np.ones(1)
+    return [(key, bank.taps, c) for c in cols.tolist()] + [(one.tobytes(), one, [bank.pad])]
+
+
+def _filter(rows: list, signal: np.ndarray, hop: int, frames: np.ndarray,
+            indices: np.ndarray, out: np.ndarray) -> None:
     """Filter chunk ``frames[r]``, ``signal[t*hop:]`` for chunk t, with row ``indices[r]``
-    of :func:`_scan`'s ``rows`` into ``out[r]``; the pairs may come in any order.
+    of a row table, :func:`_scan`'s or :func:`_tap_rows`', into ``out[r]``; the pairs
+    may come in any order.
 
     The stretch the pairs reach is scaled once per distinct weight of each weight
     sequence their rows share; a pair adds its first two windows of those, then each
     later one, in weight order: the float operations of multiplying each weight into
     the frame in turn, bit for bit. A row with no weight gives zeros.
     """
+    if not len(frames):
+        return
     frame, lo = out.shape[1], int(frames.min()) * hop
     picked = [rows[i] for i in indices.tolist()]
-    reach = max((cols[-1] for _, _, cols in picked if cols), default=0) + frame
+    reach = max((max(cols) for _, _, cols in picked if cols), default=0) + frame
     stretch = signal[lo:int(frames.max()) * hop + reach]
     products = {}  # the scaled stretches of each weight sequence met so far
     for row, start, (key, weights, cols) in zip(out, (frames * hop - lo).tolist(), picked):
@@ -203,7 +224,7 @@ def filter_all_candidates(
     row i of ``bank.weights`` at valid positions only, so this route checks
     the weight tensor itself. Row N is the untouched center slice.
 
-    Each row is a time-invariant FIR, so :func:`_reference` filters the signal
+    Each row is a time-invariant FIR, so :func:`_filter` filters the signal
     whose windows are the chunks once per row, as one frame of its
     ``L = (n_frames - 1)*hop + frame`` output samples, and frame t is the
     read-only strided view ``[:, t*hop : t*hop + frame]`` of those filtered
@@ -215,8 +236,8 @@ def filter_all_candidates(
     signal, hop = _signal(chunks)
     n_rows = len(bank.weights)
     out = np.empty((n_rows, (n_frames - 1) * hop + frame if n_frames else 0))
-    _reference(_scan(bank.weights), signal, hop, np.zeros(n_rows, dtype=np.intp),
-               np.arange(n_rows), out)
+    _filter(_scan(bank.weights), signal, hop, np.zeros(n_rows, dtype=np.intp),
+            np.arange(n_rows), out)
     if counter is not None:
         counter.parallel += bank.nonzero_taps() * frame * n_frames
     return as_strided(out, (n_rows, frame, n_frames),
@@ -232,38 +253,6 @@ def select_candidate(all_candidates: np.ndarray, track: F0Track) -> np.ndarray:
     return all_candidates[track.indices, :, np.arange(n_frames)].T
 
 
-def _infer(bank: CombFilterBank, signal: np.ndarray, hop: int, frames: np.ndarray,
-           indices: np.ndarray, out: np.ndarray, counter: Optional[MacCounter]) -> None:
-    """Filter chunk ``frames[r]``, ``signal[t*hop:][:frame + 2*pad]`` for chunk t, with
-    row ``indices[r]`` into ``out[r]``; the pairs may come in any order and repeat a frame.
-
-    An unvoiced pair copies its center slice. The stretch of the signal that the
-    voiced pairs reach is scaled once per distinct tap, and each voiced pair adds
-    its ``2M+1`` windows of those onto zeros in tap order, as weighting each slice
-    in turn would. Reads the taps and rounded periods, never the weight tensor.
-    """
-    m, pad, frame = bank.order, bank.pad, out.shape[1]
-    voiced = indices != bank.grid.unvoiced_index
-    if not voiced.all():
-        # row t of this view is chunk t's center slice
-        out[~voiced] = sliding_window_view(signal[pad:], frame)[::hop][frames[~voiced]]
-    rs = np.flatnonzero(voiced)
-    if rs.size:
-        periods = bank.rounded_periods[indices[rs]]
-        starts = frames[rs] * hop + pad  # where each voiced pair's center slice starts
-        lo = int((starts - m * periods).min())
-        hi = int((starts + m * periods).max()) + frame
-        products = _scaled(bank.taps, signal[lo:hi])
-        out[rs] = 0.0
-        for r, start, period in zip(rs.tolist(), (starts - lo).tolist(), periods.tolist()):
-            row = out[r]
-            for k, product in zip(range(-m, m + 1), products):
-                base = start - k * period
-                row += product[base:base + frame]
-    if counter is not None:
-        counter.inference += len(bank.taps) * frame * rs.size
-
-
 def filter_inference(
     bank: CombFilterBank, chunks: np.ndarray, track: F0Track, counter: Optional[MacCounter] = None
 ) -> np.ndarray:
@@ -272,12 +261,16 @@ def filter_inference(
     Voiced frame t with rounded period T sums the ``2M+1`` slices
     ``chunks[pad - k*T : pad - k*T + frame, t]`` weighted by the taps;
     unvoiced frames pass the center slice through exactly. The frames run
-    through the same kernel as :func:`verify_routes`' inference route.
+    through :func:`_filter` with the rows of :func:`_tap_rows`, as the inference
+    route of :func:`verify_routes` does.
     """
     frame = _check_chunks(bank, chunks)
     _check_track(track, chunks.shape[1], bank.grid.label_size)
     out = np.empty((chunks.shape[1], frame))
-    _infer(bank, *_signal(chunks), np.arange(len(out)), track.indices, out, counter)
+    _filter(bank._tap_table, *_signal(chunks), np.arange(len(out)), track.indices, out)
+    if counter is not None:
+        voiced = int(np.count_nonzero(track.indices != bank.grid.unvoiced_index))
+        counter.inference += len(bank.taps) * frame * voiced
     return out.T
 
 
@@ -290,8 +283,10 @@ def verify_routes(
 
     Each block of ``BLOCK_FRAMES`` frames is framed from its own span. The distinct
     (frame, row) pairs its tracks pick go frame after frame, at most ``BLOCK_FRAMES``
-    at a time, through both pair kernels, so memory is bounded at any number of
-    tracks. ``counter`` gets each route's multiply-adds by its per-frame definition.
+    at a time, through :func:`_filter` once with each route's row table, so memory
+    is bounded at any number of tracks and the weight tensor is checked against the
+    taps and periods. ``counter`` gets each route's multiply-adds by its per-frame
+    definition.
     """
     hop, frame, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
     n_frames = frame_cfg.n_frames(len(samples))
@@ -307,7 +302,7 @@ def verify_routes(
     step = min(BLOCK_FRAMES, n_frames)
     picked = np.empty((step, bank.grid.label_size), dtype=bool)
     reference, fast = np.empty((2, step, frame))
-    rows, max_dev = _scan(bank.weights), 0.0
+    rows, taps, max_dev = _scan(bank.weights), bank._tap_table, 0.0
     for lo in range(0, n_frames, BLOCK_FRAMES):
         n = min(BLOCK_FRAMES, n_frames - lo)
         # this block's chunks only: a view of a padded copy of its own span
@@ -320,8 +315,8 @@ def verify_routes(
         for s in range(0, len(ts), step):
             t, i = ts[s:s + step], picks[s:s + step]
             want, got = reference[:len(t)], fast[:len(t)]
-            _reference(rows, signal, hop, t, i, want)
-            _infer(bank, signal, hop, t, i, got, None)
+            _filter(rows, signal, hop, t, i, want)
+            _filter(taps, signal, hop, t, i, got)
             np.subtract(want, got, out=want)
             max_dev = max(max_dev, float(np.abs(want, out=want).max()))
     return max_dev

@@ -104,3 +104,23 @@ def exhaustive_best_path(emissions, transition, initial):
     for t in range(1, n_frames):
         scores = scores + transition[paths[:, t - 1], paths[:, t]] + emissions[paths[:, t], t]
     return paths[int(np.argmax(scores))]
+
+
+def record_filter_calls(monkeypatch):
+    """Record the arguments after the row table of each ``hcf.comb._filter`` call
+    by route: ``"_scan"`` for a table that ``comb._scan`` built while recording,
+    the reference route's, and ``"_tap_rows"`` for any other, the inference
+    route's table that the bank keeps."""
+    calls, scanned = {"_scan": [], "_tap_rows": []}, []
+
+    def scanning(*args, real=hcf.comb._scan):
+        scanned.append(real(*args))  # kept alive, so no later table takes its id
+        return scanned[-1]
+
+    def recording(rows, *args, real=hcf.comb._filter):
+        route = "_scan" if any(rows is table for table in scanned) else "_tap_rows"
+        calls[route].append(args)
+        return real(rows, *args)
+    monkeypatch.setattr(hcf.comb, "_scan", scanning)
+    monkeypatch.setattr(hcf.comb, "_filter", recording)
+    return calls

@@ -6,9 +6,11 @@ and ``_viterbi_py`` the max-path loop in ``estimator.viterbi_track``. The comb
 and Viterbi loops add in the same order as the numpy ones, so their parity
 tests in ``test_comb.py`` demand exact equality. The YIN loop sums each window
 serially where numpy's dot product does not, so its test allows a relative
-tolerance of 1e-9. Chunks here are frame-major, the transpose of the
-pipeline's samples-by-frames layout, and ``periods`` holds one period per
-weight row with 0 for the identity (unvoiced) row.
+tolerance of 1e-9. An inference frame starts from its first tap's product,
+as the numpy kernel does, so a sum of -0.0 products stays -0.0. Chunks here
+are frame-major, the transpose of the pipeline's samples-by-frames layout,
+and ``periods`` holds one period per weight row with 0 for the identity
+(unvoiced) row.
 
 ``_yin_posterior_py`` and ``_track_posteriors_py`` are the one-window-at-a-
 time pitch posterior, the oracle for the batched one in ``hcf.estimator``.
@@ -55,7 +57,8 @@ def _comb_inference_py(chunks, sel_periods, taps, pad, frame):
             w = taps[k + m]
             base = pad - k * t_sel
             for s in range(frame):
-                out[t, s] += w * chunks[t, base + s]
+                product = w * chunks[t, base + s]
+                out[t, s] = product if k == -m else out[t, s] + product
     return out
 
 

@@ -9,8 +9,8 @@ import hcf
 from hcf.cli import main
 
 from helpers import (
-    buffer, harmonic_complex, interior, needs_rlimit_as, noise_at_snr, rel_rms, run_capped_cli,
-    tone,
+    buffer, harmonic_complex, interior, needs_rlimit_as, noise_at_snr, record_filter_calls,
+    rel_rms, run_capped_cli, tone,
 )
 
 
@@ -354,20 +354,16 @@ class TestVerify:
         )
 
     def test_every_block_refills_one_buffer(self, capsys, monkeypatch):
-        outs = {"_reference": [], "_infer": []}
-        for name, seen in outs.items():
-            def recording(*args, real=getattr(hcf.comb, name), seen=seen):
-                seen.append(args[5])
-                return real(*args)
-            monkeypatch.setattr(hcf.comb, name, recording)
+        calls = record_filter_calls(monkeypatch)
         assert main(["verify", "--duration", "0.6", "--tracks", "2"]) == 0
         assert "frames=75" in capsys.readouterr().out
         # 64 + 11 frames: up to 128 + 22 picked pairs, 64 at a time, each route in a
         # prefix of its own (64, 1536) buffer
+        outs = {route: [args[-1] for args in seen] for route, seen in calls.items()}
         for seen in outs.values():
             assert [out.shape for out in seen[:2]] == [(64, 1536)] * 2 and len(seen) == 3
             assert all(out.ctypes.data == seen[0].ctypes.data for out in seen)
-        assert not np.shares_memory(outs["_reference"][0], outs["_infer"][0])
+        assert not np.shares_memory(outs["_scan"][0], outs["_tap_rows"][0])
 
     @pytest.mark.parametrize("block_frames", [1, 7, 32, 64])
     def test_line_does_not_depend_on_the_block_size(self, capsys, monkeypatch, block_frames):
@@ -450,6 +446,13 @@ class TestExitCodes:
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith("error: out of memory: ")
         assert "Traceback" not in done.stderr
+
+    @needs_rlimit_as
+    def test_more_track_indices_than_numpy_can_shape_exit_three(self):
+        # one track is drawn at a time, so without a size check this would never end
+        done = run_capped_cli("verify", "--duration", "0.01", "--tracks", str(2**63), timeout=30)
+        assert done.returncode == 3, done.stderr
+        assert "out of memory" in done.stderr and "track indices" in done.stderr
 
 
 class TestDumps:

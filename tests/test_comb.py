@@ -12,7 +12,7 @@ from hcf.errors import ShapeError
 from hcf.estimator import EMISSION_FLOOR, Decoder, transition_weights, yin_difference
 from hcf.framing import windows
 
-from helpers import periodic_tone
+from helpers import periodic_tone, record_filter_calls
 from reference_kernels import (
     _comb_all_py,
     _comb_inference_py,
@@ -185,6 +185,12 @@ class TestPathEquivalence:
         out = hcf.filter_inference(bank, chunks, track)
         np.testing.assert_array_equal(out, hcf.frame_signal(x, cfg))
 
+    def test_zero_frames_give_empty_outputs_on_both_routes(self, grid, bank):
+        chunks = np.zeros((1536 + 2 * bank.pad, 0))
+        track = hcf.track_from_indices(grid, [])
+        assert hcf.filter_inference(bank, chunks, track).shape == (1536, 0)
+        assert hcf.filter_all_candidates(bank, chunks).shape == (226, 1536, 0)
+
     def test_track_length_validated(self, grid, bank):
         chunks = np.zeros((3072, 4))
         with pytest.raises(ShapeError):
@@ -262,10 +268,11 @@ def _strided_chunks(bank, rng, frame=16, n_frames=3, signed_zeros=False):
 
 
 def _every_pair(bank, chunks, step=None):
-    """``comb._reference`` over every (frame, row) pair of ``chunks``, frame after
-    frame, ``step`` pairs at a time (all at once by default), each step into a
-    NaN-filled prefix of one reused buffer, so a skipped entry would stay NaN;
-    returns the pairs as the ``(N+1, frame, n_frames)`` candidate tensor."""
+    """``comb._filter`` with the tensor's rows over every (frame, row) pair of
+    ``chunks``, frame after frame, ``step`` pairs at a time (all at once by
+    default), each step into a NaN-filled prefix of one reused buffer, so a
+    skipped entry would stay NaN; returns the pairs as the ``(N+1, frame,
+    n_frames)`` candidate tensor."""
     comb = importlib.import_module("hcf.comb")
     frame, n_frames = chunks.shape[0] - 2 * bank.pad, chunks.shape[1]
     n_rows = len(bank.weights)
@@ -278,7 +285,7 @@ def _every_pair(bank, chunks, step=None):
         t, i = ts[s:s + len(buffer)], indices[s:s + len(buffer)]
         out = buffer[:len(t)]
         out[:] = np.nan
-        comb._reference(rows, signal, hop, t, i, out)
+        comb._filter(rows, signal, hop, t, i, out)
         got[i, :, t] = out
     return got
 
@@ -455,7 +462,7 @@ class TestCandidateOut:
             indices = rng.integers(0, bank.grid.label_size, size=len(ts))
             buffer[:] = np.nan  # any entry the fill skipped would stay NaN
             out = buffer[:len(ts)]
-            comb._reference(rows, signal, hop, ts, indices, out)
+            comb._filter(rows, signal, hop, ts, indices, out)
             assert out.tobytes() == np.ascontiguousarray(want[indices, :, ts]).tobytes()
 
     def test_result_is_a_read_only_view_whose_picks_match_the_reference(self, rng):
@@ -542,8 +549,8 @@ class TestSharedProducts:
         lambda: hcf.build_bank(desk_grid(), taps=[0.5, 0.0, 0.5]),
     ], ids=["default", "desk", "desk-order2", "desk-zero-center-tap"])
     def test_signed_zeros_keep_their_bytes_on_both_routes(self, rng, make_bank):
-        # a filled row starts from its first product, so -0.0 stays -0.0; an
-        # inference frame starts from 0.0, which turns -0.0 into 0.0
+        # a filled row and an inference frame both start from their first product,
+        # so -0.0 stays -0.0 on both routes
         bank = make_bank()
         chunks = _strided_chunks(bank, rng, n_frames=8, signed_zeros=True)
         rows = bank.weights[:, 0, :, 0]
@@ -557,7 +564,8 @@ class TestSharedProducts:
         track = hcf.track_from_indices(bank.grid, indices)
         periods = np.concatenate([bank.rounded_periods, [0]])[indices]
         want = _comb_inference_py(chunks.T, periods, bank.taps, bank.pad, 16)
-        assert _negative_zeros(want[indices == bank.grid.size]) > 0
+        for voiced in (True, False):
+            assert _negative_zeros(want[(indices != bank.grid.size) == voiced]) > 0
         fast = hcf.filter_inference(bank, chunks, track)
         assert np.ascontiguousarray(fast.T).tobytes() == want.tobytes()
 
@@ -576,7 +584,7 @@ class TestSharedProducts:
             rows = comb._scan(bank.weights)
             for s in range(0, len(ts), len(out)):
                 t, i = ts[s:s + len(out)], indices[s:s + len(out)]
-                comb._reference(rows, signal, hop, t, i, out[:len(t)])
+                comb._filter(rows, signal, hop, t, i, out[:len(t)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -603,37 +611,18 @@ class TestCandidateRows:
 
 
 class TestPairKernel:
-    """``verify_routes`` runs both routes on (frame, row) pairs, the reference
-    route through ``_reference`` and the inference route through the kernel
-    behind ``filter_inference``: the pairs' order, repeated frames and unvoiced
-    pairs change no byte of any frame."""
+    """Both routes run ``_filter`` on (frame, row) pairs, the reference route with
+    the rows ``_scan`` reads off the weight tensor and the inference route with the
+    rows ``_tap_rows`` builds from the taps and periods: the pairs' order, repeated
+    frames and unvoiced pairs change no byte of either route's frames."""
 
+    @pytest.mark.parametrize("table", ["_scan", "_tap_rows"], ids=["tensor", "taps"])
     @pytest.mark.parametrize("make_bank", [
         lambda: hcf.build_bank(hcf.F0Grid()),
         lambda: hcf.build_bank(hcf.F0Grid(), order=2),
         lambda: hcf.build_bank(hcf.F0Grid(), taps=[0.5, 0.0, 0.5]),
     ], ids=["default", "order2", "zero-center-tap"])
-    def test_reference_pairs_match_filter_all_candidates_byte_for_byte(self, rng, make_bank):
-        comb = importlib.import_module("hcf.comb")
-        bank = make_bank()
-        chunks = _strided_chunks(bank, rng, n_frames=8, signed_zeros=True)
-        frames = np.array([5, 0, 5, 7, 2, 2, 6, 1, 3, 4, 0, 7])  # unsorted, with repeats
-        indices = rng.integers(0, bank.grid.size, size=len(frames))
-        indices[[1, 2, 5]] = bank.grid.size
-        want = np.ascontiguousarray(hcf.filter_all_candidates(bank, chunks)[indices, :, frames])
-        assert _negative_zeros(want) > 0
-
-        signal, hop = comb._signal(chunks)
-        out = np.full((len(frames), 16), np.nan)
-        comb._reference(comb._scan(bank.weights), signal, hop, frames, indices, out)
-        assert out.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("make_bank", [
-        lambda: hcf.build_bank(hcf.F0Grid()),
-        lambda: hcf.build_bank(hcf.F0Grid(), order=2),
-        lambda: hcf.build_bank(hcf.F0Grid(), taps=[0.5, 0.0, 0.5]),
-    ], ids=["default", "order2", "zero-center-tap"])
-    def test_pairs_match_filter_inference_columns_byte_for_byte(self, rng, make_bank):
+    def test_pairs_match_their_route_byte_for_byte(self, rng, make_bank, table):
         comb = importlib.import_module("hcf.comb")
         bank = make_bank()
         grid = bank.grid
@@ -641,19 +630,65 @@ class TestPairKernel:
         frames = np.array([5, 0, 5, 7, 2, 2, 6, 1, 3, 4, 0, 7])  # unsorted, with repeats
         indices = rng.integers(0, grid.size, size=len(frames))
         indices[[1, 2, 5]] = grid.size  # frames 5 and 2 both voiced and unvoiced
-        columns = {
-            int(i): hcf.filter_inference(bank, chunks, hcf.track_from_indices(grid, np.full(8, i)))
-            for i in np.unique(indices)
-        }
-        want = np.array([columns[int(i)][:, t] for t, i in zip(frames, indices)])
-        assert _negative_zeros(want[indices == grid.size]) > 0
+        if table == "_scan":
+            rows = comb._scan(bank.weights)
+            want = np.ascontiguousarray(hcf.filter_all_candidates(bank, chunks)[indices, :, frames])
+        else:
+            rows = comb._tap_rows(bank)
+            columns = {
+                int(i): hcf.filter_inference(bank, chunks,
+                                             hcf.track_from_indices(grid, np.full(8, i)))
+                for i in np.unique(indices)
+            }
+            want = np.array([columns[int(i)][:, t] for t, i in zip(frames, indices)])
+        for voiced in (True, False):
+            assert _negative_zeros(want[(indices != grid.size) == voiced]) > 0
 
         signal, hop = comb._signal(chunks)
         out = np.full((len(frames), 16), np.nan)  # any entry the kernel skipped stays NaN
-        counter = hcf.MacCounter()
-        comb._infer(bank, signal, hop, frames, indices, out, counter)
+        comb._filter(rows, signal, hop, frames, indices, out)
         assert out.tobytes() == want.tobytes()
-        assert counter.inference == len(bank.taps) * 16 * 9
+
+
+class TestRowTables:
+    """``_tap_rows`` builds from the taps and rounded periods the nonzero (column,
+    weight) pairs that ``_scan`` reads off the weight tensor, so a fault in the
+    tensor makes the two tables differ."""
+
+    @staticmethod
+    def nonzeros(table):
+        return [{(int(c), w.tobytes()) for w, c in zip(weights, cols) if w != 0}
+                for _, weights, cols in table]
+
+    @pytest.mark.parametrize("make_bank", [
+        lambda: hcf.build_bank(hcf.F0Grid()),
+        lambda: hcf.build_bank(hcf.F0Grid(), order=2),
+        lambda: hcf.build_bank(hcf.F0Grid(), order=3),
+        lambda: hcf.build_bank(hcf.F0Grid(), taps=[0.5, 0.0, 0.5]),
+    ], ids=["default", "order2", "order3", "zero-center-tap"])
+    def test_tap_rows_hold_the_tensors_nonzeros(self, make_bank):
+        comb = importlib.import_module("hcf.comb")
+        bank = make_bank()
+        taps = self.nonzeros(comb._tap_rows(bank))
+        assert len(taps) == bank.grid.label_size
+        assert taps == self.nonzeros(comb._scan(bank.weights))
+        weights = bank.weights.copy()
+        column = np.flatnonzero(weights[7, 0, :, 0])[-1]
+        weights[7, 0, column, 0] *= 1.0 + 1e-6
+        faulty = self.nonzeros(comb._scan(weights))
+        assert [i for i, row in enumerate(faulty) if row != taps[i]] == [7]
+
+
+    def test_a_bank_builds_its_tap_rows_once(self, rng, monkeypatch):
+        # enhance filters every block with the same bank
+        comb = importlib.import_module("hcf.comb")
+        real, built = comb._tap_rows, []
+        monkeypatch.setattr(comb, "_tap_rows", lambda bank: built.append(bank) or real(bank))
+        bank = hcf.build_bank(desk_grid())
+        chunks = _strided_chunks(bank, rng)
+        for indices in ([0, 5, 2], [5, 5, 1]):
+            hcf.filter_inference(bank, chunks, hcf.track_from_indices(bank.grid, indices))
+        assert built == [bank]
 
 
 class TestVerifyRoutes:
@@ -688,26 +723,17 @@ class TestVerifyRoutes:
     @pytest.mark.parametrize("n_tracks", [1, 10, 100, 400, "constant"])
     def test_each_distinct_pair_runs_through_each_route_once(self, bank, rng, monkeypatch,
                                                               n_tracks):
-        comb = importlib.import_module("hcf.comb")
         samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()
         if n_tracks == "constant":
             tracks = np.full((400, 75), 96)
         else:
             tracks = rng.integers(0, 226, size=(n_tracks, 75))
-        steps = {"_reference": [], "_infer": []}
-
-        def wrap(name):
-            real = getattr(comb, name)
-
-            def recording(*args):
-                frames, indices = args[3:5]
-                steps[name].append(list(zip(frames.tolist(), indices.tolist())))
-                return real(*args)
-            monkeypatch.setattr(comb, name, recording)
-
-        wrap("_reference")
-        wrap("_infer")
+        calls = record_filter_calls(monkeypatch)
         assert hcf.verify_routes(bank, samples, tracks, cfg) <= VERIFY_TOLERANCE
+        # each route's steps as lists of (frame, row) pairs
+        steps = {route: [list(zip(frames.tolist(), indices.tolist()))
+                         for _, _, frames, indices, _ in seen]
+                 for route, seen in calls.items()}
         # blocks of 64 and 11 frames; in each, every distinct pair, frame after frame
         want = [(f % 64, int(i)) for f in range(75) for i in np.unique(tracks[:, f])]
         if n_tracks == "constant":
@@ -715,7 +741,7 @@ class TestVerifyRoutes:
         for route in steps.values():
             assert [pair for step in route for pair in step] == want
             assert max(len(step) for step in route) <= 64
-        assert steps["_reference"] == steps["_infer"]
+        assert steps["_scan"] == steps["_tap_rows"]
 
     def test_a_perturbed_picked_row_breaks_the_check(self, bank, rng):
         samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()

@@ -1,5 +1,7 @@
-"""The README's library example must run against the current API."""
+"""The README's library example must run against the current API, and every
+module attribute it names must exist."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -26,3 +28,10 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys, rng):
     exec(compile(library_example(), str(README), "exec"), {})
     assert (tmp_path / "out.wav").exists()
     assert "2304" in capsys.readouterr().out
+
+
+def test_named_module_attributes_exist():
+    names = re.findall(r"`hcf\.(\w+)\.(\w+)[^`]*`", README.read_text())
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"hcf.{module}"), name), f"hcf.{module}.{name}"

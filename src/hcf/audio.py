@@ -83,7 +83,7 @@ def read_wav(path) -> AudioBuffer:
         if chunk_id == b"fmt ":
             fmt = _parse_fmt(data, body, chunk_size)
         elif chunk_id == b"data":
-            raw, raw_at = data[body : body + chunk_size], pos
+            raw, raw_at = memoryview(data)[body : body + chunk_size], pos
         pos = body + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -133,7 +133,7 @@ def _parse_fmt(data: bytes, body: int, size: int):
     return audio_format, channels, rate, bits
 
 
-def _decode_samples(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
+def _decode_samples(raw: memoryview, audio_format: int, bits: int) -> np.ndarray:
     if audio_format == _FMT_FLOAT:
         if bits != 32:
             raise AudioFormatError(f"float WAV must be 32-bit, got {bits}")
@@ -141,17 +141,19 @@ def _decode_samples(raw: bytes, audio_format: int, bits: int) -> np.ndarray:
         # checked before the cast, which warns on a signalling NaN
         if not np.all(np.isfinite(out)):
             raise AudioFormatError("data chunk contains non-finite float samples")
-        return np.clip(out.astype(np.float64), -1.0, 1.0)
-    if bits == 16:
-        return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    if bits == 24:
-        triples = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
-        vals = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
-        vals -= (vals & 0x800000) << 1  # sign-extend
-        return vals.astype(np.float64) / float(1 << 23)
-    if bits == 32:
-        return np.frombuffer(raw, dtype="<i4").astype(np.float64) / float(1 << 31)
-    raise AudioFormatError(f"unsupported PCM bit depth {bits}")
+        samples = out.astype(np.float64)
+        return np.clip(samples, -1.0, 1.0, out=samples)
+    if bits == 24:  # each sample's 3 bytes as the high bytes of an int32: 256x its value
+        ints = np.zeros(len(raw) // 3, dtype="<i4")
+        ints.view(np.uint8).reshape(-1, 4)[:, 1:] = np.frombuffer(raw, np.uint8).reshape(-1, 3)
+        bits = 32
+    elif bits in (16, 32):
+        ints = np.frombuffer(raw, dtype=f"<i{bits // 8}")
+    else:
+        raise AudioFormatError(f"unsupported PCM bit depth {bits}")
+    samples = ints.astype(np.float64)
+    samples /= float(1 << (bits - 1))
+    return samples
 
 
 def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> int:
@@ -164,42 +166,30 @@ def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> int:
     if samples.size and not np.all(np.isfinite(samples)):
         raise ValueError("cannot write non-finite samples")
 
-    clipped = int(np.count_nonzero((samples > 1.0) | (samples < -1.0)))
-    clamped = np.clip(samples, -1.0, 1.0)
-
+    clipped = int(np.count_nonzero(np.abs(samples) > 1.0))
     if bit_depth == "float32":
-        payload = clamped.astype("<f4").tobytes()
+        # clipping to [-1, 1] commutes with rounding to float32, so one array does both
+        payload = samples.astype("<f4")
+        np.clip(payload, -1.0, 1.0, out=payload)
         fmt_code, bits = _FMT_FLOAT, 32
-    elif bit_depth in (16, "16"):
-        ints = np.clip(np.round(clamped * 32768.0), -32768, 32767).astype("<i2")
-        payload = ints.tobytes()
-        fmt_code, bits = _FMT_PCM, 16
-    elif bit_depth in (24, "24"):
-        full = np.clip(np.round(clamped * float(1 << 23)), -(1 << 23), (1 << 23) - 1)
-        full = full.astype(np.int64)
-        stacked = np.empty((full.size, 3), dtype=np.uint8)
-        stacked[:, 0] = full & 0xFF
-        stacked[:, 1] = (full >> 8) & 0xFF
-        stacked[:, 2] = (full >> 16) & 0xFF
-        payload = stacked.tobytes()
-        fmt_code, bits = _FMT_PCM, 24
+    elif bit_depth in (16, "16", 24, "24"):
+        fmt_code, bits = _FMT_PCM, int(bit_depth)
+        full = float(1 << (bits - 1))
+        clamped = np.clip(samples, -1.0, 1.0)
+        clamped *= full
+        np.clip(np.round(clamped, out=clamped), -full, full - 1, out=clamped)
+        payload = clamped.astype("<i2" if bits == 16 else "<i4")
+        if bits == 24:  # the low 3 bytes of each little-endian int32
+            payload = payload.view(np.uint8).reshape(-1, 4)[:, :3].copy()
     else:
         raise ValueError(f"bit_depth must be 16, 24, or 'float32', got {bit_depth!r}")
 
-    block_align = bits // 8
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            # fmt chunk: size, format, one channel, rate, byte rate, block align, bits
-            struct.pack("<IHHIIHH", 16, fmt_code, 1, PIPELINE_RATE,
-                        PIPELINE_RATE * block_align, block_align, bits),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
-    )
+    size, block_align = payload.nbytes, bits // 8
+    # the RIFF header, the fmt chunk (size, format, one channel, rate, byte rate,
+    # block align, bits), then the data chunk's header
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, fmt_code,
+                         1, PIPELINE_RATE, PIPELINE_RATE * block_align, block_align, bits,
+                         b"data", size)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

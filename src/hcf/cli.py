@@ -271,14 +271,16 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     if samples is None:
         samples = 0.5 * rng.standard_normal(n_noise)
-    tracks = np.array([rng.integers(0, grid.label_size, size=n_frames) for _ in range(args.tracks)])
+    tracks = np.empty((args.tracks, n_frames), dtype=np.int64)  # fails at once if too large
+    for track in tracks:
+        track[:] = rng.integers(0, grid.label_size, size=n_frames)
     macs = MacCounter()
     max_dev = verify_routes(bank, samples, tracks, frame_cfg, macs)
 
     # the reference route's MACs over those of every track's inference route
     print(f"max_dev={max_dev:.3e} frames={n_frames} tracks={args.tracks} "
           f"mac_ratio={macs.ratio():.6g}")
-    if max_dev > VERIFY_TOLERANCE:
+    if not max_dev <= VERIFY_TOLERANCE:  # NaN fails too
         raise VerificationError(
             f"filtering routes disagree: max deviation {max_dev:.3e} > {VERIFY_TOLERANCE:.0e}"
         )

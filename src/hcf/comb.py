@@ -111,8 +111,7 @@ def build_bank(grid: F0Grid, order: int = 1, taps: Optional[Sequence] = None) ->
         raise MemoryError(f"a comb bank of {grid.size + 1} x {k_len} float64 weights")
     weights = np.zeros((grid.size + 1, 1, k_len, 1))
     ks = np.arange(-order, order + 1)
-    for i, t_i in enumerate(periods):
-        weights[i, 0, center + ks * int(t_i), 0] = w
+    weights[np.arange(grid.size)[:, None], 0, center + np.outer(periods, ks), 0] = w
     weights[grid.size, 0, center, 0] = 1.0
     return CombFilterBank(order=order, taps=w, grid=grid, weights=weights, rounded_periods=periods)
 
@@ -318,8 +317,8 @@ def verify_routes(
             _filter(rows, signal, hop, t, i, want)
             _filter(taps, signal, hop, t, i, got)
             np.subtract(want, got, out=want)
-            max_dev = max(max_dev, float(np.abs(want, out=want).max()))
-    return max_dev
+            max_dev = np.maximum(max_dev, np.abs(want, out=want).max())  # keeps a NaN
+    return float(max_dev)
 
 
 def frequency_response(bank: CombFilterBank, candidate: int, n_points: int = 1024):

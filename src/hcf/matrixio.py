@@ -17,6 +17,7 @@ round-trips bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -37,27 +38,28 @@ def write_matrix(matrix, path) -> None:
     payload = np.ascontiguousarray(arr, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix`; returns float32."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < HEADER.size:
-        raise MatrixFormatError(
-            f"file is {len(data)} bytes, shorter than the {HEADER.size}-byte header"
-        )
-    magic, rows, cols = HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise MatrixFormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    expected = HEADER.size + 4 * rows * cols
-    if len(data) != expected:
-        raise MatrixFormatError(
-            f"payload for {rows}x{cols} needs {expected} bytes total, file has {len(data)}"
-        )
-    flat = np.frombuffer(data, dtype="<f4", offset=HEADER.size)
-    matrix = flat.reshape(rows, cols).copy()
+        size = os.fstat(fh.fileno()).st_size
+        if size < HEADER.size:
+            raise MatrixFormatError(
+                f"file is {size} bytes, shorter than the {HEADER.size}-byte header"
+            )
+        magic, rows, cols = HEADER.unpack(fh.read(HEADER.size))
+        if magic != MAGIC:
+            raise MatrixFormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        expected = HEADER.size + 4 * rows * cols
+        if size == expected:  # allocate only what the file holds; a short read fails below
+            matrix = np.empty((rows, cols), dtype="<f4")
+            size = HEADER.size + fh.readinto(matrix)
+        if size != expected:
+            raise MatrixFormatError(
+                f"payload for {rows}x{cols} needs {expected} bytes total, file has {size}"
+            )
     if not np.all(np.isfinite(matrix)):
         raise MatrixFormatError("matrix contains non-finite entries")
     return matrix

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +26,31 @@ needs_rlimit_as = pytest.mark.skipif(
 )
 
 
-def run_capped_cli(*argv, timeout):
+def run_capped_cli(*argv, timeout, then=""):
     """Run the CLI in a subprocess whose address space is capped at 1 GiB,
-    so a test of memory use fails instead of exhausting the machine."""
+    so a test of memory use fails instead of exhausting the machine.
+
+    ``then`` is Python run after the command, before the process exits."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
-    run_cli = "import sys; from hcf.cli import main; sys.exit(main(sys.argv[1:]))"
+    run_cli = f"import sys\nfrom hcf.cli import main\ncode = main(sys.argv[1:])\n{then}\nsys.exit(code)"
     return subprocess.run(
         [sys.executable, "-c", run_cli, *argv],
         env=env, preexec_fn=cap, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the most bytes that tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def tone(freq, duration, amp=0.5, fs=FS, phase=0.0):

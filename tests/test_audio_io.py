@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 import hcf
 from hcf.errors import AudioFormatError
+
+from helpers import traced_peak
 
 
 def wav_bytes(payload, fmt_code=1, channels=1, rate=48000, bits=16, data_size=None):
@@ -22,6 +25,47 @@ def wav_bytes(payload, fmt_code=1, channels=1, rate=48000, bits=16, data_size=No
         ]
     )
     return header + payload
+
+
+def golden_signal():
+    """Seeded samples plus those each encoder must get right: out of range, +-1,
+    signed zeros, a float32 tie, and the halfway points that PCM16 and PCM24 round."""
+    halves = np.arange(-4, 4) + 0.5
+    edges = [0.0, -0.0, 1.0, -1.0, 1.0 + 2.0**-52, -1.5, 2.0, -3.0, 0.5 + 2.0**-25, 1e-40]
+    return np.concatenate([
+        edges, halves / 32768, halves / (1 << 23),
+        np.array([32767.5, -32768.5]) / 32768, np.array([8388607.5, -8388608.5]) / (1 << 23),
+        np.random.default_rng(30).uniform(-1.25, 1.25, 4000),
+    ])
+
+
+def golden_payload(fmt_code, bits):
+    """A seeded data chunk of 4004 samples, full-scale and zero ones first."""
+    rng = np.random.default_rng(31)
+    if fmt_code == 3:
+        edges = [0.0, -0.0, 1.0, -1.0, 1.5, -2.0, 1e-45, 3e38]
+        return np.concatenate([edges, rng.uniform(-1.5, 1.5, 3996)]).astype("<f4").tobytes()
+    top = 1 << (bits - 1)
+    ints = np.concatenate([[0, -1, 1, top - 1, -top], rng.integers(-top, top, 3999)])
+    return b"".join(struct.pack("<i", int(v))[: bits // 8] for v in ints)
+
+
+#: how many samples of :func:`golden_signal` lie outside [-1, 1]
+CLIPPED = 843
+#: SHA-256 of the files that ``write_wav`` makes of :func:`golden_signal`, and of the
+#: float64 samples that ``read_wav`` decodes from each :func:`golden_payload`
+WRITTEN_SHA256 = {
+    "16": "4bb72cef1d50116f479a37297b10697b4e8525b504b517c9022c21bc82700e64",
+    "24": "88fa63791225ca5e7b81805b3a8c4341ca9b4dc7c272464498305fed110e7116",
+    "float32": "1ec688689001c032cac376509f044c51b34ccffd70207563cd9c2fa38a230295",
+}
+DECODED_SHA256 = {
+    "pcm16": "2de83f52124acd814730d28c5eddf7704d6dec8ba7f4a7fedb6477f679236954",
+    "pcm24": "24037c595d3a02d8c8400691ed9b8ad1e1e0a86b10107cfd3b37651062e6405d",
+    "pcm24-stereo": "afc394fe0566d815aab2b3330f5da9df84d24755c2d456359b2950429381a119",
+    "pcm32": "30873933111fde74f8d98f8ad9b996a3197882df52e63c8159389205b5bb3498",
+    "float32": "06dd28903d1cdf6614c4b8323144e8b98ca888e43d6dc6474f0b6f357bc681b5",
+}
 
 
 class TestAudioBuffer:
@@ -89,6 +133,29 @@ class TestReadWav:
         path.write_bytes(wav_bytes(payload, fmt_code=3, bits=32))
         with pytest.raises(AudioFormatError, match="non-finite"):
             hcf.read_wav(path)
+
+    @pytest.mark.parametrize(
+        "fmt_code,channels,bits",
+        [(1, 1, 16), (1, 1, 24), (1, 2, 24), (1, 1, 32), (3, 1, 32)],
+        ids=["pcm16", "pcm24", "pcm24-stereo", "pcm32", "float32"],
+    )
+    def test_samples_match_golden_hash(self, tmp_path, request, fmt_code, channels, bits):
+        path = tmp_path / "a.wav"
+        payload = golden_payload(fmt_code, bits)
+        path.write_bytes(wav_bytes(payload, fmt_code=fmt_code, channels=channels, bits=bits))
+        samples = hcf.read_wav(path).samples
+        assert samples.size == 4004 // channels
+        digest = hashlib.sha256(samples.astype("<f8").tobytes()).hexdigest()
+        assert digest == DECODED_SHA256[request.node.callspec.id]
+
+    def test_float32_peak_is_the_file_and_its_result(self, tmp_path, rng):
+        # the file's bytes, half the result, then the result: a copy of the data
+        # chunk or a second float64 array would reach twice the result
+        path = tmp_path / "a.wav"
+        payload = (0.4 * rng.standard_normal(1 << 18)).astype("<f4").tobytes()
+        path.write_bytes(wav_bytes(payload, fmt_code=3, bits=32))
+        buf, peak = traced_peak(hcf.read_wav, path)
+        assert peak <= 1.7 * buf.samples.nbytes
 
     def test_stereo_averaged(self, tmp_path):
         payload = struct.pack("<4h", 1000, 3000, -2000, -4000)
@@ -210,6 +277,21 @@ class TestWriteWav:
         back = hcf.read_wav(path)
         assert len(back) == len(buf)
         assert np.abs(back.samples - x).max() <= tol
+
+    @pytest.mark.parametrize("depth", ["16", "24", "float32"])
+    def test_bytes_match_golden_hash(self, tmp_path, depth):
+        path = tmp_path / "a.wav"
+        assert hcf.write_wav(hcf.AudioBuffer(golden_signal()), path, depth) == CLIPPED
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_SHA256[depth]
+
+    @pytest.mark.parametrize("depth,bound", [("16", 1.5), ("24", 2.1), ("float32", 1.2)])
+    def test_peak_memory_is_one_encoded_copy(self, tmp_path, rng, depth, bound):
+        # in units of the input's bytes: a scaled float64 copy and its integers at PCM,
+        # the float32 samples at float32; a second float64 copy or a tobytes() breaks these
+        x = 0.4 * rng.standard_normal(1 << 18)
+        buf = hcf.AudioBuffer(x)
+        _, peak = traced_peak(hcf.write_wav, buf, tmp_path / "a.wav", depth)
+        assert peak <= bound * x.nbytes
 
     def test_integer_depth_accepted(self, tmp_path):
         buf = hcf.AudioBuffer(np.zeros(16))

@@ -1,5 +1,6 @@
 import re
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,23 @@ def wav_pair(tmp_path, rng):
     hcf.write_wav(buffer(clean), clean_path, bit_depth="float32")
     hcf.write_wav(buffer(noisy), noisy_path, bit_depth="float32")
     return clean_path, noisy_path, clean, noisy
+
+
+def given_map_run(tmp_path, rng, seconds):
+    """``hcf enhance`` arguments for ``seconds`` of noise with a random track and
+    random maps, all written to ``tmp_path``, and the number of samples."""
+    noisy = 0.1 * rng.standard_normal(seconds * hcf.PIPELINE_RATE)
+    hcf.write_wav(buffer(noisy), tmp_path / "noisy.wav", bit_depth="float32")
+    n_frames = hcf.FrameConfig().n_frames(noisy.size)
+    grid = hcf.F0Grid()
+    track = hcf.track_from_indices(grid, rng.integers(0, grid.label_size, n_frames))
+    hcf.write_track(track, tmp_path / "track.csv", grid)
+    for name in ("gain", "strength"):
+        hcf.write_matrix(rng.random((769, n_frames), dtype=np.float32), tmp_path / f"{name}.hcf")
+    argv = ["enhance", str(tmp_path / "noisy.wav"), str(tmp_path / "out.wav"),
+            "--f0", str(tmp_path / "track.csv"),
+            "--gain", str(tmp_path / "gain.hcf"), "--strength", str(tmp_path / "strength.hcf")]
+    return argv, noisy.size
 
 
 class TestUsage:
@@ -454,6 +472,15 @@ class TestExitCodes:
         assert done.returncode == 3, done.stderr
         assert "out of memory" in done.stderr and "track indices" in done.stderr
 
+    @needs_rlimit_as
+    def test_track_matrix_too_large_for_memory_exits_three_at_once(self):
+        # 3.0 GiB of track indices are allocated before the first draw, so numpy
+        # refuses them at once and names their size
+        done = run_capped_cli("verify", "--duration", "0.01", "--tracks", "200000000", timeout=20)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: out of memory: ")
+        assert "GiB" in done.stderr and "(200000000, 2)" in done.stderr
+
 
 class TestDumps:
     def test_filterbank_matrix(self, tmp_path, capsys):
@@ -589,24 +616,24 @@ class TestEnhanceCommand:
     def test_long_input_fits_in_one_gib(self, tmp_path, rng):
         # after the track, enhance works in frame blocks; 90 s with given
         # maps needed over 900 MB when every stage ran on the whole buffer
-        seconds = 90
-        noisy = 0.1 * rng.standard_normal(seconds * hcf.PIPELINE_RATE)
-        hcf.write_wav(buffer(noisy), tmp_path / "noisy.wav", bit_depth="float32")
-        n_frames = hcf.FrameConfig().n_frames(noisy.size)
-        grid = hcf.F0Grid()
-        track = hcf.track_from_indices(grid, rng.integers(0, grid.label_size, n_frames))
-        hcf.write_track(track, tmp_path / "track.csv", grid)
-        for name in ("gain", "strength"):
-            hcf.write_matrix(rng.random((769, n_frames), dtype=np.float32), tmp_path / f"{name}.hcf")
-        out_path = tmp_path / "out.wav"
-        done = run_capped_cli(
-            "enhance", str(tmp_path / "noisy.wav"), str(out_path),
-            "--f0", str(tmp_path / "track.csv"),
-            "--gain", str(tmp_path / "gain.hcf"), "--strength", str(tmp_path / "strength.hcf"),
-            timeout=300,
-        )
+        argv, n_samples = given_map_run(tmp_path, rng, 90)
+        done = run_capped_cli(*argv, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert len(hcf.read_wav(out_path)) == noisy.size
+        assert len(hcf.read_wav(argv[2])) == n_samples
+
+    @needs_rlimit_as
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_peak_rss_grows_by_the_arrays_enhance_keeps(self, tmp_path, rng):
+        # per extra audio second: the float64 input and output and the float32 maps,
+        # 1.92 MB; a reader or writer that keeps a second copy of its data reads 2.4
+        peak = {}
+        for seconds in (60, 180):
+            argv, _ = given_map_run(tmp_path, rng, seconds)
+            done = run_capped_cli(*argv, timeout=300, then=(
+                "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"))
+            assert done.returncode == 0, done.stderr
+            peak[seconds] = 1024 * int(done.stdout.split()[-1])
+        assert (peak[180] - peak[60]) / 120 <= 2.1e6
 
     @needs_rlimit_as
     def test_long_diag_run_fits_in_one_gib(self, tmp_path, rng):

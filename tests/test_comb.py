@@ -756,7 +756,18 @@ class TestVerifyRoutes:
             dev = hcf.verify_routes(faulty, samples, tracks, cfg)
             assert dev > VERIFY_TOLERANCE if deviates else dev == want
 
-    def test_a_perturbed_bank_makes_hcf_verify_exit_four(self, monkeypatch, capsys):
+    def test_a_nan_weight_in_a_picked_row_gives_nan(self, bank, rng):
+        # filtered by the tensor, the NaN reaches every sample of the frames that pick
+        # its row; a running max(0.0, nan) would drop it and read 0.0
+        samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()
+        tracks = np.full((1, 75), 96)
+        weights = bank.weights.copy()
+        weights[96, 0, np.flatnonzero(weights[96, 0, :, 0])[-1], 0] = np.nan
+        faulty = dataclasses.replace(bank, weights=weights)
+        assert np.isnan(hcf.verify_routes(faulty, samples, tracks, cfg))
+
+    @pytest.mark.parametrize("fault", ["offset", "nan"])
+    def test_a_perturbed_bank_makes_hcf_verify_exit_four(self, monkeypatch, capsys, fault):
         cli = importlib.import_module("hcf.cli")
         # the draws of ``hcf verify --duration 0.2 --tracks 1 --seed 9``: the noise, then the track
         draws = np.random.default_rng(9)
@@ -767,12 +778,17 @@ class TestVerifyRoutes:
         def perturbed(grid, order):
             bank = real(grid, order=order)
             weights = bank.weights.copy()
-            weights[row, 0, bank.pad, 0] += 1e-6
+            if fault == "nan":
+                weights[row, 0, bank.pad, 0] = np.nan
+            else:
+                weights[row, 0, bank.pad, 0] += 1e-6
             return dataclasses.replace(bank, weights=weights)
 
         monkeypatch.setattr(cli, "build_bank", perturbed)
         assert main(["verify", "--duration", "0.2", "--tracks", "1", "--seed", "9"]) == 4
-        assert "filtering routes disagree" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out.startswith("max_dev=nan " if fault == "nan" else "max_dev=")
+        assert "filtering routes disagree" in err
 
 
 class TestFrequencyResponse:

@@ -6,6 +6,8 @@ import pytest
 import hcf
 from hcf.errors import MatrixFormatError
 
+from helpers import traced_peak
+
 
 class TestWrite:
     def test_identity_byte_layout(self, tmp_path):
@@ -56,6 +58,14 @@ class TestRoundTrip:
         back = hcf.read_matrix(path)
         assert np.array_equal(back, mat.astype(np.float32))
 
+    def test_read_peak_is_its_result(self, tmp_path, rng):
+        # the result and its finiteness mask, a quarter of it: the file's
+        # bytes beside a copy of them would reach twice the result
+        path = tmp_path / "big.hcf"
+        hcf.write_matrix(rng.standard_normal((512, 1024)).astype(np.float32), path)
+        back, peak = traced_peak(hcf.read_matrix, path)
+        assert peak <= 1.3 * back.nbytes
+
     def test_empty_dimension(self, tmp_path):
         path = tmp_path / "empty.hcf"
         hcf.write_matrix(np.empty((0, 4)), path)
@@ -80,6 +90,12 @@ class TestReadErrors:
         path = tmp_path / "trunc.hcf"
         path.write_bytes(b"HCF1" + struct.pack("<II", 2, 2) + b"\x00" * 8)
         with pytest.raises(MatrixFormatError, match="28 bytes total, file has 20"):
+            hcf.read_matrix(path)
+
+    def test_size_is_checked_before_the_payload_is_allocated(self, tmp_path):
+        path = tmp_path / "huge.hcf"
+        path.write_bytes(b"HCF1" + struct.pack("<II", 2**32 - 1, 2**32 - 1))
+        with pytest.raises(MatrixFormatError, match="file has 12$"):
             hcf.read_matrix(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):

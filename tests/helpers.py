@@ -77,9 +77,14 @@ def harmonic_complex(f0, n_harmonics, duration, amp=0.1, fs=FS):
     return x
 
 
-def noise_at_snr(reference, snr_db, rng):
-    """White noise scaled so reference-vs-noise power ratio is snr_db."""
+def noise_at_snr(reference, snr_db, rng, pink=False):
+    """White noise, or pink (1/f power) if ``pink``, scaled so reference-vs-noise
+    power ratio is snr_db."""
     noise = rng.standard_normal(reference.size)
+    if pink:
+        spectrum = np.fft.rfft(noise)
+        spectrum /= np.sqrt(np.maximum(np.arange(spectrum.size), 1.0))
+        noise = np.fft.irfft(spectrum, noise.size)
     p_ref = np.mean(reference**2)
     p_noise = np.mean(noise**2)
     return noise * np.sqrt(p_ref / (p_noise * 10.0 ** (snr_db / 10.0)))

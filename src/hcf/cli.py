@@ -23,9 +23,9 @@ from .comb import CombFilterBank, MacCounter, build_bank, verify_routes
 from .enhance import BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, stft, windows
+from .framing import FrameConfig, block, stft
 from .grid import F0Grid, gaussian_label, read_track, write_track
-from .helper import BLOCK_FRAMES
+from .helper import blocks
 from .matrixio import read_matrix, write_matrix
 from .metrics import LossConfig, sdr, se_loss, snr
 
@@ -197,12 +197,10 @@ def _loss_lines(clean, estimate, gains_only, frame_cfg: FrameConfig, cfg: LossCo
     The loss terms are means over frames, taken block by block and weighted
     by each block's frame count, so no whole-buffer frame or spectrum is formed.
     """
-    hop, n_frames = frame_cfg.hop_size, frame_cfg.n_frames(len(clean))
+    n_frames = frame_cfg.n_frames(len(clean))
     sums = np.zeros(4)
-    for lo in range(0, n_frames, BLOCK_FRAMES):
-        n = min(BLOCK_FRAMES, n_frames - lo)
-        spectra = [stft(windows(b.samples, n, hop, lo * hop, frame_cfg.frame_size).T)
-                   for b in (clean, estimate, gains_only)]
+    for lo, n in blocks(n_frames):
+        spectra = [stft(block(b.samples, frame_cfg, lo, n)) for b in (clean, estimate, gains_only)]
         sums += np.multiply(se_loss(*spectra, cfg), n)
     total, mag0, mag, cplx = sums / n_frames
     return [

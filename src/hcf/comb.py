@@ -30,9 +30,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
-from .framing import FrameConfig, windows
+from .framing import FrameConfig, block
 from .grid import F0Grid, F0Track
-from .helper import BLOCK_FRAMES
+from .helper import blocks
 
 TAP_TOL = 1e-9
 
@@ -43,8 +43,8 @@ class MacCounter:
 
     ``parallel`` is ``nonzero_taps * frame * n_frames`` and ``inference`` is
     ``len(taps) * frame`` per voiced frame of each track. The routes count, not
-    their shared pair kernel, which multiplies by each distinct weight once (by
-    the unvoiced row's 1.0 too), while ``filter_all_candidates`` computes each
+    their shared pair kernel, which multiplies by each distinct weight other
+    than 1.0 once, while ``filter_all_candidates`` computes each
     sample that frames share once and ``verify_routes`` filters only the
     (frame, row) pairs that the tracks pick.
     """
@@ -153,9 +153,10 @@ def _scaled(weights: np.ndarray, signal: np.ndarray) -> list:
     """``weights[k] * signal`` for each k, computed once per distinct weight.
 
     Each weight is the float64 scalar read from its array, so a float32
-    signal is scaled in float64, as multiplying it in place would be.
+    signal is scaled in float64, as multiplying it in place would be; a weight
+    of 1.0 gives the signal itself, since ``x * 1.0`` is ``x`` bit for bit.
     """
-    by_bits = {}
+    by_bits = {np.float64(1.0).tobytes(): signal}
     for w in weights:
         if w.tobytes() not in by_bits:
             by_bits[w.tobytes()] = np.multiply(w, signal)
@@ -280,14 +281,14 @@ def verify_routes(
     """The largest deviation between the two routes over ``tracks``, an
     ``(n_tracks, n_frames)`` matrix of bank rows for the frames of ``samples``.
 
-    Each block of ``BLOCK_FRAMES`` frames is framed from its own span. The distinct
-    (frame, row) pairs its tracks pick go frame after frame, at most ``BLOCK_FRAMES``
-    at a time, through :func:`_filter` once with each route's row table, so memory
-    is bounded at any number of tracks and the weight tensor is checked against the
-    taps and periods. ``counter`` gets each route's multiply-adds by its per-frame
-    definition.
+    Each of :func:`hcf.helper.blocks`' blocks is framed from its own span by
+    :func:`hcf.framing.block`. The distinct (frame, row) pairs its tracks pick go
+    frame after frame, at most a block's length at a time, through :func:`_filter`
+    once with each route's row table, so memory is bounded at any number of tracks
+    and the weight tensor is checked against the taps and periods. ``counter`` gets
+    each route's multiply-adds by its per-frame definition.
     """
-    hop, frame, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
+    frame, pad = frame_cfg.frame_size, bank.pad
     n_frames = frame_cfg.n_frames(len(samples))
     tracks = np.asarray(tracks, dtype=np.int64)
     if tracks.ndim != 2 or tracks.shape[1] != n_frames:
@@ -298,15 +299,13 @@ def verify_routes(
         voiced = int(np.count_nonzero(tracks != bank.grid.unvoiced_index))
         counter.inference += len(bank.taps) * frame * voiced
     # buffers that every block refills (the last a prefix): fresh ones would be faulted in
-    step = min(BLOCK_FRAMES, n_frames)
+    spans = blocks(n_frames)
+    step = spans[0][1]
     picked = np.empty((step, bank.grid.label_size), dtype=bool)
     reference, fast = np.empty((2, step, frame))
     rows, taps, max_dev = _scan(bank.weights), bank._tap_table, 0.0
-    for lo in range(0, n_frames, BLOCK_FRAMES):
-        n = min(BLOCK_FRAMES, n_frames - lo)
-        # this block's chunks only: a view of a padded copy of its own span
-        chunks = windows(samples, n, hop, lo * hop - pad, frame + 2 * pad).T
-        signal, _ = _signal(chunks)
+    for lo, n in spans:
+        signal, hop = _signal(block(samples, frame_cfg, lo, n, pad))
         pairs = picked[:n]
         pairs[:] = False
         pairs[np.arange(n), tracks[:, lo:lo + n]] = True

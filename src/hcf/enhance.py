@@ -4,8 +4,8 @@ The output spectrum per bin is ``(R^gamma * Y_cf + (1 - R^gamma) * Y) * G``
 where ``Y`` is the noisy spectrum, ``Y_cf`` the comb-filtered one, ``R`` the
 per-bin filtering strength, ``G`` the interpolated sub-band gain, and
 ``gamma`` an optional rescaling exponent (0.5 pushes weights toward the
-filtered path; 1 leaves them untouched). Every stage after the pitch track
-takes a frame range ``(lo, n)``, one of :func:`hcf.helper.overlap`'s blocks.
+filtered path; 1 leaves them untouched). Every stage after the pitch track takes
+a frame range ``(lo, n)`` of :func:`hcf.helper.blocks`, framed by :func:`hcf.framing.block`.
 
 Strength and gain come from one of two sources, as a trained model would
 predict both: a clean reference, from which the oracles compute them
@@ -25,9 +25,9 @@ from .audio import AudioBuffer
 from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
 from .errors import ShapeError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, OverlapAdd, stft, windows
+from .framing import FrameConfig, OverlapAdd, block, stft
 from .grid import F0Grid, F0Track
-from .helper import overlap
+from .helper import blocks, overlap
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
 NOISE_EPS = 1e-12
@@ -151,7 +151,7 @@ def enhance(
     :func:`hcf.helper.overlap`). With no track given, a first phase is one
     call of :func:`hcf.estimator.estimate_track`, whose helper is joined
     before the next phase starts; no posteriors are kept. Then every stage
-    after the track runs on ``overlap``'s blocks of frames, on either
+    after the track runs on the blocks of :func:`hcf.helper.blocks`, on either
     thread, while this thread alone overlap-adds them in order, so memory
     beyond the input, output and maps is bounded. The results are those of
     one pass over the whole buffer, whichever thread ran a block.
@@ -171,7 +171,7 @@ def enhance(
     if oracle and len(clean) != len(noisy):
         raise ShapeError("clean reference must match the noisy buffer exactly")
 
-    hop, size, pad = frame_cfg.hop_size, frame_cfg.frame_size, bank.pad
+    size, pad = frame_cfg.frame_size, bank.pad
     n_frames = frame_cfg.n_frames(len(noisy))
 
     if track is not None:
@@ -201,7 +201,7 @@ def enhance(
         """
         cols = slice(lo, lo + n)
         v = indices[cols] != grid.unvoiced_index
-        chunks = windows(noisy.samples, n, hop, lo * hop - pad, size + 2 * pad).T
+        chunks = block(noisy.samples, frame_cfg, lo, n, pad)
         noisy_spec = stft(chunks[pad:pad + size])
         block_strength = np.zeros(noisy_spec.shape)
         combed = v
@@ -217,7 +217,7 @@ def enhance(
         combed_spec = noisy_spec[:, combed]
         filtered_spec = stft(filtered[:, combed])
         if oracle:
-            clean_spec = stft(windows(clean.samples, n, hop, lo * hop, size).T)
+            clean_spec = stft(block(clean.samples, frame_cfg, lo, n))
             block_strength[:, combed] = oracle_strength(
                 combed_spec, filtered_spec, clean_spec[:, combed]
             )
@@ -239,7 +239,7 @@ def enhance(
         if counter is not None:
             counter.inference += macs
 
-    overlap(n_frames, run_block, emit)
+    overlap(blocks(n_frames), run_block, emit)
 
     return EnhanceResult(
         audio=ola.finish(),

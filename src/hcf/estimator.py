@@ -6,13 +6,13 @@ trained estimator: the posterior it emits has the same ``N+1`` layout a
 model head would produce, so everything downstream is exercised unchanged.
 
 Every analysis window gets a cumulative-mean-normalized difference function
-d'(tau) for lags up to the longest candidate period; the windows are scored
-one row per frame, together in :func:`hcf.helper.overlap`'s blocks, whose size
-changes no row. Candidate salience is ``max(0, 1 - d'(T_i))``; the dip picked
-by the classic threshold rule (first lag under threshold, walked to its local
-minimum, refined by parabolic interpolation) is nudged above all other
-saliences so that pure tones resolve to the nearest grid index instead of a
-subharmonic, whose multiple-of-T dip scores just as well. The unvoiced slot
+d'(tau) for lags up to the longest candidate period. The windows, the estimator's
+own framing, are scored one row per frame, together in :func:`hcf.helper.blocks`'
+blocks, whose size changes no row. Candidate salience is ``max(0, 1 - d'(T_i))``;
+the dip picked by the classic threshold rule (first lag under threshold, walked
+to its local minimum, refined by parabolic interpolation) is nudged above all
+other saliences so that pure tones resolve to the nearest grid index instead of
+a subharmonic, whose multiple-of-T dip scores just as well. The unvoiced slot
 scores ``min(1, min_tau d'(tau) / threshold)``.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from .audio import AudioBuffer
 from .framing import FrameConfig, windows
 from .grid import F0Grid, F0Track, nearest_period_index, track_from_indices
-from .helper import overlap
+from .helper import blocks, overlap
 
 EMISSION_FLOOR = 1e-8
 PRIOR_FLOOR = 1e-12
@@ -35,8 +35,8 @@ PRIOR_FLOOR = 1e-12
 PICK_BUMP = 1.001
 
 #: Bytes a posterior block's work may take, counted as four float64 rows of the
-#: analysis window per frame (its windows, FFTs and energies): 64 MiB runs whole
-#: blocks of the default 1536-sample window, and 2 frames at a time at f_min 0.1 Hz.
+#: analysis window per frame (its windows, FFTs and energies); ``estimate_track``'s
+#: blocks stay whole at the default 1536-sample window, 2 frames at f_min 0.1 Hz.
 POSTERIOR_BYTES = 64 << 20
 
 
@@ -276,15 +276,10 @@ def viterbi_track(posteriors, grid: F0Grid, cfg: EstimatorConfig) -> F0Track:
 def posterior_block(buffer: AudioBuffer, lo: int, n: int, grid: F0Grid, cfg: EstimatorConfig,
                     frame_cfg: FrameConfig) -> np.ndarray:
     """Posterior rows of the ``n`` frames from frame ``lo`` on, each analysis
-    window zero-padded past the signal's ends. The frames run in sub-blocks
-    whose work stays under ``POSTERIOR_BYTES``, at least one frame each; no
-    row depends on the sub-block size."""
-    x, hop, window = buffer.samples, frame_cfg.hop_size, analysis_window(grid)
-    step = max(1, POSTERIOR_BYTES // (4 * 8 * window))
+    window zero-padded past the signal's ends; no row depends on ``n``."""
+    hop, window = frame_cfg.hop_size, analysis_window(grid)
     first = lo * hop + (frame_cfg.frame_size - window) // 2
-    parts = [_posteriors(windows(x, min(step, n - s), hop, first + s * hop, window), grid, cfg)
-             for s in range(0, n, step)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _posteriors(windows(buffer.samples, n, hop, first, window), grid, cfg)
 
 
 def estimate_track(
@@ -297,13 +292,13 @@ def estimate_track(
 
     Analysis windows are centered on the pipeline frames (hop
     ``frame_cfg.hop_size``), so entry t lines up with frame t everywhere
-    else in the pipeline. The posterior blocks run on this thread and one
-    helper thread (see :func:`hcf.helper.overlap`); this thread alone decodes
-    them, in frame order, and keeps none of them. An input with no frames
-    raises ``ValueError``.
+    else in the pipeline. The posterior blocks, sized by ``POSTERIOR_BYTES``, run
+    on this thread and one helper thread (see :func:`hcf.helper.overlap`); this
+    thread alone decodes them, in frame order, and keeps none of them. An input
+    with no frames raises ``ValueError``.
     """
     n_frames = frame_cfg.n_frames(len(buffer))
     decoder = Decoder(grid, cfg, n_frames)
-    overlap(n_frames, lambda lo, n: posterior_block(buffer, lo, n, grid, cfg, frame_cfg),
-            decoder.feed)
+    overlap(blocks(n_frames, POSTERIOR_BYTES // (4 * 8 * analysis_window(grid))),
+            lambda lo, n: posterior_block(buffer, lo, n, grid, cfg, frame_cfg), decoder.feed)
     return track_from_indices(grid, decoder.indices)

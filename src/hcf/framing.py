@@ -6,8 +6,8 @@ frames (``frame_size`` rows) feeding the spectral path, and padded chunks
 ``pad`` samples of context on both sides. ``pad`` is not part of the frame
 geometry: the caller passes the comb bank's ``bank.pad``. Both framings use
 the same hop and frame count, and the frames are the chunks' center rows.
-Both are read-only strided views of one zero-padded copy of the signal (see
-:func:`windows`).
+Both are read-only strided views of one zero-padded copy of the signal, as is
+every block of frames the pipeline runs (see :func:`block`).
 
 Matrices are oriented samples-by-frames: column ``t`` is frame ``t`` and
 starts at sample ``t * hop_size`` of the source buffer.
@@ -16,6 +16,7 @@ starts at sample ``t * hop_size`` of the source buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,23 +49,16 @@ class FrameConfig:
         return -(-n_samples // self.hop_size)
 
 
+@cache
 def sqrt_hann(size: int) -> np.ndarray:
-    """The analysis and synthesis window: a periodic sqrt-Hann.
+    """The analysis and synthesis window: a periodic sqrt-Hann, one read-only array per size.
 
     Periodic, so analysis*synthesis overlap-adds to a constant when the hop
     is a quarter frame.
     """
-    n = np.arange(size)
-    return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
-
-
-def _samples(source) -> np.ndarray:
-    """Accept an AudioBuffer or a plain 1-D array."""
-    x = getattr(source, "samples", source)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"need a 1-D signal, got shape {x.shape}")
-    return x
+    w = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size))
+    w.flags.writeable = False
+    return w
 
 
 def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> np.ndarray:
@@ -85,6 +79,12 @@ def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> 
     return sliding_window_view(padded, length)[::hop]
 
 
+def block(x: np.ndarray, cfg: FrameConfig, lo: int, n: int, pad: int = 0) -> np.ndarray:
+    """Frames ``lo .. lo + n - 1`` of ``x`` with ``pad`` samples of context a side:
+    the :func:`windows` view ``(frame_size + 2*pad, n)`` of their span only."""
+    return windows(x, n, cfg.hop_size, lo * cfg.hop_size - pad, cfg.frame_size + 2 * pad).T
+
+
 def frame_signal(buffer, cfg: FrameConfig) -> np.ndarray:
     """Split a signal into overlapped frames, zero-padding the tail.
 
@@ -96,19 +96,21 @@ def frame_signal(buffer, cfg: FrameConfig) -> np.ndarray:
         Read-only view ``(frame_size, n_frames)``, ``n_frames = ceil(len / hop)``;
         column ``t`` is ``samples[t*hop : t*hop + frame_size]``.
     """
-    x = _samples(buffer)
-    return windows(x, cfg.n_frames(x.size), cfg.hop_size, 0, cfg.frame_size).T
+    return chunk_signal(buffer, cfg, 0)
 
 
 def chunk_signal(buffer, cfg: FrameConfig, pad: int) -> np.ndarray:
     """Split a signal into filter-ready chunks with ``pad`` context each side.
 
-    ``pad`` is the comb bank's context, ``bank.pad``. Same frame count and
-    hop as :func:`frame_signal`; rows ``pad`` through ``pad + frame_size``
-    of column ``t`` reproduce frame ``t`` exactly.
+    ``pad`` is the comb bank's context, ``bank.pad``. Like :func:`frame_signal`
+    it takes an :class:`AudioBuffer` or a plain 1-D array, with the same frame
+    count and hop; rows ``pad`` through ``pad + frame_size`` of column ``t``
+    reproduce frame ``t`` exactly.
     """
-    x = _samples(buffer)
-    return windows(x, cfg.n_frames(x.size), cfg.hop_size, -pad, cfg.frame_size + 2 * pad).T
+    x = np.asarray(getattr(buffer, "samples", buffer), dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError(f"need a 1-D signal, got shape {x.shape}")
+    return block(x, cfg, 0, cfg.n_frames(x.size), pad)
 
 
 def stft(frames: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Blocks of frames, run on the calling thread and one helper thread.
 
-:func:`overlap` alone cuts frames into blocks; each stage it runs takes a frame
-range ``(lo, n)``. numpy's FFTs and large loops release the interpreter lock,
+:func:`blocks` alone cuts frames into blocks, frame ranges ``(lo, n)`` that
+:func:`overlap` runs. numpy's FFTs and large loops release the interpreter lock,
 so a block on the helper overlaps the caller's own work. The thread is started
 and joined inside :func:`overlap`: calls share no state, and a process forked
 after a call inherits no worker.
@@ -20,17 +20,22 @@ BLOCK_FRAMES = 64
 AHEAD = 4
 
 
-def overlap(n_frames: int, run, emit) -> None:
-    """Run frames ``0 .. n_frames - 1`` in blocks on the calling thread and one helper thread.
+def blocks(n_frames: int, at_most: int | None = None) -> list:
+    """Frames ``0 .. n_frames - 1`` as ranges ``(lo, n)`` in order: ``BLOCK_FRAMES``
+    frames each, or ``max(1, at_most)`` when that is fewer; the last may be short."""
+    size = BLOCK_FRAMES if at_most is None else min(BLOCK_FRAMES, max(1, at_most))
+    return [(lo, min(size, n_frames - lo)) for lo in range(0, n_frames, size)]
 
-    Each thread calls ``run(lo, n)`` for the lowest block of ``BLOCK_FRAMES``
-    frames (the last may be short) that no thread has taken, if it is fewer
-    than ``AHEAD`` blocks past the next block to emit. The caller alone passes
-    each block's result to ``emit``, in block order. An exception on either
-    thread is raised by the caller once the helper has stopped. ``run`` must
-    write nothing that another block reads.
+
+def overlap(spans: list, run, emit) -> None:
+    """Run the frame ranges ``spans`` of :func:`blocks` on the calling thread and one helper.
+
+    Each thread calls ``run(lo, n)`` for the lowest range that no thread has
+    taken, if it is fewer than ``AHEAD`` ranges past the next one to emit. The
+    caller alone passes each range's result to ``emit``, in order. An exception
+    on either thread is raised by the caller once the helper has stopped.
+    ``run`` must write nothing that another range reads.
     """
-    spans = [(lo, min(BLOCK_FRAMES, n_frames - lo)) for lo in range(0, n_frames, BLOCK_FRAMES)]
     cond = threading.Condition()
     finished = {}
     # guarded by ``cond``; only the caller advances ``emitted``

@@ -16,7 +16,7 @@ except ImportError:  # not on every platform
 
 import hcf
 from hcf.estimator import posterior_block
-from hcf.helper import overlap
+from hcf.helper import blocks, overlap
 
 FS = 48000
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,11 +96,11 @@ def buffer(x):
 
 def posteriors(buf, grid, cfg=hcf.EstimatorConfig(), frame_cfg=hcf.FrameConfig()):
     """Whole-signal ``(n_frames, N+1)`` pitch posteriors: ``posterior_block``
-    over the frame blocks of ``overlap``, in order, as ``estimate_track`` decodes them."""
-    blocks = []
-    overlap(frame_cfg.n_frames(len(buf)),
-            lambda lo, n: posterior_block(buf, lo, n, grid, cfg, frame_cfg), blocks.append)
-    return np.concatenate(blocks)
+    over the frame blocks of ``blocks``, run by ``overlap`` and joined in order."""
+    rows = []
+    overlap(blocks(frame_cfg.n_frames(len(buf))),
+            lambda lo, n: posterior_block(buf, lo, n, grid, cfg, frame_cfg), rows.append)
+    return np.concatenate(rows)
 
 
 def interior(n_samples, cfg=None):

@@ -8,6 +8,7 @@ import pytest
 
 import hcf
 from hcf.cli import main
+from hcf.helper import BLOCK_FRAMES
 
 from helpers import (
     buffer, harmonic_complex, interior, needs_rlimit_as, noise_at_snr, record_filter_calls,
@@ -385,7 +386,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("block_frames", [1, 7, 32, 64])
     def test_line_does_not_depend_on_the_block_size(self, capsys, monkeypatch, block_frames):
-        monkeypatch.setattr(hcf.comb, "BLOCK_FRAMES", block_frames)
+        monkeypatch.setattr(hcf.helper, "BLOCK_FRAMES", block_frames)
         assert main(["verify", "--seed", "3"]) == 0
         assert capsys.readouterr().out == (
             "max_dev=2.220e-16 frames=250 tracks=10 mac_ratio=22.642\n"
@@ -704,24 +705,24 @@ class TestEnhanceCommand:
         frames = [hcf.frame_signal(b, frame_cfg) for b in (clean, estimate, gains_only)]
         n_frames = frames[0].shape[1]
         sums = np.zeros(4)
-        for lo in range(0, n_frames, cli.BLOCK_FRAMES):
-            spectra = [hcf.stft(f[:, lo:lo + cli.BLOCK_FRAMES]) for f in frames]
+        for lo in range(0, n_frames, BLOCK_FRAMES):
+            spectra = [hcf.stft(f[:, lo:lo + BLOCK_FRAMES]) for f in frames]
             sums += np.multiply(hcf.se_loss(*spectra, cfg), spectra[0].shape[1])
 
         def refuse(*args):
             raise AssertionError("frame_signal called")
 
-        real, spans = cli.windows, []
+        real, spans = cli.block, []
 
-        def recording(x, n, hop, start, length):
+        def recording(x, cfg, lo, n, pad=0):
             spans.append(n)
-            return real(x, n, hop, start, length)
+            return real(x, cfg, lo, n, pad)
 
         monkeypatch.setattr(hcf.framing, "frame_signal", refuse)
-        monkeypatch.setattr(cli, "windows", recording)
+        monkeypatch.setattr(cli, "block", recording)
         lines = cli._loss_lines(clean, estimate, gains_only, frame_cfg, cfg)
-        assert n_frames > 2 * cli.BLOCK_FRAMES
-        assert max(spans) <= cli.BLOCK_FRAMES
+        assert n_frames > 2 * BLOCK_FRAMES
+        assert max(spans) <= BLOCK_FRAMES
         assert sum(spans) == 3 * n_frames
         expected = [f"{value:.6g}" for value in sums / n_frames]
         assert [line.split("=")[1] for line in lines[:4]] == expected

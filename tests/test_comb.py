@@ -12,7 +12,7 @@ from hcf.errors import ShapeError
 from hcf.estimator import EMISSION_FLOOR, Decoder, transition_weights, yin_difference
 from hcf.framing import windows
 
-from helpers import periodic_tone, record_filter_calls
+from helpers import periodic_tone, record_filter_calls, traced_peak
 from reference_kernels import (
     _comb_all_py,
     _comb_inference_py,
@@ -184,6 +184,24 @@ class TestPathEquivalence:
         track = hcf.track_from_indices(grid, np.full(chunks.shape[1], 225))
         out = hcf.filter_inference(bank, chunks, track)
         np.testing.assert_array_equal(out, hcf.frame_signal(x, cfg))
+
+    def test_unvoiced_frames_are_copied_without_a_multiply(self, grid, bank, rng):
+        # the identity row reads the signal itself: no scaled copy of the stretch it reaches
+        cfg = hcf.FrameConfig()
+        chunks = hcf.chunk_signal(rng.standard_normal(64 * cfg.hop_size), cfg, bank.pad)
+        n = chunks.shape[1]
+        track = hcf.track_from_indices(grid, np.full(n, grid.unvoiced_index))
+        out, peak = traced_peak(hcf.filter_inference, bank, chunks, track)
+        np.testing.assert_array_equal(out, chunks[bank.pad:bank.pad + cfg.frame_size])
+        stretch = (n - 1) * cfg.hop_size + bank.pad + cfg.frame_size
+        assert peak < out.nbytes + 8 * stretch
+        # float32 samples and signed zeros come out with their float64 bits
+        small = rng.standard_normal((cfg.frame_size + 2 * bank.pad, 3)).astype(np.float32)
+        small[::7] = -0.0
+        track = hcf.track_from_indices(grid, np.full(3, grid.unvoiced_index))
+        got = hcf.filter_inference(bank, small, track)
+        want = small[bank.pad:bank.pad + cfg.frame_size].astype(np.float64)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_zero_frames_give_empty_outputs_on_both_routes(self, grid, bank):
         chunks = np.zeros((1536 + 2 * bank.pad, 0))

@@ -11,7 +11,7 @@ import hcf
 from hcf.cli import main
 from hcf.estimator import _posteriors, analysis_window
 from hcf.errors import ShapeError
-from hcf.helper import AHEAD, BLOCK_FRAMES, overlap
+from hcf.helper import AHEAD, BLOCK_FRAMES, blocks, overlap
 
 from helpers import buffer, harmonic_complex, interior, noise_at_snr, posteriors, rel_rms, tone
 
@@ -473,13 +473,13 @@ class TestBlockedEnhance:
         # no zero-padded copy of the whole noisy or clean signal is made
         noisy, clean = _oracle_case(3.0)
         module = importlib.import_module("hcf.enhance")
-        real, spans = module.windows, []
+        real, spans = module.block, []
 
-        def recording(x, n_frames, hop, start, length):
-            spans.append(n_frames)
-            return real(x, n_frames, hop, start, length)
+        def recording(x, cfg, lo, n, pad=0):
+            spans.append(n)
+            return real(x, cfg, lo, n, pad)
 
-        monkeypatch.setattr(module, "windows", recording)
+        monkeypatch.setattr(module, "block", recording)
         hcf.enhance(noisy, clean=clean, bank=bank)
         n_frames = hcf.FrameConfig().n_frames(len(noisy))
         assert n_frames > 2 * BLOCK_FRAMES
@@ -713,6 +713,14 @@ class TestThreadedEnhance:
         if stage.startswith("decode"):
             assert on_caller == [True, True]
 
+    def test_blocks_cut_the_frames_at_most_the_block_size_at_a_time(self, monkeypatch):
+        assert blocks(0) == []
+        assert blocks(130) == blocks(130, 1000) == [(0, 64), (64, 64), (128, 2)]
+        assert blocks(130, 50) == [(0, 50), (50, 50), (100, 30)]
+        assert blocks(5, 0) == blocks(5, -3) == [(lo, 1) for lo in range(5)]
+        monkeypatch.setattr("hcf.helper.BLOCK_FRAMES", 7)  # read at call time
+        assert blocks(15) == [(0, 7), (7, 7), (14, 1)]
+
     def test_overlap_runs_each_block_once_and_emits_in_order(self, rng):
         log, emitted, lock = [], [], threading.Lock()
         work = rng.standard_normal((12 * BLOCK_FRAMES + 5, 300))
@@ -729,7 +737,7 @@ class TestThreadedEnhance:
             for n_frames in (0, 1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, len(work)):
                 for _ in range(20):
                     log.clear(), emitted.clear()
-                    overlap(n_frames, run, emitted.append)
+                    overlap(blocks(n_frames), run, emitted.append)
                     assert threading.active_count() == before
                     ranges = [(lo, n) for lo, n, _ in emitted]
                     # in order, covering [0, n_frames) once, full blocks but a shorter last one

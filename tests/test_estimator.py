@@ -1,6 +1,3 @@
-
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -20,6 +17,7 @@ from helpers import (
     periodic_tone,
     posteriors,
     tone,
+    traced_peak,
 )
 
 CFG = hcf.EstimatorConfig()
@@ -358,17 +356,19 @@ class TestPipelinedEstimate:
 
 
 class TestPosteriorBudget:
-    """``posterior_block`` runs its frames in sub-blocks whose work stays under
-    ``POSTERIOR_BYTES``; the default grid keeps whole blocks."""
+    """``estimate_track`` hands ``posterior_block`` blocks whose work stays under
+    ``POSTERIOR_BYTES``; the default grid keeps whole blocks, and no row depends
+    on the block size."""
 
     def test_one_frame_sub_blocks_match_whole_blocks(self, grid, frame_cfg, monkeypatch):
-        x = _voiced_in_noise(140 * 384 / 48000, 5)  # 140 frames: two whole blocks and a short one
+        x = buffer(_voiced_in_noise(140 * 384 / 48000, 5))  # two whole blocks and a short one
         assert estimator.POSTERIOR_BYTES // (4 * 8 * analysis_window(grid)) >= BLOCK_FRAMES
-        whole = posteriors(buffer(x), grid, CFG, frame_cfg)
-        track = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
-        monkeypatch.setattr(estimator, "POSTERIOR_BYTES", 1)  # one frame per sub-block
-        assert posteriors(buffer(x), grid, CFG, frame_cfg).tobytes() == whole.tobytes()
-        got = hcf.estimate_track(buffer(x), grid, CFG, frame_cfg)
+        whole = posteriors(x, grid, CFG, frame_cfg)
+        rows = [estimator.posterior_block(x, lo, 1, grid, CFG, frame_cfg) for lo in range(140)]
+        assert np.concatenate(rows).tobytes() == whole.tobytes()
+        track = hcf.estimate_track(x, grid, CFG, frame_cfg)
+        monkeypatch.setattr(estimator, "POSTERIOR_BYTES", 1)  # one frame per block
+        got = hcf.estimate_track(x, grid, CFG, frame_cfg)
         assert got.indices.tobytes() == track.indices.tobytes()
 
     def test_long_window_block_stays_under_the_budget(self, frame_cfg, monkeypatch):
@@ -377,11 +377,19 @@ class TestPosteriorBudget:
         row = 8 * analysis_window(grid)
         monkeypatch.setattr(estimator, "POSTERIOR_BYTES", 4 * 4 * row)
         x = buffer(tone(150.0, 0.2))
-        tracemalloc.start()
-        try:
-            block = estimator.posterior_block(x, 0, 16, grid, CFG, frame_cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert block.shape == (16, grid.label_size)
+        real, spans = estimator.posterior_block, []
+
+        def recording(buf, lo, n, *args):
+            spans.append((lo, n))
+            return real(buf, lo, n, *args)
+
+        monkeypatch.setattr(estimator, "posterior_block", recording)
+        hcf.estimate_track(x, grid, CFG, frame_cfg)
+        n_frames = frame_cfg.n_frames(len(x))
+        assert n_frames > 4
+        assert [f for lo, n in sorted(spans) for f in range(lo, lo + n)] == list(range(n_frames))
+        assert max(n for _, n in spans) <= 4
+        # one such call, serially, since tracemalloc counts the helper thread too
+        block, peak = traced_peak(real, x, 0, 4, grid, CFG, frame_cfg)
+        assert block.shape == (4, grid.label_size)
         assert peak < estimator.POSTERIOR_BYTES + 4 * row

@@ -3,7 +3,7 @@ import pytest
 
 import hcf
 from hcf.errors import ShapeError
-from hcf.framing import windows
+from hcf.framing import block, windows
 
 from helpers import buffer
 
@@ -100,3 +100,16 @@ class TestChunkSignal:
         chunks = hcf.chunk_signal(rng.standard_normal(10000), frame_cfg, bank.pad)
         assert np.shares_memory(chunks[:, 0], chunks[:, 1])
         assert not chunks.flags.writeable
+
+
+class TestBlock:
+    @pytest.mark.parametrize("pad", [0, 700])
+    def test_block_is_its_columns_of_the_whole_framing(self, frame_cfg, rng, pad):
+        x = rng.standard_normal(20000)
+        whole = hcf.chunk_signal(x, frame_cfg, pad)
+        assert whole.shape[1] == 53
+        for lo, n in [(0, 1), (3, 17), (50, 3), (0, 53)]:
+            got = block(x, frame_cfg, lo, n, pad)
+            assert got.shape == (frame_cfg.frame_size + 2 * pad, n)
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, whole[:, lo:lo + n])

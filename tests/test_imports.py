@@ -4,7 +4,10 @@ every private module-level name it defines is read somewhere in ``src/hcf``.
 ``__init__.py`` is checked apart: it imports names to re-export them, so
 they must be exactly the names of ``hcf.__all__``. No module but ``helper.py``
 imports a threading or process module: the one helper thread is started and
-joined inside ``hcf.helper.overlap``.
+joined inside ``hcf.helper.overlap``. No module but ``helper.py`` names the
+block size, since ``hcf.helper.blocks`` alone cuts frame ranges, and no module
+but ``framing.py`` and the estimator, whose analysis windows are its own,
+calls ``windows``: ``hcf.framing.block`` frames every range.
 """
 
 import ast
@@ -62,6 +65,36 @@ def test_checker_finds_a_concurrency_import():
 def test_only_the_helper_imports_threading(module):
     expected = ["threading"] if module == "helper.py" else []
     assert concurrency_imports((PACKAGE / module).read_text()) == expected
+
+
+def block_geometry(source: str) -> list[str]:
+    """``"BLOCK_FRAMES"`` if ``source`` names it, and ``"windows"`` if it calls ``windows``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "windows":
+                found.add("windows")
+        attr = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if attr is not None and getattr(node, attr) == "BLOCK_FRAMES":
+            found.add("BLOCK_FRAMES")
+    return sorted(found)
+
+
+def test_checker_finds_the_block_geometry():
+    source = ("from .helper import BLOCK_FRAMES as size\nfrom . import framing\n"
+              "rows = framing.windows(x, 1, 2, 3, 4)\n")
+    assert block_geometry(source) == ["BLOCK_FRAMES", "windows"]
+    assert block_geometry("n = hcf.helper.BLOCK_FRAMES\n") == ["BLOCK_FRAMES"]
+    source = "from .framing import windows\nw = windows\ntext = 'BLOCK_FRAMES'\n"
+    assert block_geometry(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_the_helper_cuts_blocks_and_only_framing_frames_them(module):
+    expected = {"helper.py": ["BLOCK_FRAMES"], "framing.py": ["windows"],
+                "estimator.py": ["windows"]}
+    assert block_geometry((PACKAGE / module).read_text()) == expected.get(module, [])
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -33,6 +33,11 @@ class TestWindows:
         steady = acc[frame_cfg.frame_size : 2 * frame_cfg.frame_size]
         np.testing.assert_allclose(steady, 2.0, atol=1e-12)
 
+    def test_one_read_only_window_per_size(self):
+        w = hcf.sqrt_hann(1536)
+        assert hcf.sqrt_hann(1536) is w and not w.flags.writeable
+        assert hcf.sqrt_hann(1024) is not w
+
 
 class TestStft:
     def test_shape_and_tone_bin(self, frame_cfg):

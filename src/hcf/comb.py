@@ -16,7 +16,8 @@ scales the signal once per distinct weight, then only adds windows of the scaled
 signals in the order of multiplying each weight in turn, so the routes agree to
 float64 round-off. ``verify_routes`` measures their deviation over many tracks of
 one signal on the distinct (frame, row) pairs the tracks pick; ``MacCounter``
-tallies each route's multiply-adds by its per-frame definition.
+tallies each route's multiply-adds by its per-frame definition. Every track a
+route takes is checked by :func:`hcf.grid.check_track`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
 from .framing import FrameConfig, block
-from .grid import F0Grid, F0Track
+from .grid import F0Grid, F0Track, check_track
 from .helper import blocks
 
 TAP_TOL = 1e-9
@@ -123,14 +124,6 @@ def _check_chunks(bank: CombFilterBank, chunks: np.ndarray) -> int:
     if frame <= 0:
         raise ShapeError(f"chunk length {chunks.shape[0]} too short for pad {bank.pad} per side")
     return frame
-
-
-def _check_track(track: F0Track, n_frames: int, n_rows: int) -> None:
-    """One index per frame, each naming a row of the bank: ``[0, n_rows)``."""
-    if len(track) != n_frames:
-        raise ShapeError(f"track has {len(track)} frames, expected {n_frames}")
-    if np.any((track.indices < 0) | (track.indices >= n_rows)):
-        raise ShapeError(f"track indices must lie in [0, {n_rows - 1}]")
 
 
 def _signal(chunks: np.ndarray):
@@ -249,7 +242,7 @@ def select_candidate(all_candidates: np.ndarray, track: F0Track) -> np.ndarray:
     if all_candidates.ndim != 3:
         raise ShapeError(f"expected (rows, frame, n_frames), got {all_candidates.shape}")
     n_rows, _, n_frames = all_candidates.shape
-    _check_track(track, n_frames, n_rows)
+    check_track(track, n_rows, n_frames)
     return all_candidates[track.indices, :, np.arange(n_frames)].T
 
 
@@ -265,7 +258,7 @@ def filter_inference(
     route of :func:`verify_routes` does.
     """
     frame = _check_chunks(bank, chunks)
-    _check_track(track, chunks.shape[1], bank.grid.label_size)
+    check_track(track, bank.grid.label_size, chunks.shape[1])
     out = np.empty((chunks.shape[1], frame))
     _filter(bank._tap_table, *_signal(chunks), np.arange(len(out)), track.indices, out)
     if counter is not None:
@@ -293,7 +286,7 @@ def verify_routes(
     tracks = np.asarray(tracks, dtype=np.int64)
     if tracks.ndim != 2 or tracks.shape[1] != n_frames:
         raise ShapeError(f"tracks must be (n_tracks, {n_frames}), got {tracks.shape}")
-    _check_track(F0Track(tracks.ravel()), tracks.size, bank.grid.label_size)
+    check_track(F0Track(tracks.ravel()), bank.grid.label_size)  # names a flat position
     if counter is not None:
         counter.parallel += bank.nonzero_taps() * frame * n_frames
         voiced = int(np.count_nonzero(tracks != bank.grid.unvoiced_index))

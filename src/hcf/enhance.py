@@ -22,11 +22,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .audio import AudioBuffer
-from .comb import CombFilterBank, MacCounter, _check_track, build_bank, filter_inference
+from .comb import CombFilterBank, MacCounter, build_bank, filter_inference
 from .errors import ShapeError
 from .estimator import EstimatorConfig, estimate_track
 from .framing import FrameConfig, OverlapAdd, block, stft
-from .grid import F0Grid, F0Track
+from .grid import F0Grid, F0Track, check_track
 from .helper import blocks, overlap
 from .mel import MelFilterbank, build_mel_filterbank, mel_energies
 
@@ -175,7 +175,7 @@ def enhance(
     n_frames = frame_cfg.n_frames(len(noisy))
 
     if track is not None:
-        _check_track(track, n_frames, grid.label_size)
+        check_track(track, grid.label_size, n_frames)
 
     shape = (frame_cfg.n_bins, n_frames)
     if oracle:

@@ -4,6 +4,7 @@ Candidate periods are spaced uniformly in samples from the longest (lowest
 frequency) down to the shortest, so index 0 is the lowest candidate and
 index ``size - 1`` the highest. One extra slot at index ``size`` stands for
 unvoiced frames; it is categorical, so label smoothing never bleeds into it.
+A track is its grid indices, and ``check_track`` is the one check of them.
 
 At the 48 kHz defaults (62.5-500 Hz, 225 candidates) the periods run
 768, 765, ..., 96 samples: an exact 3-sample spacing.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -147,28 +149,30 @@ class F0Track:
         return self.indices != grid.unvoiced_index
 
     def f0_hz(self, grid: F0Grid) -> np.ndarray:
-        """Each frame's candidate frequency on ``grid`` in hertz; 0 on unvoiced frames.
-
-        An index outside ``[0, grid.size]`` raises ShapeError.
-        """
-        _check_on_grid(self.indices, grid)
+        """Each frame's candidate frequency on ``grid`` in hertz, 0 on unvoiced frames;
+        an index outside ``[0, grid.size]`` raises ShapeError."""
+        check_track(self, grid.label_size)
         voiced = self.voiced_mask(grid)
         f0 = np.zeros(self.indices.size)
         f0[voiced] = grid.frequency(self.indices[voiced])
         return f0
 
 
-def _check_on_grid(indices: np.ndarray, grid: F0Grid) -> None:
-    outside = np.flatnonzero((indices < 0) | (indices > grid.unvoiced_index))
+def check_track(track: F0Track, n_rows: int, n_frames: Optional[int] = None) -> None:
+    """The one track check: ``n_frames`` frames, when given, each index in ``[0, n_rows)``;
+    else ShapeError, naming the first index outside with its frame."""
+    if n_frames is not None and len(track) != n_frames:
+        raise ShapeError(f"track has {len(track)} frames, expected {n_frames}")
+    outside = np.flatnonzero((track.indices < 0) | (track.indices >= n_rows))
     if outside.size:
         t = outside[0]
-        raise ShapeError(f"frame {t}: grid index {indices[t]} outside [0, {grid.size}]")
+        raise ShapeError(f"frame {t}: grid index {track.indices[t]} outside [0, {n_rows - 1}]")
 
 
 def track_from_indices(grid: F0Grid, indices) -> F0Track:
     """Build a track from grid indices; one outside ``[0, grid.size]`` raises ShapeError."""
     track = F0Track(indices)
-    _check_on_grid(track.indices, grid)
+    check_track(track, grid.label_size)
     return track
 
 

@@ -1,10 +1,12 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
 import pytest
 
 import hcf
+from hcf.cli import main
 from hcf.errors import AudioFormatError
 
 from helpers import traced_peak
@@ -25,6 +27,29 @@ def wav_bytes(payload, fmt_code=1, channels=1, rate=48000, bits=16, data_size=No
         ]
     )
     return header + payload
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file of ``(id, body)`` chunks, each size taken from its body."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+#: Headers that only their own check rejects, and the message it gives: without
+#: it, each would fail later with another message or decode.
+MALFORMED = {
+    "shorter-than-12-bytes": (b"RIFF\x02\x00\x00\x00WA", r"too short for a RIFF header: 10 bytes"),
+    "no-channels": (wav_bytes(struct.pack("<2h", 5, -5), channels=0), r"invalid channel count 0"),
+    "fmt-under-16-bytes": (
+        riff((b"fmt ", struct.pack("<HHIIH", 1, 1, 48000, 96000, 2)), (b"data", b"\x00\x00")),
+        r"fmt chunk too short \(14 bytes\) at offset 20",
+    ),
+    "extensible-fmt-under-40-bytes": (
+        riff((b"fmt ", struct.pack("<HHIIHHH", 0xFFFE, 1, 48000, 96000, 2, 16, 0)),
+             (b"data", b"\x00\x00")),
+        r"extensible fmt chunk too short \(18 bytes\) at offset 20",
+    ),
+}
 
 
 def golden_signal():
@@ -265,6 +290,18 @@ class TestReadWav:
             hcf.read_wav(path)
 
 
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejects_malformed_header_and_f0_exits_three(self, tmp_path, capsys, case):
+        data, message = MALFORMED[case]
+        path, out = tmp_path / "a.wav", tmp_path / "track.csv"
+        path.write_bytes(data)
+        with pytest.raises(AudioFormatError, match=message):
+            hcf.read_wav(path)
+        assert main(["f0", str(path), str(out)]) == 3
+        assert not out.exists()
+        assert re.search(message, capsys.readouterr().err)
+
+
 class TestWriteWav:
     @pytest.mark.parametrize(
         "depth,tol", [("16", 1 / 32768), ("24", 1 / (1 << 23)), ("float32", 1e-7)]
@@ -311,6 +348,16 @@ class TestWriteWav:
         back = hcf.read_wav(tmp_path / "a.wav")
         assert back.samples[0] == pytest.approx(32767 / 32768)
         assert back.samples[1] == -1.0
+
+    @pytest.mark.parametrize("depth", ["16", "24", "float32"])
+    def test_rejects_samples_made_non_finite_after_the_buffer(self, tmp_path, depth):
+        # AudioBuffer checks its samples when built; its array can still be written later
+        buf = hcf.AudioBuffer(np.zeros(4))
+        buf.samples[2] = np.nan
+        path = tmp_path / "a.wav"
+        with pytest.raises(ValueError, match="non-finite"):
+            hcf.write_wav(buf, path, depth)
+        assert not path.exists()
 
     def test_rejects_unknown_depth(self, tmp_path):
         with pytest.raises(ValueError):

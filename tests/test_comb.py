@@ -151,6 +151,13 @@ class TestSelectCandidate:
         with pytest.raises(ShapeError):
             hcf.select_candidate(out, hcf.track_from_indices(grid, [0, 1]))
 
+    @pytest.mark.parametrize("shape", [(6, 24), (6, 24, 3, 1)])
+    def test_tensor_that_is_not_3d_rejected(self, shape):
+        # unchecked, unpacking the shape would raise a bare ValueError naming no shape
+        track = hcf.track_from_indices(desk_grid(), [0, 1, 5])
+        with pytest.raises(ShapeError, match=r"expected \(rows, frame, n_frames\)"):
+            hcf.select_candidate(np.zeros(shape), track)
+
 
 class TestPathEquivalence:
     def test_random_signal_random_track(self, grid, bank, rng):

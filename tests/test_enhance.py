@@ -121,6 +121,13 @@ class TestOracleStrength:
         assert np.all(strength >= 0.0)
         assert np.all(strength <= 1.0)
 
+    def test_spectra_of_different_shapes_rejected(self):
+        # each of these would broadcast against (769, 4) without the check
+        full, column = np.ones((769, 4), dtype=complex), np.ones((769, 1), dtype=complex)
+        for specs in ((column, full, full), (full, column, full), (full, full, column)):
+            with pytest.raises(ShapeError, match="spectra differ"):
+                hcf.oracle_strength(*specs)
+
     def test_least_squares_optimality(self, frame_cfg, rng):
         noisy = self._specs(frame_cfg, rng)
         filtered = self._specs(frame_cfg, np.random.default_rng(7))

@@ -8,7 +8,7 @@ import pytest
 
 import hcf
 from hcf.errors import DataError, ShapeError
-from hcf.grid import nearest_period_index
+from hcf.grid import check_track, nearest_period_index
 
 
 class TestGridConstants:
@@ -286,3 +286,46 @@ class TestTrackRoundTrip:
         path.write_text("frame,grid_index,f0_hz,voicing\n1,96,100.0,1.0\n")
         with pytest.raises(DataError, match="frame numbers"):
             hcf.read_track(path, grid)
+
+
+class TestCheckTrack:
+    """``hcf.grid.check_track`` is the one check of a track: its frame count when
+    one is expected, then each index against the rows it may name."""
+
+    def test_frame_count_is_checked_before_the_indices(self):
+        with pytest.raises(ShapeError, match=r"^track has 2 frames, expected 3$"):
+            check_track(hcf.F0Track(np.array([0, 300])), 226, 3)
+        check_track(hcf.F0Track(np.array([0, 225, 7])), 226, 3)
+
+    def test_first_index_outside_the_rows_is_named(self):
+        with pytest.raises(ShapeError, match=r"^frame 2: grid index 5 outside \[0, 4\]$"):
+            check_track(hcf.F0Track(np.array([0, 4, 5, -1])), 5)
+        check_track(hcf.F0Track(np.array([], dtype=np.int64)), 5)
+
+    @pytest.mark.parametrize("entry", ["f0_hz", "track_from_indices", "write_track",
+                                       "select_candidate", "filter_inference", "verify_routes",
+                                       "enhance"])
+    @pytest.mark.parametrize("index", [-1, 226])
+    def test_every_entry_names_the_position_and_the_index(self, grid, bank, tmp_path, entry,
+                                                          index):
+        indices = np.array([96, index, 225])
+        track, n, cfg = hcf.F0Track(indices), len(indices), hcf.FrameConfig()
+        samples = np.zeros(n * cfg.hop_size)
+        calls = {
+            "f0_hz": lambda: track.f0_hz(grid),
+            "track_from_indices": lambda: hcf.track_from_indices(grid, indices),
+            "write_track": lambda: hcf.write_track(track, tmp_path / "track.csv", grid),
+            "select_candidate": lambda: hcf.select_candidate(np.zeros((226, 4, n)), track),
+            "filter_inference": lambda: hcf.filter_inference(
+                bank, np.zeros((cfg.frame_size + 2 * bank.pad, n)), track),
+            # the second of two tracks: a flat position in the (n_tracks, n_frames) matrix
+            "verify_routes": lambda: hcf.verify_routes(
+                bank, samples, np.stack([np.full(n, 96), indices]), cfg),
+            "enhance": lambda: hcf.enhance(hcf.AudioBuffer(samples), track=track, gain=1.0,
+                                           strength=1.0, bank=bank),
+        }
+        position = n + 1 if entry == "verify_routes" else 1
+        with pytest.raises(ShapeError,
+                           match=rf"^frame {position}: grid index {index} outside \[0, 225\]$"):
+            calls[entry]()
+        assert not (tmp_path / "track.csv").exists()

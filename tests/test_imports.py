@@ -7,7 +7,8 @@ imports a threading or process module: the one helper thread is started and
 joined inside ``hcf.helper.overlap``. No module but ``helper.py`` names the
 block size, since ``hcf.helper.blocks`` alone cuts frame ranges, and no module
 but ``framing.py`` and the estimator, whose analysis windows are its own,
-calls ``windows``: ``hcf.framing.block`` frames every range.
+calls ``windows``: ``hcf.framing.block`` frames every range. No module imports
+another's private ``_name``: what crosses a module is public.
 """
 
 import ast
@@ -109,6 +110,34 @@ def test_package_exports_exactly_what_it_imports():
                 if isinstance(node, ast.ImportFrom) for a in node.names]
     assert len(hcf.__all__) == len(set(hcf.__all__))
     assert sorted(imported) == sorted(hcf.__all__)
+
+
+def private_imports(source: str) -> list[str]:
+    """Each private name, ``_name`` but not a dunder, that an import of ``source``
+    takes from another module, or each dotted module path with a private part."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if private(a.name)]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if any(map(private, a.name.split(".")))]
+    return sorted(found)
+
+
+def test_checker_finds_a_private_import():
+    source = ("from __future__ import annotations\nfrom .comb import _check_track as check, "
+              "build_bank\nfrom . import _kernels\nfrom .x import __version__\n"
+              "import numpy._core.multiarray, os.path\ndef f():\n    from .grid import _f\n")
+    assert private_imports(source) == ["_check_track", "_f", "_kernels", "numpy._core.multiarray"]
+    assert private_imports("from .grid import check_track\nimport hcf.comb\nx = comb._scan\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_a_private_name(module):
+    assert private_imports((PACKAGE / module).read_text()) == []
 
 
 def unread_privates(sources: dict) -> list[str]:

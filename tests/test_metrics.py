@@ -202,3 +202,9 @@ class TestSnr:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             hcf.snr(buffer(np.zeros(16)), buffer(np.ones(16)))
+
+    @pytest.mark.parametrize("lengths", [(10, 11), (10, 1)])
+    def test_length_mismatch(self, lengths):
+        # a one-sample estimate would broadcast against the reference without the check
+        with pytest.raises(ShapeError, match=f"lengths differ: {lengths[0]} vs {lengths[1]}"):
+            hcf.snr(buffer(np.ones(lengths[0])), buffer(np.ones(lengths[1])))

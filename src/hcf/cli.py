@@ -23,7 +23,7 @@ from .comb import CombFilterBank, MacCounter, build_bank, verify_routes
 from .enhance import BlendConfig, enhance
 from .errors import DataError, VerificationError
 from .estimator import EstimatorConfig, estimate_track
-from .framing import FrameConfig, block, stft
+from .framing import FrameConfig, block, check_size, stft
 from .grid import F0Grid, gaussian_label, read_track, write_track
 from .helper import blocks
 from .matrixio import read_matrix, write_matrix
@@ -257,14 +257,12 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--tracks must be at least 1, got {args.tracks}")
     if not (np.isfinite(args.duration) and args.duration > 0):
         raise ValueError(f"--duration must be a positive number of seconds, got {args.duration}")
-    n_noise = int(args.duration * PIPELINE_RATE)
-    if not args.wav and n_noise > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
-        raise MemoryError(f"{n_noise} float64 samples of noise")
+    n_noise = 0 if args.wav else int(args.duration * PIPELINE_RATE)  # a wav replaces the noise
+    check_size(n_noise, f"{n_noise} float64 samples of noise")
     grid, frame_cfg = _grid(args), _frame_cfg(args)
     samples = read_wav(args.wav).samples if args.wav else None
     n_frames = frame_cfg.n_frames(n_noise if samples is None else len(samples))
-    if args.tracks * n_frames > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
-        raise MemoryError(f"{args.tracks} x {n_frames} int64 track indices")
+    check_size(args.tracks * n_frames, f"{args.tracks} x {n_frames} int64 track indices")
     bank = build_bank(grid, order=args.order)
     rng = np.random.default_rng(args.seed)
     if samples is None:

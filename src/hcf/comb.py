@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
-from .framing import FrameConfig, block
+from .framing import FrameConfig, block, check_size
 from .grid import F0Grid, F0Track, check_track
 from .helper import blocks
 
@@ -62,16 +62,19 @@ class MacCounter:
 
 @dataclass(frozen=True)
 class CombFilterBank:
-    order: int
     taps: np.ndarray
     grid: F0Grid
     weights: np.ndarray
-    rounded_periods: np.ndarray
+
+    @property
+    def order(self) -> int:
+        """M, from the ``2M + 1`` taps; the periods are ``grid.rounded_periods()``."""
+        return len(self.taps) // 2
 
     @property
     def pad(self) -> int:
         """Context needed on each side of a frame: M * T_max samples."""
-        return self.order * int(self.rounded_periods.max())
+        return self.order * int(self.grid.rounded_periods().max())
 
     def nonzero_taps(self) -> int:
         return int(np.count_nonzero(self.weights))
@@ -108,13 +111,12 @@ def build_bank(grid: F0Grid, order: int = 1, taps: Optional[Sequence] = None) ->
     t_max = int(periods.max())
     center = order * t_max
     k_len = 2 * center + 1
-    if (grid.size + 1) * k_len > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
-        raise MemoryError(f"a comb bank of {grid.size + 1} x {k_len} float64 weights")
+    check_size((grid.size + 1) * k_len, f"a comb bank of {grid.size + 1} x {k_len} float64 weights")
     weights = np.zeros((grid.size + 1, 1, k_len, 1))
     ks = np.arange(-order, order + 1)
     weights[np.arange(grid.size)[:, None], 0, center + np.outer(periods, ks), 0] = w
     weights[grid.size, 0, center, 0] = 1.0
-    return CombFilterBank(order=order, taps=w, grid=grid, weights=weights, rounded_periods=periods)
+    return CombFilterBank(taps=w, grid=grid, weights=weights)
 
 
 def _check_chunks(bank: CombFilterBank, chunks: np.ndarray) -> int:
@@ -172,7 +174,7 @@ def _tap_rows(bank: CombFilterBank) -> list:
     """The bank's rows in :func:`_scan`'s form, from the taps and rounded periods
     alone: voiced row i weights columns ``pad - k*T_i`` for ``k = -M..M`` with the
     taps in tap order, and the unvoiced row weights column ``pad`` with 1.0."""
-    cols = bank.pad - np.outer(bank.rounded_periods, np.arange(-bank.order, bank.order + 1))
+    cols = bank.pad - np.outer(bank.grid.rounded_periods(), np.arange(-bank.order, bank.order + 1))
     key, one = bank.taps.tobytes(), np.ones(1)
     return [(key, bank.taps, c) for c in cols.tolist()] + [(one.tobytes(), one, [bank.pad])]
 
@@ -321,7 +323,7 @@ def frequency_response(bank: CombFilterBank, candidate: int, n_points: int = 102
     """
     if not 0 <= candidate < bank.grid.size:
         raise ValueError(f"candidate {candidate} outside [0, {bank.grid.size})")
-    t_i = int(bank.rounded_periods[candidate])
+    t_i = int(bank.grid.rounded_periods()[candidate])
     freqs = np.linspace(0.0, PIPELINE_RATE / 2.0, n_points)
     omega = 2.0 * np.pi * freqs / PIPELINE_RATE
     ks = np.arange(-bank.order, bank.order + 1)

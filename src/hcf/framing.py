@@ -61,6 +61,12 @@ def sqrt_hann(size: int) -> np.ndarray:
     return w
 
 
+def check_size(n_items: int, what: str) -> None:
+    """Raise ``MemoryError(what)`` if ``n_items`` 8-byte items need more bytes than numpy shapes."""
+    if n_items > np.iinfo(np.intp).max // 8:
+        raise MemoryError(what)
+
+
 def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> np.ndarray:
     """Read-only ``(n_frames, length)`` view of overlapping windows of ``x``.
 
@@ -70,8 +76,7 @@ def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> 
     views into it.
     """
     span = (n_frames - 1) * hop + length
-    if span > np.iinfo(np.intp).max // 8:  # more bytes than numpy can shape
-        raise MemoryError(f"windows spanning {span} float64 samples")
+    check_size(span, f"windows spanning {span} float64 samples")
     lo = max(start, 0)
     piece = x[lo:max(start + span, 0)]
     padded = np.zeros(span)

@@ -85,6 +85,39 @@ class TestBuildBank:
             hcf.build_bank(grid, order=0)
 
 
+class TestDerivedGeometry:
+    """The bank stores its taps, grid and weights; the order, the periods and ``pad``
+    follow from the taps and the grid, so replacing either moves all three, while
+    ``verify_routes`` still checks the stored weights against them."""
+
+    def test_bank_stores_only_taps_grid_and_weights(self):
+        fields = [f.name for f in dataclasses.fields(hcf.CombFilterBank)]
+        assert fields == ["taps", "grid", "weights"]
+
+    def test_replaced_taps_set_the_order(self, bank, grid, rng):
+        wide = hcf.build_bank(grid, order=2)
+        hann = np.hanning(7)[1:-1]
+        swapped = dataclasses.replace(bank, taps=hann / hann.sum())
+        assert (swapped.order, swapped.pad) == (2, 1536)
+        chunks = _strided_chunks(wide, rng, n_frames=8)
+        track = hcf.track_from_indices(grid, [0, 96, 224, 225, 17, 96, 150, 3])
+        got = hcf.filter_inference(swapped, chunks, track)
+        assert got.tobytes() == hcf.filter_inference(wide, chunks, track).tobytes()
+        # the stored weights are still the order-1 tensor
+        samples, cfg = 0.5 * rng.standard_normal(28800), hcf.FrameConfig()
+        tracks = rng.integers(0, 225, size=(2, 75))
+        assert hcf.verify_routes(swapped, samples, tracks, cfg) > VERIFY_TOLERANCE
+
+    def test_replaced_grid_sets_the_periods_and_pad(self, bank, rng):
+        grid = hcf.F0Grid(f_min=100.0)
+        moved, built = dataclasses.replace(bank, grid=grid), hcf.build_bank(grid)
+        assert moved.pad == built.pad == 480
+        chunks = _strided_chunks(built, rng, n_frames=8)
+        track = hcf.track_from_indices(grid, [0, 96, 224, 225, 17, 96, 150, 3])
+        got = hcf.filter_inference(moved, chunks, track)
+        assert got.tobytes() == hcf.filter_inference(built, chunks, track).tobytes()
+
+
 class TestAllCandidatesAgainstDenseConvolution:
     def test_matches_np_correlate(self, rng):
         grid = desk_grid()
@@ -330,7 +363,7 @@ class TestCandidateFill:
         assert np.shares_memory(chunks[:, 0], chunks[:, 1])
         counter = hcf.MacCounter()
         got = hcf.filter_all_candidates(bank, chunks, counter)
-        periods = np.concatenate([bank.rounded_periods, [0]])
+        periods = np.concatenate([bank.grid.rounded_periods(), [0]])
         np.testing.assert_array_equal(
             got.transpose(0, 2, 1), _comb_all_py(chunks.T, periods, bank.taps, bank.pad, 16)
         )
@@ -410,7 +443,7 @@ class TestSignalLayouts:
             chunks = _strided_chunks(bank, rng)
         else:
             chunks = self.LAYOUTS[layout](rng.standard_normal((16 + 2 * bank.pad, 4)))
-        periods = np.concatenate([bank.rounded_periods, [0]])
+        periods = np.concatenate([bank.grid.rounded_periods(), [0]])
         want = _comb_all_py(
             np.asarray(chunks, dtype=np.float64).T, periods, bank.taps, bank.pad, 16
         )
@@ -498,7 +531,7 @@ class TestCandidateOut:
         with pytest.raises(ValueError):
             got[0, 0, 0] = 1.0
         track = hcf.track_from_indices(bank.grid, [0, 5, 2, 4])
-        periods = np.concatenate([bank.rounded_periods, [0]])
+        periods = np.concatenate([bank.grid.rounded_periods(), [0]])
         want = _comb_all_py(chunks.T, periods, bank.taps, bank.pad, 16)
         picks = want[track.indices, np.arange(4)].T
         assert np.ascontiguousarray(hcf.select_candidate(got, track)).tobytes() == picks.tobytes()
@@ -587,7 +620,7 @@ class TestSharedProducts:
         indices = rng.integers(0, bank.grid.label_size, size=8)
         indices[:2] = [0, bank.grid.size]  # one voiced and one unvoiced frame at least
         track = hcf.track_from_indices(bank.grid, indices)
-        periods = np.concatenate([bank.rounded_periods, [0]])[indices]
+        periods = np.concatenate([bank.grid.rounded_periods(), [0]])[indices]
         want = _comb_inference_py(chunks.T, periods, bank.taps, bank.pad, 16)
         for voiced in (True, False):
             assert _negative_zeros(want[(indices != bank.grid.size) == voiced]) > 0
@@ -848,7 +881,7 @@ class TestKernelParity:
         cfg = hcf.FrameConfig(frame_size=frame, hop_size=4)
         strided = hcf.chunk_signal(rng.standard_normal(16), cfg, bank.pad)
         assert np.shares_memory(strided[:, 0], strided[:, 1])
-        periods = np.concatenate([bank.rounded_periods, [0]])
+        periods = np.concatenate([bank.grid.rounded_periods(), [0]])
         track = hcf.track_from_indices(grid, [0, 5, 2, 4])
         for chunks in (contiguous, strided):
             np.testing.assert_array_equal(

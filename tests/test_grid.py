@@ -39,7 +39,7 @@ class TestGridConstants:
 
     def test_f_max_at_nyquist_keeps_every_tap(self):
         bank = hcf.build_bank(hcf.F0Grid(f_max=hcf.PIPELINE_RATE / 2))
-        assert bank.rounded_periods.min() == 2
+        assert bank.grid.rounded_periods().min() == 2
         voiced = bank.weights[:-1, 0, :, 0]
         np.testing.assert_array_equal(np.count_nonzero(voiced, axis=1), 3)
 

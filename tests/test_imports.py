@@ -8,7 +8,9 @@ joined inside ``hcf.helper.overlap``. No module but ``helper.py`` names the
 block size, since ``hcf.helper.blocks`` alone cuts frame ranges, and no module
 but ``framing.py`` and the estimator, whose analysis windows are its own,
 calls ``windows``: ``hcf.framing.block`` frames every range. No module imports
-another's private ``_name``: what crosses a module is public.
+another's private ``_name``: what crosses a module is public. No module but
+``framing.py`` names ``np.iinfo(np.intp)``: ``hcf.framing.check_size`` is the one
+rule for sizes numpy cannot shape.
 """
 
 import ast
@@ -110,6 +112,28 @@ def test_package_exports_exactly_what_it_imports():
                 if isinstance(node, ast.ImportFrom) for a in node.names]
     assert len(hcf.__all__) == len(set(hcf.__all__))
     assert sorted(imported) == sorted(hcf.__all__)
+
+
+def size_rules(source: str) -> int:
+    """How many calls of ``source`` take the ``iinfo`` of ``intp``, by any spelling."""
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Call) and name(node.func) == "iinfo"
+               and any(name(arg) == "intp" for arg in node.args))
+
+
+def test_checker_finds_a_size_rule():
+    source = ("import numpy as np\nfrom numpy import iinfo, intp\n"
+              "big = n > np.iinfo(np.intp).max // 8\ncap = iinfo(intp).max\n")
+    assert size_rules(source) == 2
+    assert size_rules("m = np.iinfo(np.int32).max\ntext = 'np.iinfo(np.intp)'\n") == 0
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_framing_holds_the_size_rule(module):
+    assert size_rules((PACKAGE / module).read_text()) == (module == "framing.py")
 
 
 def private_imports(source: str) -> list[str]:

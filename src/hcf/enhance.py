@@ -60,6 +60,8 @@ class EnhanceResult:
     #: Samples of context the pipeline needs past a frame's first sample:
     #: one frame plus the comb filter's forward reach (M * T_max).
     latency_samples: int
+    #: The comb's multiply-adds: ``len(bank.taps) * frame_size`` per combed frame.
+    macs: int
 
 
 def oracle_gain(noisy_spec, clean_spec, fb: MelFilterbank) -> np.ndarray:
@@ -132,7 +134,6 @@ def enhance(
     est_cfg: EstimatorConfig = EstimatorConfig(),
     grid: Optional[F0Grid] = None,
     bank: Optional[CombFilterBank] = None,
-    counter: Optional[MacCounter] = None,
 ) -> EnhanceResult:
     """Run the whole pipeline on one buffer.
 
@@ -152,7 +153,8 @@ def enhance(
     call of :func:`hcf.estimator.estimate_track`, whose helper is joined
     before the next phase starts; no posteriors are kept. Then every stage
     after the track runs on the blocks of :func:`hcf.helper.blocks`, on either
-    thread, while this thread alone overlap-adds them in order, so memory
+    thread, and writes nothing; this thread alone stores each block's map
+    columns, overlap-adds its spectrum and sums its MACs, in order, so memory
     beyond the input, output and maps is bounded. The results are those of
     one pass over the whole buffer, whichever thread ran a block.
     A frame whose given strength is 0 in every bin skips the comb, like an
@@ -193,8 +195,8 @@ def enhance(
     indices = track.indices
 
     def run_block(lo, n):
-        """Output spectrum and comb MACs of the ``n`` frames from ``lo`` on;
-        writes only their own map columns.
+        """Columns, output spectrum, strength, gain and comb MACs of the ``n``
+        frames from ``lo`` on; writes no array that outlives the call.
 
         The block's chunks and frames are strided views of a padded copy of
         its own span of the signal, never of the whole signal.
@@ -221,23 +223,25 @@ def enhance(
             block_strength[:, combed] = oracle_strength(
                 combed_spec, filtered_spec, clean_spec[:, combed]
             )
-            gain_map[:, cols] = block_gain = oracle_gain(noisy_spec, clean_spec, fb)
+            block_gain = oracle_gain(noisy_spec, clean_spec, fb)
         else:
             block_gain = gain_map[:, cols]
-        strength_map[:, cols] = block_strength
         # frame-contiguous, as OverlapAdd's inverse FFT and overlap-add read it
         out = np.multiply(noisy_spec, block_gain, order="F")
         out[:, combed] = blend(combed_spec, filtered_spec, block_strength[:, combed],
                                block_gain[:, combed], blend_cfg)
-        return out, macs.inference
+        return cols, out, block_strength, block_gain, macs.inference
 
     ola = OverlapAdd(frame_cfg, len(noisy))
+    total = MacCounter()
 
     def emit(result):
-        spec, macs = result
+        cols, spec, block_strength, block_gain, macs = result
+        strength_map[:, cols] = block_strength
+        if oracle:
+            gain_map[:, cols] = block_gain
         ola.add(spec)
-        if counter is not None:
-            counter.inference += macs
+        total.inference += macs
 
     overlap(blocks(n_frames), run_block, emit)
 
@@ -247,4 +251,5 @@ def enhance(
         strength=strength_map,
         gain=gain_map,
         latency_samples=frame_cfg.frame_size + bank.pad,
+        macs=total.inference,
     )

@@ -34,7 +34,7 @@ def overlap(spans: list, run, emit) -> None:
     taken, if it is fewer than ``AHEAD`` ranges past the next one to emit. The
     caller alone passes each range's result to ``emit``, in order. An exception
     on either thread is raised by the caller once the helper has stopped.
-    ``run`` must write nothing that another range reads.
+    ``run`` writes nothing; what outlives it is stored by ``emit``.
     """
     cond = threading.Condition()
     finished = {}

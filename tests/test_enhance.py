@@ -404,13 +404,24 @@ class TestEnhance:
         with pytest.raises(ShapeError):
             hcf.enhance(buffer(x), gain=np.ones((10, 3)), strength=0.0)
 
-    def test_mac_counter_updated(self, rng):
+    def test_result_counts_the_macs(self, rng):
         x = rng.standard_normal(24000) * 0.1
         n_frames = hcf.FrameConfig().n_frames(x.size)
         track = all_voiced_track(n_frames)
-        counter = hcf.MacCounter()
-        hcf.enhance(buffer(x), track=track, strength=1.0, gain=1.0, counter=counter)
-        assert counter.inference == 3 * 1536 * n_frames
+        result = hcf.enhance(buffer(x), track=track, strength=1.0, gain=1.0)
+        assert result.macs == 3 * 1536 * n_frames
+
+    def test_macs_follow_the_bank_order(self, rng):
+        x = rng.standard_normal(24000) * 0.1
+        n_frames = hcf.FrameConfig().n_frames(x.size)
+        indices = np.full(n_frames, 96)
+        indices[::3] = hcf.F0Grid().unvoiced_index
+        track = hcf.track_from_indices(hcf.F0Grid(), indices)
+        bank = hcf.build_bank(hcf.F0Grid(), order=2)
+        result = hcf.enhance(buffer(x), track=track, strength=1.0, gain=1.0, bank=bank)
+        voiced = int(track.voiced_mask(bank.grid).sum())
+        assert len(bank.taps) == 5 and 0 < voiced < n_frames
+        assert result.macs == 5 * 1536 * voiced
 
 
 def serial_oracle_enhance(noisy, clean, bank, counter):
@@ -462,10 +473,10 @@ class TestBlockedEnhance:
         gain = rng.uniform(0.0, 1.5, (769, n_frames)).astype(np.float32).astype(np.float64)
         strength = rng.uniform(-0.2, 1.2, (769, n_frames)).astype(np.float32).astype(np.float64)
 
-        counter, whole_counter = hcf.MacCounter(), hcf.MacCounter()
+        whole_counter = hcf.MacCounter()
         result = hcf.enhance(
             buffer(x), track=track, gain=gain, strength=strength,
-            blend_cfg=hcf.BlendConfig(exponent), bank=bank, counter=counter,
+            blend_cfg=hcf.BlendConfig(exponent), bank=bank,
         )
         audio, whole_strength, whole_gain = whole_buffer_enhance(
             buffer(x), None, track, gain, strength, exponent, bank, whole_counter
@@ -474,7 +485,7 @@ class TestBlockedEnhance:
         # the strength map is stored as float32; the blend used the float64 values
         assert_bit_identical(result.strength, whole_strength.astype(np.float32))
         assert_bit_identical(result.gain, whole_gain)
-        assert counter.inference == whole_counter.inference > 0
+        assert result.macs == whole_counter.inference > 0
 
     def test_each_block_frames_only_its_own_span(self, bank, monkeypatch):
         # no zero-padded copy of the whole noisy or clean signal is made
@@ -515,8 +526,8 @@ class TestBlockedEnhance:
     def test_overlapped_oracle_is_bit_identical_to_serial_blocks(self, bank, seconds):
         # the posterior blocks, then the post-track blocks, each on either thread
         noisy, clean = _oracle_case(seconds)
-        counter, serial_counter = hcf.MacCounter(), hcf.MacCounter()
-        result = hcf.enhance(noisy, clean=clean, bank=bank, counter=counter)
+        serial_counter = hcf.MacCounter()
+        result = hcf.enhance(noisy, clean=clean, bank=bank)
         audio, track, serial_post, strength, gain = serial_oracle_enhance(
             noisy, clean, bank, serial_counter
         )
@@ -528,7 +539,7 @@ class TestBlockedEnhance:
         assert_bit_identical(posteriors(noisy, bank.grid), serial_post)
         assert_bit_identical(result.strength, strength.astype(np.float32))
         assert_bit_identical(result.gain, gain.astype(np.float32))
-        assert counter.inference == serial_counter.inference > 0
+        assert result.macs == serial_counter.inference > 0
         assert 0 < track.voiced_mask(bank.grid).sum() < len(track)
 
     @pytest.mark.parametrize("size", [1, 7, 63, 64, 65, 128, 10_000])
@@ -588,25 +599,36 @@ class TestBlockedEnhance:
         strength = rng.uniform(-0.5, 1.0, (769, n_frames))
         strength[:, rng.random(n_frames) < 0.5] = -0.25  # clips to an all-zero column
         for given in (0.0, strength):
-            counter = hcf.MacCounter()
-            result = hcf.enhance(
-                buffer(x), track=track, gain=gain, strength=given, bank=bank, counter=counter
-            )
+            result = hcf.enhance(buffer(x), track=track, gain=gain, strength=given, bank=bank)
             audio, whole_strength, _ = whole_buffer_enhance(
                 buffer(x), None, track, gain, np.broadcast_to(given, gain.shape), 1.0, bank
             )
             assert_bit_identical(result.audio.samples, audio)
             assert_bit_identical(result.strength, whole_strength.astype(np.float32))
             combed = track.voiced_mask(grid) & whole_strength.any(axis=0)
-            assert counter.inference == 3 * 1536 * int(combed.sum())
+            assert result.macs == 3 * 1536 * int(combed.sum())
         assert 0 < combed.sum() < track.voiced_mask(grid).sum()
 
     def test_zero_strength_map_does_no_comb_work(self, rng):
         x = harmonic_complex(150.0, 5, 1.2, amp=0.12) + 0.01 * rng.standard_normal(57600)
-        counter = hcf.MacCounter()
-        result = hcf.enhance(buffer(x), gain=0.5, strength=0.0, counter=counter)
+        result = hcf.enhance(buffer(x), gain=0.5, strength=0.0)
         assert result.track.voiced_mask(hcf.F0Grid()).any()
-        assert counter.inference == 0
+        assert result.macs == 0
+
+    def test_zero_strength_columns_count_only_the_combed_frames(self, bank, grid, rng):
+        n_frames = 150
+        x = 0.2 * rng.standard_normal(n_frames * 384)
+        indices = np.full(n_frames, 96)
+        indices[::5] = grid.unvoiced_index
+        track = hcf.track_from_indices(grid, indices)
+        strength = np.full((769, n_frames), 0.5)
+        zeroed = np.zeros(n_frames, dtype=bool)
+        zeroed[1::4] = True
+        strength[:, zeroed] = 0.0
+        result = hcf.enhance(buffer(x), track=track, gain=1.0, strength=strength, bank=bank)
+        combed = track.voiced_mask(grid) & ~zeroed
+        assert 0 < combed.sum() < track.voiced_mask(grid).sum()
+        assert result.macs == 3 * 1536 * int(combed.sum())
 
 
 def _oracle_case(seconds=1.2, seed=5):
@@ -777,10 +799,31 @@ class TestThreadedEnhance:
         assert not child.is_alive() and child.exitcode == 0
         assert got == expected
 
+    def test_threaded_oracle_macs_equal_the_serial_blocks_count(self, monkeypatch, bank):
+        noisy, clean = _oracle_case(2.0)
+        module = importlib.import_module("hcf.enhance")
+        real, threads, helper_ran = module.filter_inference, [], threading.Event()
+        caller = threading.current_thread()
+
+        def spy(*args):
+            # the caller's combs wait for one on the helper, so both threads run blocks
+            if threading.current_thread() is caller:
+                helper_ran.wait(timeout=30)
+            else:
+                helper_ran.set()
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(module, "filter_inference", spy)
+        result = hcf.enhance(noisy, clean=clean, bank=bank)
+        serial_counter = hcf.MacCounter()
+        serial_oracle_enhance(noisy, clean, bank, serial_counter)
+        assert caller in threads and len(set(threads)) == 2
+        assert result.macs == serial_counter.inference > 0
+
     def test_mac_count_is_exact_over_blocks(self):
         noisy, clean = _oracle_case(2.0)
-        counter = hcf.MacCounter()
-        result = hcf.enhance(noisy, clean=clean, counter=counter)
+        result = hcf.enhance(noisy, clean=clean)
         voiced = int(result.track.voiced_mask(hcf.F0Grid()).sum())
         assert len(result.track) > 2 * BLOCK_FRAMES and 0 < voiced < len(result.track)
-        assert counter.inference == 3 * 1536 * voiced
+        assert result.macs == 3 * 1536 * voiced

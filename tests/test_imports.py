@@ -10,7 +10,8 @@ but ``framing.py`` and the estimator, whose analysis windows are its own,
 calls ``windows``: ``hcf.framing.block`` frames every range. No module imports
 another's private ``_name``: what crosses a module is public. No module but
 ``framing.py`` names ``np.iinfo(np.intp)``: ``hcf.framing.check_size`` is the one
-rule for sizes numpy cannot shape.
+rule for sizes numpy cannot shape. ``enhance``'s block stage ``run_block`` assigns
+into no array it did not make, so the calling thread alone assembles the result.
 """
 
 import ast
@@ -202,3 +203,34 @@ def test_checker_finds_an_unread_private():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_privates(sources) == []
+
+
+def outer_writes(source: str, function: str) -> list[str]:
+    """Each name whose subscript the function ``function`` of ``source`` assigns
+    into though no assignment of that function binds the name: its parameters
+    and enclosing names are arrays that outlive the call."""
+    func = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    bound = {node.id for node in ast.walk(func)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    written = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            root = node.value
+            while isinstance(root, (ast.Subscript, ast.Attribute)):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id not in bound:
+                written.add(root.id)
+    return sorted(written)
+
+
+def test_checker_finds_a_write_into_an_outer_array():
+    source = ("def run(lo, out):\n    mine = make()\n    mine[idx[0]] = 1\n    out[lo] = 2\n"
+              "    shared[:, lo], other = 3, 4\n    state.maps[0][lo] += 5\n"
+              "    other[0] = 6\ndef elsewhere():\n    kept[0] = 7\n")
+    assert outer_writes(source, "run") == ["out", "shared", "state"]
+    assert outer_writes("def run(lo):\n    x = shared[lo]\n    x[0] = 1\n", "run") == []
+
+
+def test_the_block_stage_writes_no_outer_array():
+    assert outer_writes((PACKAGE / "enhance.py").read_text(), "run_block") == []

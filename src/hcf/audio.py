@@ -34,7 +34,7 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.size and not np.all(np.isfinite(samples)):
+        if not np.all(np.isfinite(samples)):
             raise ValueError("samples contain NaN or Inf")
         object.__setattr__(self, "samples", samples)
 
@@ -163,7 +163,7 @@ def write_wav(buffer: AudioBuffer, path, bit_depth="float32") -> int:
     are clamped; returns how many were.
     """
     samples = buffer.samples
-    if samples.size and not np.all(np.isfinite(samples)):
+    if not np.all(np.isfinite(samples)):
         raise ValueError("cannot write non-finite samples")
 
     clipped = int(np.count_nonzero(np.abs(samples) > 1.0))

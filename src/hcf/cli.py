@@ -267,9 +267,7 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     if samples is None:
         samples = 0.5 * rng.standard_normal(n_noise)
-    tracks = np.empty((args.tracks, n_frames), dtype=np.int64)  # fails at once if too large
-    for track in tracks:
-        track[:] = rng.integers(0, grid.label_size, size=n_frames)
+    tracks = rng.integers(0, grid.label_size, size=(args.tracks, n_frames))
     macs = MacCounter()
     max_dev = verify_routes(bank, samples, tracks, frame_cfg, macs)
 

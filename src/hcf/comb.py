@@ -186,9 +186,9 @@ def _filter(rows: list, signal: np.ndarray, hop: int, frames: np.ndarray,
     may come in any order.
 
     The stretch the pairs reach is scaled once per distinct weight of each weight
-    sequence their rows share; a pair adds its first two windows of those, then each
-    later one, in weight order: the float operations of multiplying each weight into
-    the frame in turn, bit for bit. A row with no weight gives zeros.
+    sequence their rows share; a pair copies its first window of those, then adds
+    each later one in place, in weight order: the float operations of multiplying
+    each weight into the frame in turn, bit for bit. A row with no weight gives zeros.
     """
     if not len(frames):
         return
@@ -201,11 +201,8 @@ def _filter(rows: list, signal: np.ndarray, hop: int, frames: np.ndarray,
         if key not in products:
             products[key] = _scaled(weights, stretch)
         shifted = [p[start + j:start + j + frame] for p, j in zip(products[key], cols)]
-        if len(shifted) < 2:  # one weight, or a hand-built bank's empty row
-            row[:] = shifted[0] if shifted else 0.0
-            continue
-        np.add(shifted[0], shifted[1], out=row)
-        for window in shifted[2:]:
+        row[:] = shifted[0] if shifted else 0.0  # a copy, so a -0.0 product stays -0.0
+        for window in shifted[1:]:
             row += window
 
 
@@ -285,7 +282,7 @@ def verify_routes(
     """
     frame, pad = frame_cfg.frame_size, bank.pad
     n_frames = frame_cfg.n_frames(len(samples))
-    tracks = np.asarray(tracks, dtype=np.int64)
+    tracks = np.asarray(tracks)
     if tracks.ndim != 2 or tracks.shape[1] != n_frames:
         raise ShapeError(f"tracks must be (n_tracks, {n_frames}), got {tracks.shape}")
     check_track(F0Track(tracks.ravel()), bank.grid.label_size)  # names a flat position

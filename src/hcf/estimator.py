@@ -144,12 +144,11 @@ def _posteriors(frames: np.ndarray, grid: F0Grid, cfg: EstimatorConfig) -> np.nd
     # min(1, dip_min / threshold), divided only below it so a tiny threshold cannot overflow
     posterior[:, grid.unvoiced_index] = 1.0
     posterior[dipped, grid.unvoiced_index] = dip_min[dipped] / cfg.yin_threshold
-    if dipped.size:
-        tau = t_min + _threshold_pick(search[dipped], cfg.yin_threshold)
-        refined = _parabolic_refine(dprime[dipped], tau)
-        pick = nearest_period_index(grid, refined)
-        bumped = posterior[dipped].max(axis=1) * PICK_BUMP
-        posterior[dipped, pick] = np.maximum(posterior[dipped, pick], bumped)
+    tau = t_min + _threshold_pick(search[dipped], cfg.yin_threshold)
+    refined = _parabolic_refine(dprime[dipped], tau)
+    pick = nearest_period_index(grid, refined)
+    bumped = posterior[dipped].max(axis=1) * PICK_BUMP
+    posterior[dipped, pick] = np.maximum(posterior[dipped, pick], bumped)
 
     peak = posterior.max(axis=1)
     flat = peak <= 0.0
@@ -233,15 +232,14 @@ class Decoder:
         for t in range(first, len(emissions)):
             np.add(from_unvoiced, score[u], out=stay)
             if top + score[:u].max() < stay.min():  # strict, so no state ties a voiced move
-                np.add(stay, emissions[t], out=score)
                 cut = t
-                continue
-            np.add(into, score, out=cand)
-            np.argmax(cand, axis=1, out=best)  # ties go to the lowest state
-            back[t] = best
-            np.add(best, offsets, out=flat)
-            np.take(cand, flat, out=stay)
-            np.add(stay, emissions[t], out=score)
+            else:
+                np.add(into, score, out=cand)
+                np.argmax(cand, axis=1, out=best)  # ties go to the lowest state
+                back[t] = best
+                np.add(best, offsets, out=flat)
+                np.take(cand, flat, out=stay)
+            np.add(stay, emissions[t], out=score)  # stay: best arrival, from U or the dense step
         self._score = score
         if self.frames + len(emissions) == len(self.indices):
             self._settle(len(self.indices), int(np.argmax(score)))

@@ -137,10 +137,12 @@ class F0Track:
     indices: np.ndarray
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64)
+        indices = np.asarray(self.indices)
+        if indices.size and indices.dtype.kind not in "iu":  # an empty list reads as float64
+            raise ShapeError(f"track indices must be integers, got {indices.dtype}")
         if indices.ndim != 1:
             raise ShapeError(f"track indices must be 1-D, got shape {indices.shape}")
-        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "indices", indices.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return self.indices.size

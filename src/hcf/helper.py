@@ -1,10 +1,11 @@
 """Blocks of frames, run on the calling thread and one helper thread.
 
 :func:`blocks` alone cuts frames into blocks, frame ranges ``(lo, n)`` that
-:func:`overlap` runs. numpy's FFTs and large loops release the interpreter lock,
-so a block on the helper overlaps the caller's own work. The thread is started
-and joined inside :func:`overlap`: calls share no state, and a process forked
-after a call inherits no worker.
+:func:`overlap` runs. numpy's FFTs and most large array loops release the
+interpreter lock, so a block on the helper overlaps the caller's own work; a 2-D
+``np.cumsum``, as in the estimator's energies and ``_cmndf``, holds it and makes
+the other thread wait. The thread is started and joined inside :func:`overlap`:
+calls share no state, and a process forked after a call inherits no worker.
 """
 
 from __future__ import annotations

@@ -233,6 +233,30 @@ class TestTrackRoundTrip:
                 noisy = hcf.AudioBuffer(np.zeros(n_frames * hcf.FrameConfig().hop_size))
                 hcf.enhance(noisy, track=hcf.F0Track(indices), gain=1.0, strength=1.0)
 
+    @pytest.mark.parametrize("values", [[96.9, 3.2], ["5", "96"], [True, False]],
+                             ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("entry", ["F0Track", "track_from_indices", "verify_routes", "enhance"])
+    def test_indices_that_are_not_integers_rejected(self, grid, entry, values):
+        # an int64 cast used to read 96.9 as row 96, "5" as 5 and True as 1
+        frame_cfg = hcf.FrameConfig()
+        samples = np.zeros(len(values) * frame_cfg.hop_size)
+        with pytest.raises(ShapeError, match="track indices must be integers"):
+            if entry == "F0Track":
+                hcf.F0Track(values)
+            elif entry == "track_from_indices":
+                hcf.track_from_indices(grid, values)
+            elif entry == "verify_routes":
+                hcf.verify_routes(hcf.build_bank(grid), samples, np.array([values]), frame_cfg)
+            else:
+                hcf.enhance(hcf.AudioBuffer(samples), track=hcf.F0Track(np.array(values)),
+                            gain=1.0, strength=1.0)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64, np.int64])
+    def test_integer_indices_of_any_width_accepted(self, grid, dtype):
+        track = hcf.track_from_indices(grid, np.array([96, 225, 0], dtype=dtype))
+        assert track.indices.dtype == np.int64
+        np.testing.assert_array_equal(track.indices, [96, 225, 0])
+
     def test_benchmark_track_writer_round_trips(self, grid, tmp_path, monkeypatch):
         # perfbench writes its track CSVs with its own, independent writer
         source = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"

@@ -238,7 +238,7 @@ def _cmd_f0(args) -> int:
 def _cmd_labels(args) -> int:
     grid = _grid(args)
     track = read_track(args.track, grid)
-    labels = np.reshape([gaussian_label(grid, int(i)) for i in track.indices], (-1, grid.label_size))
+    labels = gaussian_label(grid, track.indices)
     write_matrix(labels, args.out)
     print(f"wrote {labels.shape[0]}x{labels.shape[1]} label matrix to {args.out}")
     return 0

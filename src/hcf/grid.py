@@ -85,22 +85,18 @@ def nearest_period_index(grid: F0Grid, period):
     return np.argmin(np.abs(grid.periods - np.asarray(period)[..., None]), axis=-1)
 
 
-def gaussian_label(grid: F0Grid, target_index: int) -> np.ndarray:
-    """Smoothed training label for one frame.
+def gaussian_label(grid: F0Grid, target_index) -> np.ndarray:
+    """Smoothed training label, one ``(size + 1,)`` row per entry of an int or an index array.
 
     A voiced target puts a squared-exponential bump, peak 1.0, on the voiced
     bins and leaves the unvoiced slot at zero; the unvoiced target is one-hot.
     """
-    n = grid.size
-    if not 0 <= target_index <= n:
-        raise ValueError(f"target_index {target_index} outside [0, {n}]")
-    label = np.zeros(n + 1)
-    if target_index == n:
-        label[n] = 1.0
-    else:
-        i = np.arange(n, dtype=np.float64)
-        label[:n] = np.exp(-((i - target_index) ** 2) / LABEL_WIDTH)
-    return label
+    n, index = grid.size, np.asarray(target_index)
+    if (outside := np.flatnonzero((index < 0) | (index > n))).size:
+        raise ValueError(f"target_index {index.flat[outside[0]]} outside [0, {n}]")
+    slot = np.arange(n + 1.0)
+    bump = np.where(slot < n, np.exp(-((slot - index[..., None]) ** 2) / LABEL_WIDTH), 0.0)
+    return np.where(index[..., None] == n, slot == n, bump)
 
 
 def one_hot(grid: F0Grid, index: int) -> np.ndarray:
@@ -142,7 +138,10 @@ class F0Track:
             raise ShapeError(f"track indices must be integers, got {indices.dtype}")
         if indices.ndim != 1:
             raise ShapeError(f"track indices must be 1-D, got shape {indices.shape}")
-        object.__setattr__(self, "indices", indices.astype(np.int64, copy=False))
+        signed = indices.astype(np.int64, copy=False)
+        if indices.dtype.kind == "u" and (wrapped := np.flatnonzero(signed < 0)).size:
+            raise ShapeError(f"frame {wrapped[0]}: grid index {indices[wrapped[0]]} exceeds int64")
+        object.__setattr__(self, "indices", signed)
 
     def __len__(self) -> int:
         return self.indices.size

@@ -1,11 +1,12 @@
 """Blocks of frames, run on the calling thread and one helper thread.
 
 :func:`blocks` alone cuts frames into blocks, frame ranges ``(lo, n)`` that
-:func:`overlap` runs. numpy's FFTs and most large array loops release the
-interpreter lock, so a block on the helper overlaps the caller's own work; a 2-D
-``np.cumsum``, as in the estimator's energies and ``_cmndf``, holds it and makes
-the other thread wait. The thread is started and joined inside :func:`overlap`:
-calls share no state, and a process forked after a call inherits no worker.
+:func:`overlap` runs, failing as one serial pass would. numpy's FFTs and most
+large array loops release the interpreter lock, so a block on the helper
+overlaps the caller's own work; a 2-D ``np.cumsum``, as in the estimator's
+energies and ``_cmndf``, holds it and makes the other thread wait. The thread
+is started and joined inside :func:`overlap`: calls share no state, and a
+process forked after a call inherits no worker.
 """
 
 from __future__ import annotations
@@ -32,72 +33,69 @@ def overlap(spans: list, run, emit) -> None:
     """Run the frame ranges ``spans`` of :func:`blocks` on the calling thread and one helper.
 
     Each thread calls ``run(lo, n)`` for the lowest range that no thread has
-    taken, if it is fewer than ``AHEAD`` ranges past the next one to emit. The
-    caller alone passes each range's result to ``emit``, in order. An exception
-    on either thread is raised by the caller once the helper has stopped.
-    ``run`` writes nothing; what outlives it is stored by ``emit``.
+    taken, if it is fewer than ``AHEAD`` ranges past the next one to emit, and
+    keeps its outcome, result or exception, in that range's slot. The caller
+    alone walks the slots in order, passing each result to ``emit``. So a call
+    fails as one serial pass would: it emits every range before the first
+    failing one, starts no range once one has raised, and raises that range's
+    exception once the helper has stopped. ``run`` writes nothing; what
+    outlives it is stored by ``emit``.
     """
+    if not spans:
+        return
     cond = threading.Condition()
-    finished = {}
-    # guarded by ``cond``; only the caller advances ``emitted``
-    state = {"taken": 0, "emitted": 0, "error": None, "stop": False}
+    # guarded by ``cond``; only the caller advances ``emitted`` and empties a slot
+    slots = [None] * len(spans)
+    state = {"taken": 0, "emitted": 0, "stop": False}
 
     def take():
         """Take the next block to run, or return None; call with ``cond`` held."""
         b = state["taken"]
-        if b >= min(len(spans), state["emitted"] + AHEAD):
+        if state["stop"] or b >= min(len(spans), state["emitted"] + AHEAD):
             return None
         state["taken"] += 1
         return b
 
-    def helper():
+    def work(b):
+        """Run block ``b`` and keep its outcome in its slot."""
         try:
-            while True:
-                with cond:
-                    while (b := take()) is None:
-                        if state["stop"] or state["taken"] >= len(spans):
-                            return
-                        cond.wait()
-                result = run(*spans[b])
-                with cond:
-                    finished[b] = result
-                    cond.notify_all()
-        except BaseException as exc:  # raised again on the caller's thread
-            with cond:
-                state["error"] = exc
-                cond.notify_all()
+            slot = run(*spans[b]), None
+        except BaseException as exc:  # raised again by the caller, in block order
+            slot = None, exc
+        with cond:
+            slots[b] = slot
+            state["stop"] |= slot[1] is not None
+            cond.notify_all()
 
-    def next_action():
-        """What the caller does next, and its argument; call with ``cond`` held."""
+    def helper():
         while True:
-            if state["error"] is not None:
-                raise state["error"]
-            if state["emitted"] in finished:
-                return "emit", finished.pop(state["emitted"])
-            b = take()
-            if b is not None:
-                return "run", b
-            cond.wait()
+            with cond:
+                while (b := take()) is None:
+                    if state["stop"] or state["taken"] >= len(spans):
+                        return
+                    cond.wait()
+            work(b)
 
-    thread = threading.Thread(target=helper, daemon=True) if spans else None
-    if thread is not None:
-        thread.start()
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
     try:
-        while state["emitted"] < len(spans):
+        while (k := state["emitted"]) < len(spans):
+            with cond:  # emit block k once it is done, else run a block, else wait
+                while (slot := slots[k]) is None and (b := take()) is None:
+                    cond.wait()
+            if slot is None:
+                work(b)
+                continue
+            result, exc = slot
+            if exc is not None:
+                raise exc
+            emit(result)
             with cond:
-                action, arg = next_action()
-            if action == "emit":
-                emit(arg)
-                with cond:
-                    state["emitted"] += 1
-                    cond.notify_all()
-            else:
-                result = run(*spans[arg])
-                with cond:
-                    finished[arg] = result
-    finally:
-        if thread is not None:
-            with cond:
-                state["stop"] = True
+                slots[k] = None
+                state["emitted"] += 1
                 cond.notify_all()
-            thread.join()
+    finally:
+        with cond:
+            state["stop"] = True
+            cond.notify_all()
+        thread.join()

@@ -11,8 +11,8 @@ offset size    content
 12     4*r*c   float32 payload, row-major
 ====== ======= =====================================
 
-Doubles are narrowed to float32 on write (round to nearest); float32 data
-round-trips bit-exactly.
+Doubles are narrowed to float32 on write (round to nearest), and one beyond
+float32's range is rejected as non-finite; float32 data round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ HEADER = struct.Struct("<4sII")
 
 
 def write_matrix(matrix, path) -> None:
-    """Write a 2-D real matrix; raises on non-finite entries."""
+    """Write a 2-D real matrix; raises on entries not finite as float32."""
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise MatrixFormatError(f"need a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    with np.errstate(over="ignore"):  # a double beyond float32's range narrows to inf
+        payload = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
         raise MatrixFormatError("matrix contains non-finite entries")
-    payload = np.ascontiguousarray(arr, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
         fh.write(payload)

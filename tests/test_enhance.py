@@ -674,6 +674,31 @@ def _fail_second_call(real, on_helper, calls, failed, message):
     return failing
 
 
+def _overlap_failing_ranges(block_0_fails):
+    """``overlap`` on 4 blocks whose block 1 raises at once and whose block 0
+    ends, by returning or by raising as ``block_0_fails``, only after that.
+
+    Returns the message raised and the blocks emitted.
+    """
+    spans, emitted, raised = blocks(4 * BLOCK_FRAMES), [], threading.Event()
+
+    def run(lo, n):
+        if lo == BLOCK_FRAMES:
+            raised.set()
+            raise RuntimeError("range 1")
+        if lo == 0:
+            assert raised.wait(timeout=30)
+            if block_0_fails:
+                raise RuntimeError("range 0")
+        return lo
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        overlap(spans, run, emitted.append)
+    assert threading.active_count() == before
+    return str(info.value), emitted
+
+
 class TestThreadedEnhance:
     """``enhance`` and ``estimate_track`` run at most one helper thread at a time,
     started and joined inside the call: an estimating ``enhance`` runs one inside
@@ -781,6 +806,16 @@ class TestThreadedEnhance:
                         assert lo // BLOCK_FRAMES < done + AHEAD
         finally:
             sys.setswitchinterval(interval)
+
+    def test_overlap_emits_every_block_before_the_failing_one(self):
+        # a serial pass emits block 0 before block 1 raises, whichever thread ran which
+        for _ in range(20):
+            assert _overlap_failing_ranges(block_0_fails=False) == ("range 1", [0])
+
+    def test_overlap_raises_the_first_failing_block_in_order(self):
+        # block 1 raises first in time, but a serial pass would stop at block 0
+        for _ in range(20):
+            assert _overlap_failing_ranges(block_0_fails=True) == ("range 0", [])
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"

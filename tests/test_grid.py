@@ -138,6 +138,18 @@ class TestGaussianLabel:
         with pytest.raises(ValueError):
             hcf.gaussian_label(grid, 226)
 
+    def test_index_array_gives_one_row_per_entry(self, grid):
+        indices = np.array([[0, 225, 112], [224, 7, 225]])
+        labels = hcf.gaussian_label(grid, indices)
+        assert labels.shape == (2, 3, grid.label_size) and labels.dtype == np.float64
+        for index in np.ndindex(indices.shape):
+            assert labels[index].tobytes() == hcf.gaussian_label(grid, int(indices[index])).tobytes()
+        assert hcf.gaussian_label(grid, np.array([], dtype=int)).shape == (0, grid.label_size)
+
+    def test_index_array_names_the_first_index_outside(self, grid):
+        with pytest.raises(ValueError, match=r"target_index 226 outside \[0, 225\]"):
+            hcf.gaussian_label(grid, np.array([5, 226, -1]))
+
 
 class TestOneHot:
     def test_basis_vectors(self, grid):
@@ -249,6 +261,21 @@ class TestTrackRoundTrip:
                 hcf.verify_routes(hcf.build_bank(grid), samples, np.array([values]), frame_cfg)
             else:
                 hcf.enhance(hcf.AudioBuffer(samples), track=hcf.F0Track(np.array(values)),
+                            gain=1.0, strength=1.0)
+
+    @pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+    @pytest.mark.parametrize("entry", ["F0Track", "track_from_indices", "enhance"])
+    def test_unsigned_index_beyond_int64_rejected_as_given(self, grid, entry, value):
+        # an int64 cast used to wrap 2**63 to -2**63 and 2**64 - 1 to -1
+        indices = np.array([96, value, 7], dtype=np.uint64)
+        with pytest.raises(ShapeError, match=rf"frame 1: grid index {value} exceeds int64"):
+            if entry == "F0Track":
+                hcf.F0Track(indices)
+            elif entry == "track_from_indices":
+                hcf.track_from_indices(grid, indices)
+            else:
+                samples = np.zeros(len(indices) * hcf.FrameConfig().hop_size)
+                hcf.enhance(hcf.AudioBuffer(samples), track=hcf.F0Track(indices),
                             gain=1.0, strength=1.0)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64, np.int64])

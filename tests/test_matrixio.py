@@ -38,6 +38,20 @@ class TestWrite:
         with pytest.raises(MatrixFormatError):
             hcf.write_matrix(np.array([[np.inf]]), tmp_path / "x.hcf")
 
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_rejects_a_double_beyond_float32(self, tmp_path, value):
+        # it used to narrow to inf with an overflow warning, into a file read_matrix rejects
+        path = tmp_path / "x.hcf"
+        with pytest.raises(MatrixFormatError, match="non-finite"):
+            hcf.write_matrix(np.array([[value, 1.0]]), path)
+        assert not path.exists()
+
+    def test_largest_float32_is_written(self, tmp_path):
+        path = tmp_path / "max.hcf"
+        top = float(np.finfo(np.float32).max)
+        hcf.write_matrix(np.array([[top, -top]]), path)
+        assert hcf.read_matrix(path).tolist() == [[top, -top]]
+
 
 class TestRoundTrip:
     def test_float32_bit_exact(self, tmp_path, rng):

@@ -31,11 +31,14 @@ from numpy.lib.stride_tricks import as_strided
 
 from .audio import PIPELINE_RATE
 from .errors import ShapeError
-from .framing import FrameConfig, block, check_size
+from .framing import FrameConfig, block, check_size, shared_signal
 from .grid import F0Grid, F0Track, check_track
 from .helper import blocks
 
 TAP_TOL = 1e-9
+
+#: The key of a row whose one weight is 1.0: a pair with it copies one window.
+_ONE = np.float64(1.0).tobytes()
 
 
 @dataclass
@@ -128,22 +131,6 @@ def _check_chunks(bank: CombFilterBank, chunks: np.ndarray) -> int:
     return frame
 
 
-def _signal(chunks: np.ndarray):
-    """The signal and hop whose windows ``signal[t*hop:][:C]`` are the columns.
-
-    The pipeline's chunks, overlapping strided columns of one buffer, are
-    read in place; any other layout is copied column after column, with the
-    hop equal to the chunk length ``C``.
-    """
-    size, n_frames = chunks.shape
-    item = chunks.itemsize
-    hop, rest = divmod(chunks.strides[1], item)
-    # with no frames the span would be C - hop samples of an empty array
-    if n_frames and chunks.strides[0] == item and rest == 0 and 0 < hop <= size:
-        return as_strided(chunks, ((n_frames - 1) * hop + size,), (item,), writeable=False), hop
-    return np.ascontiguousarray(chunks.T).ravel(), size
-
-
 def _scaled(weights: np.ndarray, signal: np.ndarray) -> list:
     """``weights[k] * signal`` for each k, computed once per distinct weight.
 
@@ -151,7 +138,7 @@ def _scaled(weights: np.ndarray, signal: np.ndarray) -> list:
     signal is scaled in float64, as multiplying it in place would be; a weight
     of 1.0 gives the signal itself, since ``x * 1.0`` is ``x`` bit for bit.
     """
-    by_bits = {np.float64(1.0).tobytes(): signal}
+    by_bits = {_ONE: signal}
     for w in weights:
         if w.tobytes() not in by_bits:
             by_bits[w.tobytes()] = np.multiply(w, signal)
@@ -175,8 +162,8 @@ def _tap_rows(bank: CombFilterBank) -> list:
     alone: voiced row i weights columns ``pad - k*T_i`` for ``k = -M..M`` with the
     taps in tap order, and the unvoiced row weights column ``pad`` with 1.0."""
     cols = bank.pad - np.outer(bank.grid.rounded_periods(), np.arange(-bank.order, bank.order + 1))
-    key, one = bank.taps.tobytes(), np.ones(1)
-    return [(key, bank.taps, c) for c in cols.tolist()] + [(one.tobytes(), one, [bank.pad])]
+    key = bank.taps.tobytes()
+    return [(key, bank.taps, c) for c in cols.tolist()] + [(_ONE, np.ones(1), [bank.pad])]
 
 
 def _filter(rows: list, signal: np.ndarray, hop: int, frames: np.ndarray,
@@ -188,22 +175,43 @@ def _filter(rows: list, signal: np.ndarray, hop: int, frames: np.ndarray,
     The stretch the pairs reach is scaled once per distinct weight of each weight
     sequence their rows share; a pair copies its first window of those, then adds
     each later one in place, in weight order: the float operations of multiplying
-    each weight into the frame in turn, bit for bit. A row with no weight gives zeros.
+    each weight into the frame in turn, bit for bit. The pairs whose row is one
+    weight of 1.0, the unvoiced row, copy their windows of the stretch itself,
+    one strided copy per run of them on consecutive frames. A row with no weight
+    gives zeros.
     """
-    if not len(frames):
+    if not out.size:
         return
     frame, lo = out.shape[1], int(frames.min()) * hop
     picked = [rows[i] for i in indices.tolist()]
     reach = max((max(cols) for _, _, cols in picked if cols), default=0) + frame
     stretch = signal[lo:int(frames.max()) * hop + reach]
+    starts = (frames * hop - lo).tolist()
     products = {}  # the scaled stretches of each weight sequence met so far
-    for row, start, (key, weights, cols) in zip(out, (frames * hop - lo).tolist(), picked):
+    for row, start, (key, weights, cols) in zip(out, starts, picked):
+        if key == _ONE:  # one weight of 1.0: a window of the stretch itself, copied below
+            continue
         if key not in products:
             products[key] = _scaled(weights, stretch)
         shifted = [p[start + j:start + j + frame] for p, j in zip(products[key], cols)]
         row[:] = shifted[0] if shifted else 0.0  # a copy, so a -0.0 product stays -0.0
         for window in shifted[1:]:
             row += window
+    runs = []  # [row, window start, rows]: copies on consecutive rows, windows ``hop`` apart
+    for r, (key, _, cols) in enumerate(picked):
+        if key == _ONE:
+            src = starts[r] + cols[0]
+            r0, s0, k = runs[-1] if runs else (-1, 0, 0)
+            if (r0 + k, s0 + k * hop) == (r, src):
+                runs[-1][2] += 1
+            else:
+                runs.append([r, src, 1])
+    if runs:  # one strided copy per run
+        item = stretch.strides[0]
+        windows = as_strided(stretch, (len(stretch) - frame + 1, frame), (item, item),
+                             writeable=False)
+        for r, src, k in runs:
+            out[r:r + k] = windows[src:src + k * hop:hop]
 
 
 def filter_all_candidates(
@@ -225,7 +233,7 @@ def filter_all_candidates(
     """
     frame = _check_chunks(bank, chunks)
     n_frames = chunks.shape[1]
-    signal, hop = _signal(chunks)
+    signal, hop = shared_signal(chunks.T)
     n_rows = len(bank.weights)
     out = np.empty((n_rows, (n_frames - 1) * hop + frame if n_frames else 0))
     _filter(_scan(bank.weights), signal, hop, np.zeros(n_rows, dtype=np.intp),
@@ -259,7 +267,7 @@ def filter_inference(
     frame = _check_chunks(bank, chunks)
     check_track(track, bank.grid.label_size, chunks.shape[1])
     out = np.empty((chunks.shape[1], frame))
-    _filter(bank._tap_table, *_signal(chunks), np.arange(len(out)), track.indices, out)
+    _filter(bank._tap_table, *shared_signal(chunks.T), np.arange(len(out)), track.indices, out)
     if counter is not None:
         voiced = int(np.count_nonzero(track.indices != bank.grid.unvoiced_index))
         counter.inference += len(bank.taps) * frame * voiced
@@ -297,7 +305,7 @@ def verify_routes(
     reference, fast = np.empty((2, step, frame))
     rows, taps, max_dev = _scan(bank.weights), bank._tap_table, 0.0
     for lo, n in spans:
-        signal, hop = _signal(block(samples, frame_cfg, lo, n, pad))
+        signal, hop = shared_signal(block(samples, frame_cfg, lo, n, pad).T)
         pairs = picked[:n]
         pairs[:] = False
         pairs[np.arange(n), tracks[:, lo:lo + n]] = True

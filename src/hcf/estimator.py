@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .audio import AudioBuffer
-from .framing import FrameConfig, windows
+from .framing import FrameConfig, shared_signal, windows
 from .grid import F0Grid, F0Track, nearest_period_index, track_from_indices
 from .helper import blocks, overlap
 
@@ -64,40 +65,73 @@ def analysis_window(grid: F0Grid) -> int:
     return 2 * int(grid.rounded_periods().max())
 
 
+def window_energy(x: np.ndarray, w_len: int) -> np.ndarray:
+    """``e[p] = sum(x[p:p + w_len]**2)`` for every ``p`` from 0 to ``len(x) - w_len``.
+
+    Each sum is one fixed tree of adds anchored at its own sample: level k
+    holds the sums of ``2**k`` squares from each sample on, level k + 1 adds
+    level k to itself ``2**k`` samples on, and each run whose bit is set in
+    ``w_len`` joins the sum, low bits first, as soon as its level exists. So a
+    sum's bits depend on its own ``w_len`` samples only, not on where ``x``
+    starts; a zero stretch sums to exactly 0; rounding grows with the tree's
+    ``log2(w_len)`` depth; and the work is about ``log2(w_len)`` passes over
+    ``x`` with at most three arrays of its length alive.
+    """
+    n = len(x) - w_len + 1
+    level, total, done, run = x * x, None, 0, 1
+    while True:
+        if w_len & run:
+            part = level[done:done + n]
+            total = part if total is None else total + part
+            done += run
+        if 2 * run > w_len:
+            return total
+        level = level[:-run] + level[run:]
+        run *= 2
+
+
 def yin_difference(x: np.ndarray, w_len: int, tau_max: int) -> np.ndarray:
     """Squared-difference curves d[..., 0..tau_max] over w_len-sample windows.
 
     d[tau] = sum_{s<w_len} (x[s] - x[s+tau])^2 for every row of ``x``, so a
     row needs at least ``w_len + tau_max`` samples. Computed as
-    ``E_head + E_tau - 2 r(tau)`` from one cumulative energy sum and an FFT
-    cross-correlation ``r`` of length ``w_len + tau_max``, where no lag
-    wraps; rounding can leave tiny negatives, which are clamped to 0.
+    ``E_head + E_tau - 2 r(tau)``: both energies are entries of one
+    :func:`window_energy` of the signal whose windows the rows are (see
+    :func:`hcf.framing.shared_signal`), so overlapping rows share each sum,
+    and ``r`` is an FFT cross-correlation of length ``w_len + tau_max``, where
+    no lag wraps. Rounding can leave tiny negatives, which are clamped to 0.
     """
     n = w_len + tau_max
+    if w_len < 1:
+        raise ValueError(f"w_len must be positive, got {w_len}")
     if x.shape[-1] < n:
         raise ValueError(
             f"window of {x.shape[-1]} samples too short for "
             f"w_len={w_len}, tau_max={tau_max}"
         )
-    x = x[..., :n]
-    r = np.fft.irfft(np.conj(np.fft.rfft(x[..., :w_len], n)) * np.fft.rfft(x, n), n)
-    energy = np.zeros(x.shape[:-1] + (n + 1,))
-    np.cumsum(x * x, axis=-1, out=energy[..., 1:])
-    lags = slice(0, tau_max + 1)
-    d = energy[..., w_len:w_len + 1] + energy[..., w_len:] - energy[..., lags]
-    d -= 2.0 * r[..., lags]
+    rows = x[..., :n].reshape(-1, n)
+    r = np.fft.irfft(np.conj(np.fft.rfft(rows[:, :w_len], n)) * np.fft.rfft(rows, n), n)
+    signal, hop = shared_signal(rows)
+    energy = window_energy(signal, w_len)
+    step = energy.strides[0]
+    energies = as_strided(energy, (len(rows), tau_max + 1), (hop * step, step), writeable=False)
+    d = energies[:, :1] + energies
+    d -= 2.0 * r[:, :tau_max + 1]
     np.maximum(d, 0.0, out=d)
-    d[..., 0] = 0.0
-    return d
+    d[:, 0] = 0.0
+    return d.reshape(x.shape[:-1] + (tau_max + 1,))
 
 
 def _cmndf(d: np.ndarray) -> np.ndarray:
     """Cumulative-mean-normalized difference per row; d'(0) = 1 by convention."""
-    out = np.ones_like(d)
-    sums = np.cumsum(d[:, 1:], axis=1)
-    taus = np.arange(1, d.shape[1], dtype=np.float64)
-    nonzero = sums > 0.0
-    out[:, 1:] = np.where(nonzero, d[:, 1:] * taus / np.where(nonzero, sums, 1.0), 1.0)
+    out = np.empty_like(d)
+    out[:, 0] = 1.0
+    sums = out[:, 1:]
+    np.cumsum(d[:, 1:], axis=1, out=sums)
+    positive = sums > 0.0
+    np.divide(d[:, 1:] * np.arange(1, d.shape[1], dtype=np.float64), sums, out=sums,
+              where=positive)
+    sums[~positive] = 1.0
     return out
 
 
@@ -114,10 +148,11 @@ def _threshold_pick(search: np.ndarray, threshold: float) -> np.ndarray:
     return np.argmax(stops, axis=1)
 
 
-def _parabolic_refine(dprime: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Vertex of the parabola through each row's dip (at lag >= 1) and its neighbors."""
+def _parabolic_refine(dprime: np.ndarray, rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Vertex of the parabola through the dip of row ``rows[k]`` at lag
+    ``tau[k] >= 1`` and its neighbors, read straight from ``dprime``."""
     at = np.minimum(tau, dprime.shape[1] - 2)
-    left, mid, right = (dprime[np.arange(dprime.shape[0]), at + k] for k in (-1, 0, 1))
+    left, mid, right = (dprime[rows, at + k] for k in (-1, 0, 1))
     denom = left - 2.0 * mid + right
     bend = (tau == at) & (denom > 0.0)
     delta = 0.5 * (left - right) / np.where(bend, denom, 1.0)
@@ -145,7 +180,7 @@ def _posteriors(frames: np.ndarray, grid: F0Grid, cfg: EstimatorConfig) -> np.nd
     posterior[:, grid.unvoiced_index] = 1.0
     posterior[dipped, grid.unvoiced_index] = dip_min[dipped] / cfg.yin_threshold
     tau = t_min + _threshold_pick(search[dipped], cfg.yin_threshold)
-    refined = _parabolic_refine(dprime[dipped], tau)
+    refined = _parabolic_refine(dprime, dipped, tau)
     pick = nearest_period_index(grid, refined)
     bumped = posterior[dipped].max(axis=1) * PICK_BUMP
     posterior[dipped, pick] = np.maximum(posterior[dipped, pick], bumped)

@@ -7,7 +7,8 @@ frames (``frame_size`` rows) feeding the spectral path, and padded chunks
 geometry: the caller passes the comb bank's ``bank.pad``. Both framings use
 the same hop and frame count, and the frames are the chunks' center rows.
 Both are read-only strided views of one zero-padded copy of the signal, as is
-every block of frames the pipeline runs (see :func:`block`).
+every block of frames the pipeline runs (see :func:`block`), and
+:func:`shared_signal` reads the signal and hop back from such a view.
 
 Matrices are oriented samples-by-frames: column ``t`` is frame ``t`` and
 starts at sample ``t * hop_size`` of the source buffer.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio import AudioBuffer
 from .errors import ShapeError
@@ -82,6 +83,23 @@ def windows(x: np.ndarray, n_frames: int, hop: int, start: int, length: int) -> 
     padded = np.zeros(span)
     padded[lo - start:lo - start + piece.shape[0]] = piece
     return sliding_window_view(padded, length)[::hop]
+
+
+def shared_signal(rows: np.ndarray):
+    """The signal and hop whose windows ``signal[t*hop:][:size]`` are the rows of
+    a ``(n_rows, size)`` array.
+
+    Rows that are overlapping or abutting windows of one buffer, as
+    :func:`windows` makes, are read in place; any other layout is copied row
+    after row, with the hop equal to the row length ``size``.
+    """
+    n_rows, size = rows.shape
+    item = rows.itemsize
+    hop, rest = divmod(rows.strides[0], item)
+    # with no rows the span would be size - hop samples of an empty array
+    if n_rows and rows.strides[1] == item and rest == 0 and 0 < hop <= size:
+        return as_strided(rows, ((n_rows - 1) * hop + size,), (item,), writeable=False), hop
+    return np.ascontiguousarray(rows).ravel(), size
 
 
 def block(x: np.ndarray, cfg: FrameConfig, lo: int, n: int, pad: int = 0) -> np.ndarray:

@@ -4,9 +4,9 @@
 :func:`overlap` runs, failing as one serial pass would. numpy's FFTs and most
 large array loops release the interpreter lock, so a block on the helper
 overlaps the caller's own work; a 2-D ``np.cumsum``, as in the estimator's
-energies and ``_cmndf``, holds it and makes the other thread wait. The thread
-is started and joined inside :func:`overlap`: calls share no state, and a
-process forked after a call inherits no worker.
+``_cmndf`` (its energies use none), holds it and makes the other thread
+wait. The thread is started and joined inside :func:`overlap`: calls share
+no state, and a process forked after a call inherits no worker.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import hcf
 from hcf.cli import VERIFY_TOLERANCE, main
 from hcf.errors import ShapeError
 from hcf.estimator import EMISSION_FLOOR, Decoder, transition_weights, yin_difference
-from hcf.framing import windows
+from hcf.framing import shared_signal, windows
 
 from helpers import periodic_tone, record_filter_calls, traced_peak
 from reference_kernels import (
@@ -334,7 +334,7 @@ def _every_pair(bank, chunks, step=None):
     comb = importlib.import_module("hcf.comb")
     frame, n_frames = chunks.shape[0] - 2 * bank.pad, chunks.shape[1]
     n_rows = len(bank.weights)
-    signal, hop = comb._signal(chunks)
+    signal, hop = shared_signal(chunks.T)
     rows = comb._scan(bank.weights)
     ts, indices = np.divmod(np.arange(n_frames * n_rows), n_rows)
     buffer = np.empty((step or len(ts), frame))
@@ -397,8 +397,8 @@ class TestCandidateFill:
         monkeypatch.setattr(threading.Thread, "start", no_start)
         bank = hcf.build_bank(hcf.F0Grid())
         hcf.filter_all_candidates(bank, _strided_chunks(bank, rng))
-        # once per weight sequence: the voiced rows' taps and the identity row's 1.0
-        assert threads == [threading.current_thread()] * 2
+        # once per weight sequence but the identity row's 1.0, which copies: the voiced rows' taps
+        assert threads == [threading.current_thread()]
 
     def test_verify_out_of_memory_in_the_fill_exits_three(self, monkeypatch, capsys):
         comb = importlib.import_module("hcf.comb")
@@ -464,13 +464,12 @@ class TestSignalLayouts:
         ("record-field", None, False),
     ])
     def test_overlapping_columns_are_read_in_place(self, rng, layout, hop, in_place):
-        comb = importlib.import_module("hcf.comb")
         bank = hcf.build_bank(desk_grid())
         if layout == "pipeline":
             chunks = _strided_chunks(bank, rng)
         else:
             chunks = self.LAYOUTS[layout](rng.standard_normal((16 + 2 * bank.pad, 4)))
-        signal, got_hop = comb._signal(chunks)
+        signal, got_hop = shared_signal(chunks.T)
         assert got_hop == (hop or len(chunks))
         assert np.shares_memory(signal, chunks) == in_place
         assert signal.shape == ((chunks.shape[1] - 1) * got_hop + len(chunks),)
@@ -480,23 +479,22 @@ class TestSignalLayouts:
         comb = importlib.import_module("hcf.comb")
         bank = hcf.build_bank(hcf.F0Grid())
         chunks = rng.standard_normal((3072, 64))
-        real, copies = comb._signal, []
+        real, copies = shared_signal, []
 
-        def recording(chunks):
-            signal, hop = real(chunks)
-            copies.append(not np.shares_memory(signal, chunks))
+        def recording(rows):
+            signal, hop = real(rows)
+            copies.append(not np.shares_memory(signal, rows))
             return signal, hop
 
-        monkeypatch.setattr(comb, "_signal", recording)
+        monkeypatch.setattr(comb, "shared_signal", recording)
         hcf.filter_all_candidates(bank, chunks)
         assert copies == [True]
 
     def test_no_frames_reads_nothing(self, rng):
-        comb = importlib.import_module("hcf.comb")
         bank = hcf.build_bank(desk_grid())
         # a frameless view of the pipeline's layout: its span would be C - hop samples
         chunks = _strided_chunks(bank, rng)[:, :0]
-        signal, _ = comb._signal(chunks)
+        signal, _ = shared_signal(chunks.T)
         assert signal.shape == (0,)
         got = hcf.filter_all_candidates(bank, chunks)
         assert got.shape == (6, 16, 0)
@@ -515,7 +513,7 @@ class TestCandidateOut:
         for n_frames in (5, 2):
             chunks = _strided_chunks(bank, rng, n_frames=n_frames)
             want = hcf.filter_all_candidates(bank, chunks)
-            signal, hop = comb._signal(chunks)
+            signal, hop = shared_signal(chunks.T)
             ts = np.repeat(np.arange(n_frames), 9)
             indices = rng.integers(0, bank.grid.label_size, size=len(ts))
             buffer[:] = np.nan  # any entry the fill skipped would stay NaN
@@ -634,7 +632,7 @@ class TestSharedProducts:
         comb = importlib.import_module("hcf.comb")
         cfg = hcf.FrameConfig()
         chunks = hcf.chunk_signal(rng.standard_normal(40 * cfg.hop_size), cfg, bank.pad)[:, :32]
-        signal, hop = comb._signal(chunks)
+        signal, hop = shared_signal(chunks.T)
         ts, indices = np.divmod(np.arange(32 * 226), 226)
         out = np.empty((64, cfg.frame_size))
         tracemalloc.start()
@@ -702,9 +700,32 @@ class TestPairKernel:
         for voiced in (True, False):
             assert _negative_zeros(want[(indices != grid.size) == voiced]) > 0
 
-        signal, hop = comb._signal(chunks)
+        signal, hop = shared_signal(chunks.T)
         out = np.full((len(frames), 16), np.nan)  # any entry the kernel skipped stays NaN
         comb._filter(rows, signal, hop, frames, indices, out)
+        assert out.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("table", ["_scan", "_tap_rows"], ids=["tensor", "taps"])
+    def test_unvoiced_runs_copy_each_pairs_own_window(self, rng, table):
+        # unvoiced pairs on consecutive rows whose frames step by one are copied
+        # together; a repeat, a skip, a step back or a voiced pair ends such a run
+        comb = importlib.import_module("hcf.comb")
+        bank = hcf.build_bank(hcf.F0Grid())
+        chunks = _strided_chunks(bank, rng, n_frames=8)
+        frames = np.array([0, 1, 2, 2, 3, 5, 4, 5, 6, 7, 7, 1])
+        indices = np.full(len(frames), bank.grid.size)
+        indices[8] = 40
+        rows = comb._scan(bank.weights) if table == "_scan" else comb._tap_rows(bank)
+        signal, hop = shared_signal(chunks.T)
+        out = np.full((len(frames), 16), np.nan)
+        comb._filter(rows, signal, hop, frames, indices, out)
+        want = np.ascontiguousarray(chunks[bank.pad:bank.pad + 16, frames].T)
+        if table == "_scan":
+            want[8] = hcf.filter_all_candidates(bank, chunks)[40, :, 6]
+        else:
+            want[8] = hcf.filter_inference(bank, chunks,
+                                           hcf.track_from_indices(bank.grid, np.full(8, 40)))[:, 6]
         assert out.tobytes() == want.tobytes()
 
 

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import hcf
 from hcf import estimator
-from hcf.estimator import Decoder, _posteriors, analysis_window, transition_weights
+from hcf.estimator import (Decoder, _posteriors, analysis_window, transition_weights,
+                           window_energy, yin_difference)
 from hcf.helper import BLOCK_FRAMES
 from hcf.framing import windows
 
@@ -104,6 +108,50 @@ class TestYinFrame:
         post = posteriors(buffer(tone(150.0, 0.2)), grid, cfg)
         assert np.all((post >= 0.0) & (post <= 1.0))
         assert np.isin(post[:, grid.unvoiced_index], [0.0, 1.0]).all()
+
+
+class TestWindowEnergy:
+    """``window_energy`` sums each window's squares in one tree anchored at its first
+    sample: close to the exact sums, exactly 0 on silence, and the same bits
+    wherever the span it is handed begins."""
+
+    @pytest.mark.parametrize("w_len", [1, 2, 3, 255, 768, 1000])
+    def test_matches_exact_sums(self, rng, w_len):
+        x = rng.standard_normal(2500)
+        exact = [math.fsum(row * row) for row in sliding_window_view(x, w_len)]
+        got = window_energy(x, w_len)
+        assert got.shape == (len(x) - w_len + 1,)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0)
+
+    def test_zero_stretch_sums_to_exactly_zero(self, rng):
+        x = 1e3 * rng.standard_normal(4000)
+        x[1000:2500] = 0.0
+        got = window_energy(x, 768)
+        assert np.all(got[1000:2500 - 768 + 1] == 0.0)
+        assert np.all(got[:1000] > 0.0) and np.all(got[2500 - 768 + 1:] > 0.0)
+
+    @pytest.mark.parametrize("earlier", [1, 383, 384])
+    def test_sums_do_not_depend_on_where_the_span_starts(self, rng, earlier):
+        x = rng.standard_normal(3000)
+        whole = window_energy(x, 768)
+        assert window_energy(x[earlier:], 768).tobytes() == whole[earlier:].tobytes()
+
+    @pytest.mark.parametrize("j", [-7, -1, 1, 4])
+    def test_power_of_two_scale_is_exact(self, rng, j):
+        x = rng.standard_normal(2000)
+        np.testing.assert_array_equal(window_energy(2.0**j * x, 1000),
+                                      4.0**j * window_energy(x, 1000))
+
+    def test_window_rows_match_their_copy_byte_for_byte(self, rng):
+        # read in place from the windows' buffer or copied row after row, every
+        # energy is the same tree over the same samples
+        rows = windows(rng.standard_normal(6000), 9, 384, -200, 1536)
+        copy = np.ascontiguousarray(rows)
+        assert yin_difference(rows, 768, 768).tobytes() == yin_difference(copy, 768, 768).tobytes()
+
+    def test_positive_window_required(self):
+        with pytest.raises(ValueError, match="w_len"):
+            yin_difference(np.ones(100), 0, 40)
 
 
 class TestViterbi:

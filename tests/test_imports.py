@@ -12,6 +12,8 @@ another's private ``_name``: what crosses a module is public. No module but
 ``framing.py`` names ``np.iinfo(np.intp)``: ``hcf.framing.check_size`` is the one
 rule for sizes numpy cannot shape. ``enhance``'s block stage ``run_block`` assigns
 into no array it did not make, so the calling thread alone assembles the result.
+No code but the estimator's ``_cmndf`` takes a cumulative sum along an axis: a
+2-D ``np.cumsum`` holds the interpreter lock, stalling the other thread.
 """
 
 import ast
@@ -234,3 +236,50 @@ def test_checker_finds_a_write_into_an_outer_array():
 
 def test_the_block_stage_writes_no_outer_array():
     assert outer_writes((PACKAGE / "enhance.py").read_text(), "run_block") == []
+
+
+def takes_axis(call: ast.Call) -> bool:
+    """Whether ``call`` is a ``cumsum`` or ``accumulate``, by any spelling, given an
+    ``axis`` keyword or a positional axis after the array (``a.cumsum(1)`` has none
+    before it)."""
+    func = call.func
+    name = getattr(func, "id", getattr(func, "attr", None))
+    if name not in ("cumsum", "accumulate"):
+        return False
+    method = (name == "cumsum" and isinstance(func, ast.Attribute)
+              and getattr(func.value, "id", None) not in ("np", "numpy"))
+    return any(k.arg == "axis" for k in call.keywords) or len(call.args) > (0 if method else 1)
+
+
+def axis_cumsums(source: str) -> list[str]:
+    """The innermost enclosing function, ``<module>`` at top level, of each call of
+    ``source`` that takes a cumulative sum along an axis."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and takes_axis(child):
+                found.append(inner)
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_checker_finds_a_cumsum_along_an_axis():
+    source = ("import numpy as np\nfrom numpy import cumsum\n"
+              "def f(a):\n    np.cumsum(a, axis=1)\n    a.cumsum(1)\n    cumsum(a, -1)\n"
+              "    np.add.accumulate(a, 1)\n    np.cumsum(a)\n    a.cumsum()\n"
+              "    def g(b):\n        return b.T.cumsum(axis=0)\n"
+              "top = numpy.cumsum(x, 0)\n")
+    assert axis_cumsums(source) == ["<module>", "f", "f", "f", "f", "g"]
+    assert axis_cumsums("y = np.cumsum(x)\ntext = 'np.cumsum(x, axis=1)'\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_cmndf_sums_along_an_axis(module):
+    expected = ["_cmndf"] if module == "estimator.py" else []
+    assert axis_cumsums((PACKAGE / module).read_text()) == expected
